@@ -28,6 +28,8 @@ from .errors import (
 STRUCTURE_CAP = 20_000
 # Dense numpy multiplication tables are built lazily up to this order.
 TABLE_CAP = 4096
+# Products per mul_vec call while a table is built (small keeps peak memory low).
+TABLE_BLOCK = 4096
 # sl2/psl2: odd prime p with p(p^2-1) <= 10^6.
 SL2_CARRIER_CAP = 10**6
 # symmetric/alternating: n <= 9.
@@ -151,18 +153,14 @@ class Group:
         return self._table
 
     def _build_table(self) -> np.ndarray:
+        """Fill the table in row blocks of about TABLE_BLOCK products each."""
         n = self.order
         table = np.empty((n, n), dtype=np.int32)
-        if self.supports_vector_mul:
-            cols = np.arange(n, dtype=np.int64)
-            for a in range(n):
-                table[a] = self.mul_vec(a, cols)
-        else:
-            mul = self.mul
-            for a in range(n):
-                row = table[a]
-                for b in range(n):
-                    row[b] = mul(a, b)
+        cols = np.arange(n, dtype=np.int64)
+        step = max(1, TABLE_BLOCK // n)
+        for a in range(0, n, step):
+            rows = np.arange(a, min(a + step, n), dtype=np.int64)
+            table[a:a + step] = self.mul_vec(rows[:, None], cols)
         return table
 
     def inv_array(self) -> np.ndarray:
@@ -484,6 +482,16 @@ class _MatrixGroup(Group):
 
     def _canon_vec(self, a, b, c, d):
         raise NotImplementedError
+
+    def inv_array(self) -> np.ndarray:
+        # vectorised [[a,b],[c,d]]^-1 = [[d,-b],[-c,a]] over the whole carrier
+        if self._inv_array is None:
+            p = self.p
+            a, b, c, d = self._unpack_vec(self._packed_by_index)
+            packed = self._canon_vec(d, (p - b) % p, (p - c) % p, a)
+            pos = np.searchsorted(self._sorted_packed, packed)
+            self._inv_array = self._sorted_to_index[pos].astype(np.int32)
+        return self._inv_array
 
 
 def _enumerate_sl2_packed(p: int) -> list:
@@ -810,6 +818,26 @@ def vector_multiplier(group: Group):
     if group.supports_vector_mul:
         return group.mul_vec
     return None
+
+
+def power_array(group: Group, k: int) -> np.ndarray:
+    """g^k for every carrier index g, by square-and-multiply on index arrays.
+
+    Agrees with `Group.pow` elementwise; negative exponents power the
+    inverses.
+    """
+    mul_vec = vector_multiplier(group)
+    base = np.arange(group.order, dtype=np.int64)
+    if k < 0:
+        base, k = group.inv_array().astype(np.int64), -k
+    acc = np.full(group.order, group.identity, dtype=np.int64)
+    while k:
+        if k & 1:
+            acc = mul_vec(acc, base)
+        k >>= 1
+        if k:
+            base = mul_vec(base, base)
+    return acc
 
 
 def _as_indices(group: Group, gens: Iterable[Element | int]) -> list:

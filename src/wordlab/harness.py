@@ -252,10 +252,11 @@ def _fraction_fields(value) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _density_cell(word: Word, gamma: int, group, mode: str, samples: Optional[int],
-                  seed: int, word_index: int, group_index: int) -> dict:
+def _density_cell(word: Word, gamma: int, group, spec: str, mode: str,
+                  samples: Optional[int], seed: int, word_index: int,
+                  group_index: int) -> dict:
     record = {
-        "group": group.spec_text if hasattr(group, "spec_text") else group.name,
+        "group": spec,
         "order": group.order,
         "l1": None,
         "l1_exact": None,
@@ -272,11 +273,9 @@ def _density_cell(word: Word, gamma: int, group, mode: str, samples: Optional[in
             )
         record.update(_fraction_fields(l1_uniform_distance(dist)))
         if gamma != 0:
-            cov = image_and_power_coverage(
-                word, group, mode,
-                samples=samples,
-                rng=stream(seed, 13, word_index, group_index) if mode == "sampled" else None,
-            )
+            # in sampled mode the certificate pins every m-th power, so the
+            # cell's own sample serves the coverage check as well
+            cov = image_and_power_coverage(word, group, mode, dist=dist)
             record["covers_powers"] = bool(cov.covers_powers)
             record["m"] = int(cov.m)
     except BudgetExceededError as exc:
@@ -339,8 +338,7 @@ def run_density(config: ExperimentConfig) -> dict:
     if not specs:
         raise ConfigError("groups must name at least one group spec")
     groups = [construct_group(s) for s in specs]
-    for g, s in zip(groups, specs):
-        g.spec_text = s
+    for g in groups:
         if g.has_table:
             g.mul_table()  # prebuild so threads share the cached table
 
@@ -350,7 +348,7 @@ def run_density(config: ExperimentConfig) -> dict:
 
     def cell(i: int, j: int) -> dict:
         return _density_cell(
-            sampled_words[i], gammas[i], groups[j], mode, samples, seed, i, j
+            sampled_words[i], gammas[i], groups[j], specs[j], mode, samples, seed, i, j
         )
 
     pairs = [(i, j) for i in range(r) for j in range(len(groups))]

@@ -12,7 +12,6 @@ The L1 distance used everywhere is sum_g |P(g) - 1/|G||, which ranges over
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -26,9 +25,9 @@ from .errors import (
     UnsupportedParameterError,
     WordlabError,
 )
-from .groups import Group, GroupSpec, construct_group, vector_multiplier
+from .groups import Group, GroupSpec, construct_group, power_array, vector_multiplier
 from .rng import Rng, as_rng, stream
-from .words import Word, abelianize, bezout_certificate, evaluate_indices, gcd_of_vector
+from .words import Word, abelianize, bezout_certificate, gcd_of_vector
 
 # Total tuple count |G|^d an exact enumeration may cover.
 TUPLE_BUDGET = 10**8
@@ -65,11 +64,6 @@ class Distribution:
             raise UnsupportedParameterError(f"bad distribution mode {self.mode!r}")
 
 
-def _vector_mul(group: Group):
-    """Best available elementwise multiplier on index arrays, or None."""
-    return vector_multiplier(group)
-
-
 def _check_budget(group: Group, d: int) -> int:
     total = group.order**d
     if total > TUPLE_BUDGET:
@@ -84,6 +78,7 @@ def exact_distribution(word: Word, group: Group) -> Distribution:
 
     Only the generators that actually occur in the word are enumerated;
     the remaining coordinates contribute an exact multiplicity factor.
+    The budget is checked on the full |G|^d.
     """
     d = word.rank
     total = _check_budget(group, d)
@@ -101,41 +96,87 @@ def exact_distribution(word: Word, group: Group) -> Distribution:
                         d=d, label=word.to_text())
 
 
+def _evaluate(letters: Sequence[int], columns: dict, group: Group, mul_vec) -> np.ndarray:
+    """The word evaluated elementwise on index arrays.
+
+    `columns` maps every generator in `letters` to an index array (all of
+    one shape); an inverted letter reads that generator's column through
+    the inverse table, computed once per generator.
+    """
+    inv_arr = group.inv_array()
+    inverted = {-v: inv_arr[columns[-v]] for v in set(letters) if v < 0}
+    state = None
+    for v in letters:
+        col = columns[v] if v > 0 else inverted[-v]
+        state = col if state is None else mul_vec(state, col)
+    return state
+
+
+def _class_labels(group: Group, mul_vec) -> np.ndarray:
+    """label[x] = the least index in the conjugacy class of x.
+
+    Classes are found in index order, each as one orbit {h x h^-1 : h in G},
+    so the cost is 2|G| products per class.
+    """
+    n = group.order
+    carrier = np.arange(n, dtype=np.int64)
+    inv_arr = group.inv_array()
+    labels = np.full(n, -1, dtype=np.int64)
+    for x in range(n):
+        if labels[x] < 0:
+            labels[mul_vec(mul_vec(carrier, x), inv_arr)] = x
+    return labels
+
+
+def _class_totals(letters: Sequence[int], k: int, group: Group) -> tuple:
+    """(labels, totals) for a word using exactly generators 1..k, k >= 2.
+
+    Since w(x^g) = w(x)^g, conjugating a tuple by g conjugates its value by
+    g, so generator 1 need only run over class representatives, each weighted
+    by its class size.  totals[r] is the number of tuples in G^k whose
+    value lies in the class of representative r (0 off representatives).
+    """
+    n = group.order
+    mul_vec = vector_multiplier(group)
+    labels = _class_labels(group, mul_vec)
+    reps = np.flatnonzero(labels == np.arange(n))
+    sizes = np.bincount(labels, minlength=n)[reps]
+    inner = n ** (k - 1)
+    space = len(reps) * inner
+    weighted = np.zeros(n, dtype=np.int64)
+    for start in range(0, space, BATCH):
+        first, rest = np.divmod(np.arange(start, min(start + BATCH, space), dtype=np.int64),
+                                inner)
+        columns = {1: reps[first]}
+        for g in range(k, 1, -1):
+            rest, columns[g] = np.divmod(rest, n)
+        values = _evaluate(letters, columns, group, mul_vec)
+        # generator 1 is the leading digit: the chunk spans reps lo..hi-1
+        lo, hi = int(first[0]), int(first[-1]) + 1
+        per_rep = np.bincount((first - lo) * n + values, minlength=(hi - lo) * n)
+        weighted += sizes[lo:hi] @ per_rep.reshape(hi - lo, n)
+    totals = np.zeros(n, dtype=np.int64)
+    np.add.at(totals, labels, weighted)
+    return labels, totals
+
+
 def _enumerate_pushforward(letters: Sequence[int], k: int, group: Group) -> np.ndarray:
     """Counts over G for a word using exactly generators 1..k, total |G|^k.
 
-    The last coordinate is kept as a vector over the whole carrier; the
-    first k-1 coordinates are enumerated in an outer product loop.
+    One generator enumerates the carrier directly; more are class-reduced,
+    and a class total divided by the class size is the exact count of each
+    of its elements.
     """
     n = group.order
-    mul_vec = _vector_mul(group)
-    if mul_vec is None:
-        word = Word(k, tuple(letters))
+    if k == 1:
         counts = np.zeros(n, dtype=np.int64)
-        for tup in itertools.product(range(n), repeat=k):
-            counts[evaluate_indices(word, group, tup)] += 1
+        mul_vec = vector_multiplier(group)
+        for start in range(0, n, BATCH):
+            column = np.arange(start, min(start + BATCH, n), dtype=np.int64)
+            counts += np.bincount(_evaluate(letters, {1: column}, group, mul_vec), minlength=n)
         return counts
-    inv_arr = group.inv_array()
-    column = np.arange(n, dtype=np.int64)
-    column_inv = inv_arr.astype(np.int64)
-    counts = np.zeros(n, dtype=np.int64)
-    mul, inv = group.mul, group.inv
-    for outer in itertools.product(range(n), repeat=k - 1):
-        scalar = group.identity
-        vec = None
-        for v in letters:
-            a = abs(v)
-            if a == k:
-                col = column if v > 0 else column_inv
-                vec = mul_vec(scalar, col) if vec is None else mul_vec(vec, col)
-            else:
-                x = outer[a - 1] if v > 0 else inv(outer[a - 1])
-                if vec is None:
-                    scalar = mul(scalar, x)
-                else:
-                    vec = mul_vec(vec, x)
-        counts += np.bincount(vec, minlength=n)
-    return counts
+    labels, totals = _class_totals(letters, k, group)
+    return totals[labels] // np.bincount(labels, minlength=n)[labels]
 
 
 def monte_carlo_distribution(word: Word, group: Group, samples: int,
@@ -151,26 +192,12 @@ def monte_carlo_distribution(word: Word, group: Group, samples: int,
         counts[group.identity] = samples
         return Distribution(group=group, counts=counts, total=samples, mode="sampled",
                             d=word.rank, label=word.to_text())
-    mul_vec = _vector_mul(group)
-    inv_arr = group.inv_array().astype(np.int64)
+    mul_vec = vector_multiplier(group)
     done = 0
     while done < samples:
         b = min(BATCH, samples - done)
         draws = {g: rng.integers(0, n, size=b) for g in support}
-        if mul_vec is None:
-            tup = [0] * word.rank
-            for i in range(b):
-                for g in support:
-                    tup[g - 1] = int(draws[g][i])
-                counts[evaluate_indices(word, group, tup)] += 1
-        else:
-            state = None
-            for v in word.letters:
-                col = draws[abs(v)]
-                if v < 0:
-                    col = inv_arr[col]
-                state = col if state is None else mul_vec(state, col)
-            counts += np.bincount(state, minlength=n)
+        counts += np.bincount(_evaluate(word.letters, draws, group, mul_vec), minlength=n)
         done += b
     return Distribution(group=group, counts=counts, total=samples, mode="sampled",
                         d=word.rank, label=word.to_text())
@@ -240,38 +267,25 @@ def _certified_powers(word: Word, group: Group, coeffs: Sequence[int]) -> set:
     are computed by genuine evaluation, not by powering, so they certify
     that the word map itself attains them.
     """
-    n = group.order
-    cols = {}
-    for i, bi in enumerate(coeffs, start=1):
-        cols[i] = np.array([group.pow(g, bi) for g in range(n)], dtype=np.int64)
-    mul_vec = _vector_mul(group)
-    if mul_vec is None:
-        out = set()
-        for g in range(n):
-            tup = [int(cols[i][g]) for i in range(1, word.rank + 1)]
-            out.add(evaluate_indices(word, group, tup))
-        return out
-    inv_arr = group.inv_array().astype(np.int64)
-    state = None
-    for v in word.letters:
-        col = cols[abs(v)]
-        if v < 0:
-            col = inv_arr[col]
-        state = col if state is None else mul_vec(state, col)
-    if state is None:
+    columns = {g: power_array(group, coeffs[g - 1]) for g in {abs(v) for v in word.letters}}
+    if not columns:
         return {group.identity}
-    return {int(x) for x in np.unique(state)}
+    values = _evaluate(word.letters, columns, group, vector_multiplier(group))
+    return set(np.unique(values).tolist())
 
 
 def image_and_power_coverage(word: Word, group: Group, mode: str = "exact",
                              m: Optional[int] = None, samples: Optional[int] = None,
-                             rng: Optional[Union[Rng, int]] = None) -> ImageReport:
+                             rng: Optional[Union[Rng, int]] = None,
+                             dist: Optional[Distribution] = None) -> ImageReport:
     """Compare the word-map image with the set of m-th powers.
 
     m defaults to the gcd of the exponent-sum vector and must be passed
     explicitly when that gcd is zero.  In sampled mode the image is the
     union of sampled values and the certificate values, so it is always a
-    subset of the true image.
+    subset of the true image.  A caller that already holds the word's
+    distribution in `mode` passes it as `dist`, and nothing is evaluated
+    twice; `samples` and `rng` are then not needed.
     """
     vec = abelianize(word)
     gamma = gcd_of_vector(vec)
@@ -281,22 +295,24 @@ def image_and_power_coverage(word: Word, group: Group, mode: str = "exact",
                 "exponent-sum vector is zero; pass the target power m explicitly"
             )
         m = gamma
-    certificate = None
-    if mode == "exact":
-        dist = exact_distribution(word, group)
-        image = {int(i) for i in np.flatnonzero(dist.counts)}
-    elif mode == "sampled":
-        if samples is None or rng is None:
-            raise UnsupportedParameterError("sampled mode needs samples and rng")
-        dist = monte_carlo_distribution(word, group, samples, rng)
-        image = {int(i) for i in np.flatnonzero(dist.counts)}
-        if gamma > 0:
-            _, coeffs = bezout_certificate(vec)
-            certificate = frozenset(_certified_powers(word, group, coeffs))
-            image |= certificate
-    else:
+    if mode not in ("exact", "sampled"):
         raise UnsupportedParameterError(f"bad mode {mode!r}")
-    powers = frozenset(group.pow(g, m) for g in range(group.order))
+    if dist is None:
+        if mode == "exact":
+            dist = exact_distribution(word, group)
+        else:
+            if samples is None or rng is None:
+                raise UnsupportedParameterError("sampled mode needs samples and rng")
+            dist = monte_carlo_distribution(word, group, samples, rng)
+    elif dist.mode != mode:
+        raise UnsupportedParameterError(f"a {dist.mode} distribution passed in {mode} mode")
+    image = set(np.flatnonzero(dist.counts).tolist())
+    certificate = None
+    if mode == "sampled" and gamma > 0:
+        _, coeffs = bezout_certificate(vec)
+        certificate = frozenset(_certified_powers(word, group, coeffs))
+        image |= certificate
+    powers = frozenset(np.unique(power_array(group, m)).tolist())
     image = frozenset(image)
     covers = powers <= image
     witness = min((x for x in image if x not in powers), default=None)

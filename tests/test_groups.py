@@ -22,6 +22,7 @@ from wordlab.groups import (
     construct_group,
     is_perfect,
     load_cayley_table,
+    power_array,
     quotient_by_center,
     quotient_group,
     vector_multiplier,
@@ -81,16 +82,25 @@ def test_vectorized_product_matches_scalar(spec):
         assert g.mul(int(x), int(y)) == int(z)
 
 
-@pytest.mark.parametrize("spec", ("cyclic:6", "dihedral:4", "symmetric:4", "sl2:5"))
+@pytest.mark.parametrize("spec", ("cyclic:6", "dihedral:4", "symmetric:4", "sl2:5",
+                                  "alternating:6"))
 def test_multiplication_table_matches_scalar(spec):
+    # sl2:5 and alternating:6 fill their tables in several row blocks, the
+    # last one partial
     g = get_group(spec)
     table = g.mul_table()
     assert table.shape == (g.order, g.order)
-    rng = stream(13)
-    for _ in range(200):
-        x = int(rng.integers(0, g.order))
-        y = int(rng.integers(0, g.order))
-        assert int(table[x, y]) == g.mul(x, y)
+    assert table.tolist() == [[g.mul(x, y) for y in range(g.order)] for x in range(g.order)]
+
+
+@pytest.mark.parametrize("spec", CATALOG + ("sl2:17",))
+def test_array_power_and_inverse_match_scalar(spec):
+    g = get_group(spec)
+    assert g.has_table == (spec != "sl2:17")
+    n = g.order
+    assert g.inv_array().tolist() == [g.inv(a) for a in range(n)]
+    for k in (-7, -1, 0, 1, 2, 5, 60):
+        assert power_array(g, k).tolist() == [g.pow(a, k) for a in range(n)]
 
 
 def test_element_power_reaches_identity():

@@ -5,8 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from wordlab import harness, measure
 from wordlab.errors import BudgetExceededError, EmptyWordError
+from wordlab.groups import CayleyGroup, vector_multiplier
 from wordlab.measure import (
+    _class_labels,
+    _class_totals,
     exact_distribution,
     family_trend,
     image_and_power_coverage,
@@ -16,23 +20,50 @@ from wordlab.measure import (
     write_distribution_csv,
 )
 from wordlab.rng import stream
-from wordlab.words import Word, parse_word
+from wordlab.words import Word, abelianize, gcd_of_vector, parse_word
 
 from conftest import brute_pushforward, conjugacy_classes, get_group
 
 
-@pytest.mark.parametrize("spec,word_text", [
+# Non-abelian groups, where the reduction to class representatives is not
+# trivial: sl2:5 has a nontrivial center, and "table:alternating:4" is A4
+# given only by its multiplication table.
+REDUCED_GROUPS = ("symmetric:3", "symmetric:4", "alternating:5", "sl2:5", "psl2:7",
+                  "table:alternating:4")
+# One generator; d = 3 with x1 unused; a commutator.
+REDUCED_WORDS = ("x1 x1 x1", "x2 x3 X2", "x1 x2 X1 X2")
+
+
+def group_for(spec):
+    if spec.startswith("table:"):
+        rows = get_group(spec[len("table:"):]).mul_table().tolist()
+        return CayleyGroup(rows, name=spec)
+    return get_group(spec)
+
+
+BRUTE_FORCE_CASES = [
     ("symmetric:3", "x1 x2 X1 X2"),
     ("symmetric:3", "x1 x1 x2"),
     ("cyclic:6", "x1 x1 x2 x2 x2"),
     ("dihedral:4", "x1 x2 x1"),
     ("alternating:4", "x1 x2 X1 X2"),
-])
+]
+BRUTE_FORCE_CASES += [(spec, w) for spec in REDUCED_GROUPS for w in REDUCED_WORDS
+                      if (spec, w) not in BRUTE_FORCE_CASES]
+
+
+@pytest.mark.parametrize("spec,word_text", BRUTE_FORCE_CASES)
 def test_exact_distribution_matches_brute_force(spec, word_text):
-    group = get_group(spec)
+    group = group_for(spec)
     word = parse_word(word_text)
     dist = exact_distribution(word, group)
-    brute = brute_pushforward(word, group)
+    # brute-force the generators that occur; each unused one multiplies
+    # every count by |G|
+    used = sorted({abs(v) for v in word.letters})
+    relabel = {g: i + 1 for i, g in enumerate(used)}
+    compact = Word(len(used), tuple(relabel[abs(v)] * (1 if v > 0 else -1)
+                                    for v in word.letters))
+    brute = brute_pushforward(compact, group) * group.order ** (word.rank - len(used))
     assert dist.total == group.order**word.rank
     assert np.array_equal(np.asarray(dist.counts), brute)
 
@@ -148,3 +179,74 @@ def test_distribution_csv_output(tmp_path):
     data = [ln for ln in lines if not ln.startswith("#")]
     assert data[0] == "element_index,count,probability"
     assert len(data) == 1 + group.order
+
+
+@pytest.mark.parametrize("spec", REDUCED_GROUPS)
+def test_class_labels_match_orbit_partition(spec):
+    group = group_for(spec)
+    labels = _class_labels(group, vector_multiplier(group))
+    for cls in conjugacy_classes(group):
+        assert {int(labels[x]) for x in cls} == {min(cls)}
+
+
+@pytest.mark.parametrize("spec", REDUCED_GROUPS)
+def test_class_totals_are_divisible_by_class_sizes(spec):
+    group = group_for(spec)
+    n = group.order
+    labels, totals = _class_totals([1, 2, 2, -1, 2], 2, group)
+    reps = labels == np.arange(n)
+    sizes = np.bincount(labels, minlength=n)[reps]
+    assert np.all(totals[~reps] == 0)
+    assert int(totals.sum()) == n**2
+    assert np.all(totals[reps] % sizes == 0)
+
+
+# ---------------------------------------------------------------------------
+# Each cell evaluated once
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("spec,word_text", [
+    ("psl2:7", "x1 x1 x2 x2"),
+    ("symmetric:4", "x1 x1 x1 x2 X1"),
+    ("alternating:5", "x1 x2 x1 x2 x1 x2"),
+])
+def test_coverage_from_a_given_distribution_matches_fresh_call(spec, word_text):
+    group = get_group(spec)
+    word = parse_word(word_text)
+    dist = exact_distribution(word, group)
+    assert image_and_power_coverage(word, group, dist=dist) == image_and_power_coverage(word, group)
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(measure, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(measure, name, counted)
+    monkeypatch.setattr(harness, name, counted)
+    return calls
+
+
+def test_exact_density_cell_enumerates_once(monkeypatch):
+    calls = _count_calls(monkeypatch, "exact_distribution")
+    group = get_group("alternating:4")
+    word = parse_word("x1 x1 x2 x1 x2")
+    gamma = gcd_of_vector(abelianize(word))
+    assert gamma != 0  # the coverage check runs
+    record = harness._density_cell(word, gamma, group, "alternating:4", "exact", None, 1, 0, 0)
+    assert record["error"] is None and record["covers_powers"] is not None
+    assert record["group"] == "alternating:4"
+    assert len(calls) == 1
+
+
+def test_sampled_density_cell_samples_once(monkeypatch):
+    calls = _count_calls(monkeypatch, "monte_carlo_distribution")
+    group = get_group("psl2:7")
+    word = parse_word("x1 x1 x2 x2 x2 x2")
+    record = harness._density_cell(word, 2, group, "psl2:7", "sampled", 300, 1, 0, 0)
+    assert record["covers_powers"] is True  # the certificate supplies every square
+    assert len(calls) == 1
