@@ -3,7 +3,9 @@
 For a finite group G the ordered d-tuples whose entries generate G can be
 counted exactly by a prefix walk over the subgroup lattice: the count of
 extensions of a prefix depends only on the subgroup the prefix generates,
-so the recursion memoizes on (depth, subgroup).  For the simple groups in
+so the recursion memoizes on (depth, subgroup), and each step tries one
+element per double coset of that subgroup (one per conjugacy class while
+the subgroup is trivial).  For the simple groups in
 the catalog, Aut(G) permutes generating tuples freely, so the number of
 orbits is the tuple count divided by |Aut(G)|; that orbit count is exactly
 the largest N for which the direct power G^N is generated by d elements.
@@ -24,6 +26,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
+import numpy as np
+
 from .errors import (
     BudgetExceededError,
     GroupMismatchError,
@@ -40,8 +44,11 @@ from .groups import (
     Group,
     _as_indices,
     center,
-    closure,
+    class_labels,
+    closure_mask,
     is_perfect,
+    right_orbit,
+    vector_multiplier,
 )
 
 # Orders of the automorphism groups of the simple groups in the catalog.
@@ -64,17 +71,22 @@ def is_generating(group: Group, elements: Sequence[Union[Element, int]]) -> bool
     idx = _as_indices(group, elements)
     if not idx:
         return group.order == 1
-    return len(closure(group, idx)) == group.order
+    return bool(closure_mask(group, idx).all())
 
 
 def count_generating_tuples(group: Group, d: int) -> int:
     """Number of ordered d-tuples of elements that generate the group.
 
     Walks prefixes depth-first; the number of completions depends only on
-    the subgroup generated so far, so results are memoized per (depth,
-    subgroup).  Transition closures are memoized too, keyed by (subgroup,
-    adjoined element).  Cost scales with the subgroup lattice, not with
-    |G|**d, but the raw tuple budget is still enforced up front.
+    the subgroup H generated so far, so results are memoized per (depth, H),
+    with H held as a boolean mask.  The next entry g matters only through
+    <H, g>, which is the same for every element of the double coset HgH, so
+    one closure per double coset is computed and weighted by its size.
+    While H is trivial those cosets are single elements; there, since
+    conjugation maps generating tuples to generating tuples, the entry runs
+    over conjugacy-class representatives weighted by class size instead.
+    Cost scales with the subgroup lattice, not with |G|**d, but the raw
+    tuple budget is still enforced up front.
     """
     if d < 0:
         raise UnsupportedParameterError("tuple length must be nonnegative")
@@ -86,40 +98,47 @@ def count_generating_tuples(group: Group, d: int) -> int:
     if d == 0:
         return 1 if n == 1 else 0
 
-    trivial = frozenset({group.identity})
-    # Registry of seen subgroups: frozenset -> short generator list.
-    gens_of = {trivial: ()}
-    # (subgroup, adjoined element) -> resulting subgroup.
-    step_cache = {}
-    # (depth, subgroup) -> number of generating completions.
-    count_cache = {}
+    mul_vec = vector_multiplier(group)
+    labels = class_labels(group)
+    reps = np.flatnonzero(labels == np.arange(n))
+    classes = list(zip(reps.tolist(), np.bincount(labels)[reps].tolist()))
+    # (depth, subgroup mask bytes) -> number of generating completions.
+    memo = {}
 
-    def adjoin(sub: frozenset, g: int) -> frozenset:
-        if g in sub:
-            return sub
-        key = (sub, g)
-        got = step_cache.get(key)
-        if got is None:
-            new_gens = gens_of[sub] + (g,)
-            got = closure(group, new_gens)
-            step_cache[key] = got
-            if got not in gens_of:
-                gens_of[got] = new_gens
-        return got
+    def branches(gens: tuple, mask: np.ndarray, size: int) -> list:
+        """(g, weight) pairs: one g per class of entries that give one <H, g>."""
+        if size == 1:
+            return classes
+        members = np.flatnonzero(mask)
+        todo = ~mask
+        out = [(group.identity, size)]
+        while todo.any():
+            g = int(np.argmax(todo))
+            coset = right_orbit(mul_vec, n, mul_vec(members, g), gens)  # HgH
+            todo &= ~coset
+            out.append((g, int(np.count_nonzero(coset))))
+        return out
 
-    def completions(depth: int, sub: frozenset) -> int:
-        if len(sub) == n:
+    def completions(depth: int, gens: tuple, mask: np.ndarray) -> int:
+        size = int(np.count_nonzero(mask))
+        if size == n:
             return n ** (d - depth)
         if depth == d:
             return 0
-        key = (depth, sub)
-        got = count_cache.get(key)
+        key = (depth, mask.tobytes())
+        got = memo.get(key)
         if got is None:
-            got = sum(completions(depth + 1, adjoin(sub, g)) for g in range(n))
-            count_cache[key] = got
+            got = 0
+            for g, weight in branches(gens, mask, size):
+                if mask[g]:
+                    got += weight * completions(depth + 1, gens, mask)
+                else:
+                    wider = gens + (g,)
+                    got += weight * completions(depth + 1, wider, closure_mask(group, wider))
+            memo[key] = got
         return got
 
-    return completions(0, trivial)
+    return completions(0, (), np.arange(n) == group.identity)
 
 
 @dataclass(frozen=True)
@@ -206,7 +225,7 @@ def power_tuple_generates(
         )
     power = DirectPowerGroup(group, copies)
     steps = [power.join(tuple(r[i] for r in rows)) for i in range(d)]
-    return len(closure(power, steps)) == power.order
+    return bool(closure_mask(power, steps).all())
 
 
 def lift_generators(

@@ -126,14 +126,9 @@ def _step_columns(group: Group, support: Sequence[int]) -> list:
     """For each step g, the column s -> s*g as a plain python list."""
     mul_vec = vector_multiplier(group)
     n = group.order
-    if mul_vec is not None:
-        everyone = np.arange(n, dtype=np.int64)
-        return [
-            [int(v) for v in mul_vec(everyone, np.full(n, g, dtype=np.int64))]
-            for g in support
-        ]
-    mul = group.mul
-    return [[mul(s, g) for s in range(n)] for g in support]
+    everyone = np.arange(n, dtype=np.int64)
+    return [[int(v) for v in mul_vec(everyone, np.full(n, g, dtype=np.int64))]
+            for g in support]
 
 
 def _convolve_step(counts: list, columns: list, int_weights: Sequence[int]) -> list:
@@ -416,10 +411,6 @@ def power_walk_equivalence(
     d, copies = gen_matrix.shape
     order = group.order
     mul_vec = vector_multiplier(group)
-    if mul_vec is None:
-        raise UnsupportedParameterError(
-            f"{group.name} exposes no vectorized product for sampling"
-        )
     track_joint = order**copies <= JOINT_STATE_CAP
 
     word_marg = np.zeros((copies, order), dtype=np.int64)

@@ -11,6 +11,7 @@ multiplication table for vectorized consumers.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -80,7 +81,7 @@ class GroupSpec:
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
-    for q in range(2, int(n**0.5) + 1):
+    for q in range(2, math.isqrt(n) + 1):
         if n % q == 0:
             return False
     return True
@@ -128,13 +129,10 @@ class Group:
     _table: Optional[np.ndarray] = None
     _inv_array: Optional[np.ndarray] = None
 
-    supports_vector_mul: bool = False
-
     def mul_vec(self, a, b) -> np.ndarray:
         """Elementwise product of index arrays (numpy broadcasting applies).
 
-        Backends that can compute products in bulk override this; consumers
-        check `supports_vector_mul` first.
+        Every backend overrides this with a bulk product.
         """
         raise NotImplementedError(f"{self.name}: no vectorized multiplication")
 
@@ -204,26 +202,12 @@ class Element:
         return f"{self.group.name}[{self.index}]"
 
 
-def multiply(a: Element, b: Element) -> Element:
-    return a * b
-
-
-def invert(a: Element) -> Element:
-    return a.inverse()
-
-
-def power(a: Element, k: int) -> Element:
-    return a**k
-
-
 # ---------------------------------------------------------------------------
 # Backends
 # ---------------------------------------------------------------------------
 
 
 class CyclicGroup(Group):
-    supports_vector_mul = True
-
     def __init__(self, n: int):
         if n < 1:
             raise UnsupportedParameterError(f"cyclic group needs n >= 1, got {n}")
@@ -263,8 +247,6 @@ class DihedralGroup(Group):
         n = self.n
         ra, fa = a % n, a // n
         return a if fa else (-ra) % n
-
-    supports_vector_mul = True
 
     def mul_vec(self, a, b) -> np.ndarray:
         n = self.n
@@ -328,7 +310,6 @@ class PermutationGroup(Group):
             out[x] = i
         return self._index[tuple(out)]
 
-    supports_vector_mul = True
     _carrier_arr: Optional[np.ndarray] = None
 
     def _vector_tables(self) -> np.ndarray:
@@ -343,13 +324,22 @@ class PermutationGroup(Group):
             self._carrier_arr = arr
         return self._carrier_arr
 
+    def _index_of_rows(self, perms: np.ndarray) -> np.ndarray:
+        """Carrier indices of one-line permutations stacked on the last axis."""
+        packed = perms.astype(np.int64) @ self._perm_radix
+        return self._sorted_to_index[np.searchsorted(self._sorted_packed, packed)]
+
     def mul_vec(self, a, b) -> np.ndarray:
         arr = self._vector_tables()
         pa, pb = np.broadcast_arrays(arr[np.asarray(a)], arr[np.asarray(b)])
-        comp = np.take_along_axis(pa, pb.astype(np.intp), axis=-1)
-        packed = comp.astype(np.int64) @ self._perm_radix
-        pos = np.searchsorted(self._sorted_packed, packed)
-        return self._sorted_to_index[pos]
+        return self._index_of_rows(np.take_along_axis(pa, pb.astype(np.intp), axis=-1))
+
+    def inv_array(self) -> np.ndarray:
+        # the inverse of a one-line permutation is its argsort
+        if self._inv_array is None:
+            inverses = np.argsort(self._vector_tables(), axis=1)
+            self._inv_array = self._index_of_rows(inverses).astype(np.int32)
+        return self._inv_array
 
     def element_repr(self, index: int) -> str:
         return _cycle_notation(self.carrier[index])
@@ -457,8 +447,6 @@ class _MatrixGroup(Group):
     def element_repr(self, index: int) -> str:
         (a, b), (c, d) = self.matrix(index)
         return f"[[{a},{b}],[{c},{d}]]"
-
-    supports_vector_mul = True
 
     def _unpack_vec(self, v: np.ndarray) -> tuple:
         p = self.p
@@ -576,7 +564,6 @@ class CayleyGroup(Group):
     def inv(self, a: int) -> int:
         return self._invs[a]
 
-    supports_vector_mul = True
     _np_rows: Optional[np.ndarray] = None
 
     def mul_vec(self, a, b) -> np.ndarray:
@@ -635,20 +622,21 @@ class DirectPowerGroup(Group):
         return self.join([self.base.inv(c) for c in self.split(a)])
 
     @property
-    def supports_vector_mul(self) -> bool:  # type: ignore[override]
-        return self.base.supports_vector_mul
+    def has_table(self) -> bool:
+        # |G|^N squared table entries would dwarf the carrier: multiply natively
+        return False
 
     def mul_vec(self, a, b) -> np.ndarray:
         m = self.base.order
+        base_mul = vector_multiplier(self.base)
         a, b = np.broadcast_arrays(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
-        aa, bb = a.copy(), b.copy()
         out = np.zeros(a.shape, dtype=np.int64)
         shift = self.order
         for _ in range(self.copies):
             shift //= m
-            ca, aa = np.divmod(aa, shift)
-            cb, bb = np.divmod(bb, shift)
-            out = out * m + self.base.mul_vec(ca, cb)
+            ca, a = np.divmod(a, shift)
+            cb, b = np.divmod(b, shift)
+            out = out * m + base_mul(ca, cb)
         return out
 
     def element_repr(self, index: int) -> str:
@@ -699,25 +687,22 @@ def _validate_cayley_table(rows: Sequence[Sequence[int]], name: str) -> None:
             raise MalformedCayleyTableError(f"{name}: row {g} has no inverse")
         if rows[h][g] != 0:
             raise MalformedCayleyTableError(f"{name}: row {g} has no two-sided inverse")
-    # associativity: all triples when cheap, otherwise a seeded sample
-    if n**3 <= 10**6:
-        for a in range(n):
-            ra = rows[a]
-            for b in range(n):
-                ab = ra[b]
-                rb = rows[b]
-                rab = rows[ab]
-                for c in range(n):
-                    if rab[c] != ra[rb[c]]:
-                        raise MalformedCayleyTableError(
-                            f"{name}: associativity fails at ({a},{b},{c})"
-                        )
-    else:
-        rng = np.random.default_rng(0)
-        triples = rng.integers(0, n, size=(10**6, 3))
-        for a, b, c in triples:
-            if rows[rows[a][b]][c] != rows[a][rows[b][c]]:
-                raise MalformedCayleyTableError(f"{name}: associativity fails at ({a},{b},{c})")
+    # Associativity, exactly, by Light's test: the elements a with
+    # (x*a)*y = x*(a*y) for all x, y are closed under products, so checking
+    # every s in a set S suffices once right multiplication by S reaches
+    # every element from the identity.  S is grown greedily, with no group
+    # shortcut, since the table is not known to be a group yet.
+    table = np.array(rows, dtype=np.int64)
+    gens = []
+    reached = np.arange(n) == 0
+    while not reached.all():
+        gens.append(int(np.argmin(reached)))
+        reached = right_orbit(lambda a, b: table[a, b], n, [0], gens)
+    for s in gens:
+        bad = np.argwhere(table[table[:, s]] != table[:, table[s]])
+        if bad.size:
+            x, y = bad[0]
+            raise MalformedCayleyTableError(f"{name}: associativity fails at ({x},{s},{y})")
 
 
 def load_cayley_table(path: str | Path) -> CayleyGroup:
@@ -802,11 +787,10 @@ def _check_structure_cap(group: Group) -> None:
 
 
 def vector_multiplier(group: Group):
-    """Best available elementwise multiplier on index arrays, or None.
+    """Elementwise multiplier on index arrays.
 
     Prefers a cached Cayley table (cheap fancy indexing), falls back to the
-    group's native vectorized product.  Callers keep a scalar path for the
-    None case.
+    group's native vectorized product.
     """
     if group.has_table:
         table = group.mul_table()
@@ -815,9 +799,7 @@ def vector_multiplier(group: Group):
             return table[a, b]
 
         return mul_vec
-    if group.supports_vector_mul:
-        return group.mul_vec
-    return None
+    return group.mul_vec
 
 
 def power_array(group: Group, k: int) -> np.ndarray:
@@ -840,6 +822,23 @@ def power_array(group: Group, k: int) -> np.ndarray:
     return acc
 
 
+def class_labels(group: Group) -> np.ndarray:
+    """label[x] = the least index in the conjugacy class of x.
+
+    Classes are found in index order, each as one orbit {h x h^-1 : h in G},
+    so the cost is 2|G| products per class.
+    """
+    n = group.order
+    mul_vec = vector_multiplier(group)
+    carrier = np.arange(n, dtype=np.int64)
+    inv_arr = group.inv_array()
+    labels = np.full(n, -1, dtype=np.int64)
+    for x in range(n):
+        if labels[x] < 0:
+            labels[mul_vec(mul_vec(carrier, x), inv_arr)] = x
+    return labels
+
+
 def _as_indices(group: Group, gens: Iterable[Element | int]) -> list:
     out = []
     for g in gens:
@@ -852,84 +851,86 @@ def _as_indices(group: Group, gens: Iterable[Element | int]) -> list:
     return out
 
 
+def right_orbit(mul_vec, n: int, start, gens, stop: Optional[int] = None) -> np.ndarray:
+    """Mask of the elements reached from `start` by right multiplication by `gens`.
+
+    Frontier expansion on index arrays: every element found is multiplied
+    by every generator once.  Once more than `stop` elements are reached,
+    the expansion ends and the mask comes back all True.  Nothing here
+    assumes associativity, so it also runs on an unvalidated table.
+    """
+    gens = np.asarray(gens, dtype=np.int64)
+    frontier = np.unique(np.asarray(start, dtype=np.int64))
+    seen = np.zeros(n, dtype=bool)
+    seen[frontier] = True
+    size = frontier.size
+    while frontier.size:
+        if stop is not None and size > stop:
+            seen[:] = True
+            break
+        reached = mul_vec(frontier[:, None], gens).ravel()
+        frontier = np.unique(reached[~seen[reached]])
+        seen[frontier] = True
+        size += frontier.size
+    return seen
+
+
+def closure_mask(group: Group, gens: Sequence[int]) -> np.ndarray:
+    """Boolean mask of the subgroup generated by the indices `gens`.
+
+    A subgroup with more than |G|/2 elements is G (Lagrange), so the
+    expansion stops as soon as it passes that size.
+    """
+    return right_orbit(vector_multiplier(group), group.order, [group.identity], gens,
+                       stop=group.order // 2)
+
+
 def closure(group: Group, gens: Iterable[Element | int]) -> frozenset:
-    """Subgroup generated by gens, by worklist saturation from the identity."""
+    """Subgroup generated by gens (see `closure_mask`)."""
     gen_idx = _as_indices(group, gens)
     if not gen_idx:
         raise GroupMismatchError("closure needs at least one generator")
-    mul = group.mul
-    seen = {group.identity}
-    frontier = [group.identity]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gen_idx:
-                y = mul(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return frozenset(seen)
+    return frozenset(np.flatnonzero(closure_mask(group, gen_idx)).tolist())
 
 
 def center(group: Group) -> frozenset:
     _check_structure_cap(group)
     n = group.order
     mul_vec = vector_multiplier(group)
-    if mul_vec is not None:
-        everyone = np.arange(n, dtype=np.int64)
-        out = []
-        for z in range(n):
-            zs = np.full(n, z, dtype=np.int64)
-            if np.array_equal(mul_vec(zs, everyone), mul_vec(everyone, zs)):
-                out.append(z)
-        return frozenset(out)
-    mul = group.mul
+    everyone = np.arange(n, dtype=np.int64)
     out = []
     for z in range(n):
-        if all(mul(z, g) == mul(g, z) for g in range(n)):
+        zs = np.full(n, z, dtype=np.int64)
+        if np.array_equal(mul_vec(zs, everyone), mul_vec(everyone, zs)):
             out.append(z)
     return frozenset(out)
 
 
-def _closure_of_values(group: Group, values: Iterable[int]) -> frozenset:
-    """Closure of a possibly huge set of values via incremental adjoining.
-
-    Values already inside the running subgroup are skipped, so the closure
-    is recomputed only O(log |G|) times however many values come in.
-    """
-    sub = frozenset({group.identity})
-    gens = []
-    for v in values:
-        if v not in sub:
-            gens.append(v)
-            sub = closure(group, gens)
-    return sub
-
-
 def commutator_subgroup(group: Group) -> frozenset:
-    """Closure of all commutators a^-1 b^-1 a b."""
+    """Closure of all commutators a^-1 b^-1 a b.
+
+    Commutators are adjoined one at a time, skipping those already inside
+    the running subgroup, so the closure is recomputed only O(log |G|)
+    times however many distinct commutators there are.
+    """
     _check_structure_cap(group)
     n = group.order
     mul_vec = vector_multiplier(group)
-    if mul_vec is not None:
-        everyone = np.arange(n, dtype=np.int64)
-        inv_all = group.inv_array().astype(np.int64)
-        seen = np.zeros(n, dtype=bool)
-        for a in range(n):
-            ia = np.full(n, group.inv(a), dtype=np.int64)
-            left = mul_vec(ia, inv_all)
-            right = mul_vec(np.full(n, a, dtype=np.int64), everyone)
-            seen[mul_vec(left, right)] = True
-        return _closure_of_values(group, np.flatnonzero(seen).tolist())
-    mul, inv = group.mul, group.inv
-    comms = set()
+    everyone = np.arange(n, dtype=np.int64)
+    inv_all = group.inv_array().astype(np.int64)
+    seen = np.zeros(n, dtype=bool)
     for a in range(n):
-        ia = inv(a)
-        for b in range(n):
-            comms.add(mul(mul(ia, inv(b)), mul(a, b)))
-    comms.add(group.identity)
-    return _closure_of_values(group, sorted(comms))
+        ia = np.full(n, inv_all[a], dtype=np.int64)
+        left = mul_vec(ia, inv_all)
+        right = mul_vec(np.full(n, a, dtype=np.int64), everyone)
+        seen[mul_vec(left, right)] = True
+    sub = everyone == group.identity
+    gens = []
+    for v in np.flatnonzero(seen).tolist():
+        if not sub[v]:
+            gens.append(v)
+            sub = closure_mask(group, gens)
+    return frozenset(np.flatnonzero(sub).tolist())
 
 
 def quotient_group(group: Group, normal: Iterable[int], name: str) -> CayleyGroup:

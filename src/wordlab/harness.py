@@ -39,6 +39,7 @@ from .generation import count_generating_tuples, hall_max_power
 from .group_walks import StepSet, cyclic_obstruction, mixing_profile
 from .groups import (
     PermutationGroup,
+    _is_prime,
     center,
     commutator_subgroup,
     construct_group,
@@ -474,9 +475,7 @@ def write_trend_csv(report: dict, out_dir: Union[str, Path],
 def _prime_powers_up_to(cap: int) -> list:
     """(p, k, p**k) for primes p and k >= 1 with p**k <= cap."""
     out = []
-    for p in range(2, cap + 1):
-        if any(p % q == 0 for q in range(2, int(math.isqrt(p)) + 1)):
-            continue
+    for p in filter(_is_prime, range(2, cap + 1)):
         q, k = p, 1
         while q <= cap:
             out.append((p, k, q))

@@ -18,6 +18,7 @@ from typing import Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import BudgetExceededError, UnsupportedParameterError
+from .groups import _is_prime
 from .rng import Rng, as_rng
 
 # Torus DP state count p^(k*d) cap, and the cap for exact big-integer DP.
@@ -169,15 +170,6 @@ def _neighbor_indices(d: int, q: int) -> list:
         cols.append(minus)
         stride *= q
     return cols
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    for f in range(2, math.isqrt(p) + 1):
-        if p % f == 0:
-            return False
-    return True
 
 
 def exact_mod_law(d: int, p: int, k: int, n: int, exact: Optional[bool] = None) -> ModLaw:

@@ -25,7 +25,8 @@ from .errors import (
     UnsupportedParameterError,
     WordlabError,
 )
-from .groups import Group, GroupSpec, construct_group, power_array, vector_multiplier
+from .groups import (Group, GroupSpec, class_labels, construct_group, power_array,
+                     vector_multiplier)
 from .rng import Rng, as_rng, stream
 from .words import Word, abelianize, bezout_certificate, gcd_of_vector
 
@@ -112,22 +113,6 @@ def _evaluate(letters: Sequence[int], columns: dict, group: Group, mul_vec) -> n
     return state
 
 
-def _class_labels(group: Group, mul_vec) -> np.ndarray:
-    """label[x] = the least index in the conjugacy class of x.
-
-    Classes are found in index order, each as one orbit {h x h^-1 : h in G},
-    so the cost is 2|G| products per class.
-    """
-    n = group.order
-    carrier = np.arange(n, dtype=np.int64)
-    inv_arr = group.inv_array()
-    labels = np.full(n, -1, dtype=np.int64)
-    for x in range(n):
-        if labels[x] < 0:
-            labels[mul_vec(mul_vec(carrier, x), inv_arr)] = x
-    return labels
-
-
 def _class_totals(letters: Sequence[int], k: int, group: Group) -> tuple:
     """(labels, totals) for a word using exactly generators 1..k, k >= 2.
 
@@ -138,7 +123,7 @@ def _class_totals(letters: Sequence[int], k: int, group: Group) -> tuple:
     """
     n = group.order
     mul_vec = vector_multiplier(group)
-    labels = _class_labels(group, mul_vec)
+    labels = class_labels(group)
     reps = np.flatnonzero(labels == np.arange(n))
     sizes = np.bincount(labels, minlength=n)[reps]
     inner = n ** (k - 1)

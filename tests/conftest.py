@@ -1,10 +1,10 @@
 """Shared fixtures and independent reference computations.
 
 The helpers here deliberately avoid the library's vectorized paths: brute
-pushforwards run scalar loops over full tuple spaces, conjugacy classes
-are built by direct orbit partition, and the symmetric-group action on
-alternating-group pairs is recomputed from one-line permutations.  They
-exist so the fast implementations always have a slow, obviously-correct
+pushforwards run scalar loops over full tuple spaces, subgroups and
+conjugacy classes are built by scalar orbit walks, and the symmetric-group
+action on alternating-group pairs is recomputed from one-line permutations.
+They exist so the fast implementations always have a slow, obviously-correct
 counterpart to be compared against.
 """
 
@@ -56,6 +56,22 @@ def brute_pushforward(word: Word, group) -> np.ndarray:
     for tup in itertools.product(range(group.order), repeat=word.rank):
         counts[evaluate_indices(word, group, tup)] += 1
     return counts
+
+
+def generated_subgroup(group, gens) -> frozenset:
+    """Subgroup generated by gens, by scalar worklist saturation."""
+    seen = {group.identity}
+    frontier = [group.identity]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = group.mul(x, g)
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return frozenset(seen)
 
 
 def conjugacy_classes(group) -> list:

@@ -1,5 +1,6 @@
 """Generating tuples, direct-power generation, and central lifts."""
 
+import itertools
 import math
 
 import pytest
@@ -28,16 +29,12 @@ from wordlab.groups import (
     quotient_group,
 )
 
-from conftest import get_group, s5_conjugation_maps
+from conftest import CATALOG, generated_subgroup, get_group, s5_conjugation_maps
 
 
-def brute_pair_count(group) -> int:
-    total = 0
-    for a in range(group.order):
-        for b in range(group.order):
-            if len(closure(group, (a, b))) == group.order:
-                total += 1
-    return total
+def brute_tuple_count(group, d=2) -> int:
+    return sum(1 for tup in itertools.product(range(group.order), repeat=d)
+               if len(generated_subgroup(group, tup)) == group.order)
 
 
 def test_is_generating():
@@ -55,16 +52,32 @@ def test_is_generating():
     assert is_generating(construct_group("cyclic:1"), [])
 
 
-@pytest.mark.parametrize("spec", [
-    "symmetric:3",
-    "cyclic:4",
-    "dihedral:4",
-    "alternating:4",
-    "alternating:5",
-])
+@pytest.mark.parametrize("spec", [s for s in CATALOG if get_group(s).order <= 60])
 def test_pair_count_matches_brute_force(spec):
     group = get_group(spec)
-    assert count_generating_tuples(group, 2) == brute_pair_count(group)
+    assert count_generating_tuples(group, 2) == brute_tuple_count(group)
+
+
+def test_triple_count_matches_brute_force():
+    s4 = get_group("symmetric:4")
+    assert count_generating_tuples(s4, 3) == brute_tuple_count(s4, 3) == 10080
+
+
+# (ordered generating pairs, largest 2-generated power) per AUT_ORDERS entry
+HALL_PAIRS = {
+    "alternating:5": (2280, 19),
+    "alternating:6": (76320, 53),
+    "psl2:7": (19152, 57),
+    "psl2:11": (335280, 254),
+    "psl2:13": (1081080, 495),
+}
+
+
+@pytest.mark.parametrize("spec", [f"{kind}:{p}" for kind, p in sorted(AUT_ORDERS)])
+def test_hall_max_power_for_every_aut_orders_entry(spec):
+    report = hall_max_power(get_group(spec), 2)
+    assert (report.tuple_count, report.max_power) == HALL_PAIRS[spec]
+    assert report.consistent
 
 
 def test_tuple_count_special_values():

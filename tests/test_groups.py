@@ -1,5 +1,8 @@
 """Group backends: axioms, structure helpers, and cross-route agreement."""
 
+import re
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -15,9 +18,11 @@ from wordlab.groups import (
     CayleyGroup,
     DirectPowerGroup,
     GroupSpec,
+    _validate_cayley_table,
     abelianization_invariants,
     center,
     closure,
+    closure_mask,
     commutator_subgroup,
     construct_group,
     is_perfect,
@@ -29,7 +34,7 @@ from wordlab.groups import (
 )
 from wordlab.rng import stream
 
-from conftest import CATALOG, get_group
+from conftest import CATALOG, generated_subgroup, get_group
 
 EXPECTED_ORDERS = {
     "cyclic:2": 2, "cyclic:4": 4, "cyclic:6": 6, "dihedral:4": 8,
@@ -93,7 +98,7 @@ def test_multiplication_table_matches_scalar(spec):
     assert table.tolist() == [[g.mul(x, y) for y in range(g.order)] for x in range(g.order)]
 
 
-@pytest.mark.parametrize("spec", CATALOG + ("sl2:17",))
+@pytest.mark.parametrize("spec", CATALOG + ("symmetric:6", "sl2:17"))
 def test_array_power_and_inverse_match_scalar(spec):
     g = get_group(spec)
     assert g.has_table == (spec != "sl2:17")
@@ -202,6 +207,36 @@ def test_closure_sizes():
     assert len(closure(a5, [five, three])) == 60
 
 
+@pytest.mark.parametrize("spec", ("symmetric:4", "dihedral:4", "alternating:5", "psl2:7",
+                                  "sl2:5"))
+def test_closure_matches_scalar_saturation(spec):
+    g = get_group(spec)
+    rng = stream(17, zlib.crc32(spec.encode()))
+    for k in (1, 1, 2, 2, 3):
+        gens = [int(x) for x in rng.integers(0, g.order, size=k)]
+        assert closure(g, gens) == generated_subgroup(g, gens)
+
+
+def test_closure_lagrange_stop_keeps_index_two_subgroups():
+    s4 = get_group("symmetric:4")
+    a4_gens = [s4.index_of_cycles([(1, 2, 3)]), s4.index_of_cycles([(2, 3, 4)])]
+    assert len(closure(s4, a4_gens)) == 12
+    assert len(closure(s4, a4_gens + [s4.index_of_cycles([(1, 2)])])) == 24
+
+
+def test_direct_power_closure_builds_no_table():
+    a5 = get_group("alternating:5")
+    square = DirectPowerGroup(a5, 2)
+    assert vector_multiplier(square) == square.mul_vec
+    five = a5.index_of_cycles([(1, 2, 3, 4, 5)])
+    three = a5.index_of_cycles([(1, 2, 3)])
+    other = a5.index_of_cycles([(1, 2, 4)])
+    diagonal = [square.join((five, five)), square.join((three, three))]
+    assert np.count_nonzero(closure_mask(square, diagonal)) == 60
+    assert closure_mask(square, [square.join((five, five)), square.join((three, other))]).all()
+    assert square._table is None
+
+
 def test_direct_power_round_trip():
     s3 = get_group("symmetric:3")
     p3 = DirectPowerGroup(s3, 3)
@@ -269,6 +304,93 @@ def test_cayley_table_loading(tmp_path):
     )
     with pytest.raises(MalformedCayleyTableError):
         load_cayley_table(loop)
+
+
+def all_triples_associative(rows) -> bool:
+    """The test oracle: check (a*b)*c = a*(b*c) on every triple."""
+    n = len(rows)
+    return all(rows[rows[a][b]][c] == rows[a][rows[b][c]]
+               for a in range(n) for b in range(n) for c in range(n))
+
+
+def swap_intercalate(rows, rng, tries=2000):
+    """Swap a 2x2 Latin subsquare [[a, b], [b, a]] away from the identity.
+
+    The subsquare avoids row 0, column 0 and every 0 entry, so the result is
+    still a Latin square with identity 0 and two-sided inverses.  Returns
+    False (and leaves rows alone) when no such subsquare turns up.
+    """
+    n = len(rows)
+    for _ in range(tries):
+        r1, r2, c1 = (int(v) for v in rng.integers(1, n, size=3))
+        c2 = rows[r2].index(rows[r1][c1])
+        a, b = rows[r1][c1], rows[r1][c2]
+        if r1 != r2 and c2 != 0 and rows[r2][c1] == b and 0 not in (a, b):
+            rows[r1][c1], rows[r1][c2], rows[r2][c1], rows[r2][c2] = b, a, a, b
+            return True
+    return False
+
+
+def product_rows(first: list, k: int) -> list:
+    """Table of first x Z_k, element (i, j) at index i * k + j."""
+    m = len(first)
+    return [[first[x // k][y // k] * k + (x % k + y % k) % k for y in range(m * k)]
+            for x in range(m * k)]
+
+
+def cyclic_product_rows(m: int, k: int) -> list:
+    """Cayley table of Z_m x Z_k, element (i, j) at index i * k + j."""
+    return product_rows([[(x + y) % m for y in range(m)] for x in range(m)], k)
+
+
+# The smallest non-associative loop.  Times Z_k, index 1 = (0, 1) lies in
+# the middle nucleus, so the first generator Light's test picks passes.
+LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+
+
+def test_order_128_loop_is_rejected_with_a_failing_triple(tmp_path):
+    rows = cyclic_product_rows(2, 64)
+    _validate_cayley_table(rows, "z2xz64")  # the group itself passes
+    # rows x, x+u and columns y, y+u with u = (1, 0) of order 2
+    x, y, u = 3, 5, 64
+    a, b = rows[x][y], rows[x][y + u]
+    assert rows[x + u][y] == b and rows[x + u][y + u] == a and 0 not in (a, b)
+    rows[x][y], rows[x][y + u], rows[x + u][y], rows[x + u][y + u] = b, a, a, b
+    path = tmp_path / "loop128.txt"
+    path.write_text("128\n" + "\n".join(" ".join(map(str, r)) for r in rows) + "\n")
+    with pytest.raises(MalformedCayleyTableError, match="associativity") as info:
+        load_cayley_table(path)
+    p, q, r = (int(v) for v in re.search(r"\((\d+),(\d+),(\d+)\)", str(info.value)).groups())
+    assert rows[rows[p][q]][r] != rows[p][rows[q][r]]
+
+
+@pytest.mark.parametrize("spec", ("cyclic:6", "dihedral:4", "symmetric:3",
+                                  "symmetric:4", "alternating:4", "z4xz4", "z2xz50",
+                                  "loop5xz4"))
+def test_light_associativity_test_agrees_with_all_triples(spec):
+    if spec == "loop5xz4":
+        base = product_rows(LOOP5, 4)
+    elif spec.startswith("z"):
+        m, k = (int(v) for v in spec[1:].split("xz"))
+        base = cyclic_product_rows(m, k)
+    else:
+        base = get_group(spec).mul_table().tolist()
+    rng = stream(18, zlib.crc32(spec.encode()))
+    verdicts = set()
+    for swaps in (0, 1, 1, 2, 2, 3):
+        rows = [list(r) for r in base]
+        for _ in range(swaps):
+            swap_intercalate(rows, rng)
+        try:
+            _validate_cayley_table(rows, spec)
+            light = True
+        except MalformedCayleyTableError as exc:
+            assert "associativity" in str(exc)
+            light = False
+        oracle = all_triples_associative(rows)
+        assert light == oracle
+        verdicts.add(oracle)
+    assert False in verdicts
 
 
 def test_cayley_group_rejects_misplaced_identity():

@@ -7,9 +7,8 @@ import pytest
 
 from wordlab import harness, measure
 from wordlab.errors import BudgetExceededError, EmptyWordError
-from wordlab.groups import CayleyGroup, vector_multiplier
+from wordlab.groups import CayleyGroup, class_labels
 from wordlab.measure import (
-    _class_labels,
     _class_totals,
     exact_distribution,
     family_trend,
@@ -184,7 +183,7 @@ def test_distribution_csv_output(tmp_path):
 @pytest.mark.parametrize("spec", REDUCED_GROUPS)
 def test_class_labels_match_orbit_partition(spec):
     group = group_for(spec)
-    labels = _class_labels(group, vector_multiplier(group))
+    labels = class_labels(group)
     for cls in conjugacy_classes(group):
         assert {int(labels[x]) for x in cls} == {min(cls)}
 
