@@ -17,55 +17,29 @@ from typing import Optional, Sequence
 
 from .errors import BudgetExceededError, ConfigError, TooLargeError, WordlabError
 from .harness import (
+    CHOICES,
+    DEFAULTS,
+    EXPERIMENTS,
+    KNOWN_KEYS,
     audit_report,
     build_config,
     ingest_cayley_table,
     parse_config_file,
-    run_density,
-    run_generation,
-    run_mixing,
-    run_trend,
-    run_walk_gcd,
-    write_density_csv,
-    write_mixing_outputs,
-    write_mod_law_csv,
-    write_report,
-    write_trend_csv,
-    write_walk_gcd_csv,
 )
 
-# CLI flag name -> config key (destinations use underscores already).
-_FLAG_KEYS = (
-    "seed", "model", "d", "n", "words", "word", "groups", "group",
-    "mode", "samples", "tau", "gcd_cap", "steps", "cycles", "out", "workers",
-)
+# Config keys every experiment subcommand takes as flags.
+_COMMON_KEYS = ("seed", "out")
+_TYPES = {"int": int, "float": float}  # str values need no conversion
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_flags(parser: argparse.ArgumentParser, keys: Sequence[str]) -> None:
     parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--seed", type=int, help="root seed (mandatory here or in the config)")
-    parser.add_argument("--out", help="output directory (default .)")
-
-
-def _add_experiment_flags(parser: argparse.ArgumentParser, keys: Sequence[str]) -> None:
-    spec = {
-        "model": dict(choices=("positive", "symmetric"), help="word sampling model"),
-        "d": dict(type=int, help="word rank / lattice dimension / tuple length"),
-        "n": dict(type=int, help="word length / step count / profile horizon"),
-        "words": dict(type=int, help="number of sampled words"),
-        "word": dict(help="explicit word text, e.g. 'x1 x2 X1 X2'"),
-        "groups": dict(help="comma-separated group specs, e.g. alternating:5,psl2:7"),
-        "group": dict(help="single group spec"),
-        "mode": dict(choices=("exact", "sampled"), help="distribution mode"),
-        "samples": dict(type=int, help="sample count"),
-        "tau": dict(type=float, help="L1 closeness threshold (proxy, default 0.1)"),
-        "gcd_cap": dict(type=int, help="gcd histogram cap M"),
-        "steps": dict(help="comma-separated step element indices"),
-        "cycles": dict(help="semicolon-separated cycles, e.g. '(1 2 3);(1 2)'"),
-        "workers": dict(type=int, help="worker threads (default 1)"),
-    }
     for key in keys:
-        parser.add_argument("--" + key.replace("_", "-"), dest=key, **spec[key])
+        kind, text = KNOWN_KEYS[key]
+        if key in DEFAULTS:
+            text += f" (default {DEFAULTS[key]})"
+        parser.add_argument("--" + key.replace("_", "-"), dest=key, type=_TYPES.get(kind),
+                            choices=CHOICES.get(key), help=text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -75,26 +49,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("density", help="distance-to-uniform of sampled words across groups")
-    _add_common(p)
-    _add_experiment_flags(p, ("model", "d", "n", "words", "groups", "mode",
-                              "samples", "tau", "gcd_cap", "workers"))
-
-    p = sub.add_parser("trend", help="one word across a family of groups")
-    _add_common(p)
-    _add_experiment_flags(p, ("word", "groups", "mode", "samples"))
-
-    p = sub.add_parser("walk-gcd", help="endpoint gcd statistics of lattice walks")
-    _add_common(p)
-    _add_experiment_flags(p, ("d", "n", "samples", "gcd_cap"))
-
-    p = sub.add_parser("mixing", help="exact mixing profile of a walk on a group")
-    _add_common(p)
-    _add_experiment_flags(p, ("group", "n", "steps", "cycles", "tau"))
-
-    p = sub.add_parser("generation", help="generating-tuple counts and largest power")
-    _add_common(p)
-    _add_experiment_flags(p, ("group", "d"))
+    for name, experiment in EXPERIMENTS.items():
+        p = sub.add_parser(name, help=experiment.help)
+        _add_flags(p, _COMMON_KEYS + experiment.keys)
 
     p = sub.add_parser("audit", help="recompute a report's derived fields, list diffs")
     p.add_argument("report", help="path to a report.json produced by this tool")
@@ -106,68 +63,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merged_config(args: argparse.Namespace, experiment: str):
+def _run_experiment(args: argparse.Namespace, name: str) -> int:
+    experiment = EXPERIMENTS[name]
     from_file = parse_config_file(args.config) if args.config else {}
-    overrides = {}
-    for key in _FLAG_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
-    return build_config(experiment, from_file, overrides)
-
-
-def _run_experiment(args: argparse.Namespace, experiment: str) -> int:
-    config = _merged_config(args, experiment)
-    out_dir = config.get("out", ".")
-    exit_code = 0
-    if experiment == "density":
-        report = run_density(config)
-        paths = [write_report(report, out_dir), write_density_csv(report, out_dir)]
-        agg = report["aggregates"]
-        print(f"words: {agg['word_count']}  "
-              f"gamma in [1, {agg['gcd_cap']}]: {agg['fraction_gamma_in_cap_range']:.4f}  "
-              f"all L1 < {agg['tau']}: {agg['fraction_words_all_below_tau']:.4f}")
-        if agg["budget_error_count"] > 0:
-            print(f"budget errors in {agg['budget_error_count']} cell(s)", file=sys.stderr)
-            exit_code = 2
-    elif experiment == "trend":
-        report = run_trend(config)
-        paths = [write_report(report, out_dir), write_trend_csv(report, out_dir)]
-        for row in report["rows"]:
-            status = row["error"] or (f"l1={row['l1']!r}")
-            print(f"{row['spec']} (order {row['order']}): {status}")
-    elif experiment == "walk-gcd":
-        report = run_walk_gcd(config)
-        paths = [write_report(report, out_dir),
-                 write_walk_gcd_csv(report, out_dir),
-                 write_mod_law_csv(report, out_dir)]
-        est, pred = report["estimate"], report["prediction"]
-        print(f"tail Pr[gcd > {est['gcd_cap']}]: sampled {est['tail_probability']:.6f} "
-              f"predicted {pred['tail_probability']:.6f} (z = {report['agreement_z']:+.2f})")
-        print(f"zero-probability routes agree to {pred['zero_route_gap']:.3e}")
-    elif experiment == "mixing":
-        report = run_mixing(config)
-        paths = [write_report(report, out_dir)]
-        paths.extend(write_mixing_outputs(report, out_dir))
-        if report["obstruction"] is not None:
-            print(f"obstruction: walk is locked mod {report['obstruction']['modulus']}; "
-                  f"L1 floor {report['obstruction']['distance_floor']['l1']}")
-        cut = report["first_n_below_tau"]
-        print(f"final L1 after {len(report['profile_l1']) - 1} steps: "
-              f"{report['final_l1']:.3e}" +
-              (f"; first below tau at n = {cut}" if cut is not None else "; never below tau"))
-    elif experiment == "generation":
-        report = run_generation(config)
-        paths = [write_report(report, out_dir)]
-        if report["max_power"] is not None:
-            print(f"{report['group']}: {report['tuple_count']} generating "
-                  f"{report['d']}-tuples, |Aut| = {report['aut_order']}, "
-                  f"largest {report['d']}-generated power: {report['max_power']}")
-        else:
-            print(f"{report['group']}: {report['tuple_count']} generating "
-                  f"{report['d']}-tuples (no Aut catalog entry)")
-    else:  # pragma: no cover - subparsers constrain the choices
-        raise ConfigError(f"unknown experiment {experiment!r}")
+    flags = {key: getattr(args, key) for key in _COMMON_KEYS + experiment.keys}
+    config = build_config(name, from_file, flags)
+    report = experiment.run(config)
+    paths = experiment.write(report, config.get("out", "."))
+    exit_code = experiment.summarize(report)
     for path in paths:
         print(f"wrote {path}")
     print(f"wall clock: {report['wall_clock_seconds']:.2f}s")

@@ -26,14 +26,14 @@ from .errors import (
     DimensionMismatchError,
     GroupMismatchError,
     NotGeneratingError,
-    TooLargeError,
     UnsupportedParameterError,
     WordlabError,
 )
 from .groups import (
-    STRUCTURE_CAP,
     Element,
     Group,
+    _as_indices,
+    _check_structure_cap,
     closure,
     commutator_subgroup,
     quotient_group,
@@ -49,20 +49,11 @@ WALK_BATCH = 1 << 14
 
 
 def _step_indices(group: Group, steps: Sequence[Union[Element, int]]) -> tuple:
-    out = []
-    for s in steps:
-        if isinstance(s, Element):
-            if s.group is not group and s.group.name != group.name:
-                raise GroupMismatchError(
-                    f"step from {s.group.name}, expected {group.name}"
-                )
-            out.append(s.index)
-        else:
-            idx = int(s)
-            if not 0 <= idx < group.order:
-                raise IndexError(f"step index {idx} out of range for {group.name}")
-            out.append(idx)
-    return tuple(out)
+    out = tuple(_as_indices(group, steps))
+    for idx in out:
+        if not 0 <= idx < group.order:
+            raise IndexError(f"step index {idx} out of range for {group.name}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -100,12 +91,9 @@ class StepSet:
     @classmethod
     def uniform(cls, group: Group, steps: Sequence[Union[Element, int]]) -> "StepSet":
         support = _step_indices(group, steps)
-        k = len(support)
-        if k == 0:
-            raise UnsupportedParameterError("step set must be nonempty")
-        if len(set(support)) != k:
-            raise UnsupportedParameterError("step set has repeated elements")
-        return cls(group=group, support=support, weights=tuple([Fraction(1, k)] * k))
+        # __post_init__ rejects an empty or repeated support
+        weights = tuple(Fraction(1, len(support)) for _ in support)
+        return cls(group=group, support=support, weights=weights)
 
     @property
     def size(self) -> int:
@@ -146,11 +134,34 @@ def _convolve_step(counts: list, columns: list, int_weights: Sequence[int]) -> l
     return new
 
 
-def _check_walk_size(group: Group) -> None:
-    if group.order > STRUCTURE_CAP:
-        raise TooLargeError(
-            f"{group.name}: order {group.order} exceeds exact-walk cap {STRUCTURE_CAP}"
+def _check_walk(group: Group, steps: StepSet) -> None:
+    if steps.group is not group and steps.group.name != group.name:
+        raise GroupMismatchError(
+            f"step set lives on {steps.group.name}, expected {group.name}"
         )
+    _check_structure_cap(group)
+
+
+def _walk_laws(group: Group, steps: StepSet, n: int):
+    """Yield (counts, total) after 0, 1, ..., n steps: the law is counts/total.
+
+    Each round right-multiplies by one step draw; the total grows by D,
+    the lcm of the weight denominators.
+    """
+    _check_walk(group, steps)
+    if n < 0:
+        raise UnsupportedParameterError("step count must be nonnegative")
+    D = steps.denominator()
+    int_weights = [int(w * D) for w in steps.weights]
+    columns = _step_columns(group, steps.support)
+    counts = [0] * group.order
+    counts[group.identity] = 1
+    total = 1
+    yield counts, total
+    for _ in range(n):
+        counts = _convolve_step(counts, columns, int_weights)
+        total *= D
+        yield counts, total
 
 
 def exact_walk_law(group: Group, steps: StepSet, n: int) -> Distribution:
@@ -159,24 +170,12 @@ def exact_walk_law(group: Group, steps: StepSet, n: int) -> Distribution:
     The walk is the product s_1 s_2 ... s_n of independent draws, built by
     n rounds of right-multiplication convolution.
     """
-    if steps.group is not group and steps.group.name != group.name:
-        raise GroupMismatchError(
-            f"step set lives on {steps.group.name}, expected {group.name}"
-        )
-    if n < 0:
-        raise UnsupportedParameterError("step count must be nonnegative")
-    _check_walk_size(group)
-    D = steps.denominator()
-    int_weights = [int(w * D) for w in steps.weights]
-    columns = _step_columns(group, steps.support)
-    counts = [0] * group.order
-    counts[group.identity] = 1
-    for _ in range(n):
-        counts = _convolve_step(counts, columns, int_weights)
+    for counts, total in _walk_laws(group, steps, n):
+        pass
     return Distribution(
         group=group,
         counts=counts,
-        total=D**n,
+        total=total,
         mode="exact",
         d=1,
         label=f"walk n={n} {steps}",
@@ -185,26 +184,11 @@ def exact_walk_law(group: Group, steps: StepSet, n: int) -> Distribution:
 
 def mixing_profile(group: Group, steps: StepSet, n_max: int) -> list:
     """Exact L1 distances to uniform after 0, 1, ..., n_max steps."""
-    if steps.group is not group and steps.group.name != group.name:
-        raise GroupMismatchError(
-            f"step set lives on {steps.group.name}, expected {group.name}"
-        )
-    if n_max < 0:
-        raise UnsupportedParameterError("profile length must be nonnegative")
-    _check_walk_size(group)
-    D = steps.denominator()
-    int_weights = [int(w * D) for w in steps.weights]
-    columns = _step_columns(group, steps.support)
     order = group.order
-    counts = [0] * order
-    counts[group.identity] = 1
-    total = 1
     profile = []
-    for _ in range(n_max + 1):
+    for counts, total in _walk_laws(group, steps, n_max):
         s = sum(abs(c * order - total) for c in counts)
         profile.append(Fraction(s, total * order))
-        counts = _convolve_step(counts, columns, int_weights)
-        total *= D
     return profile
 
 
@@ -277,11 +261,7 @@ def cyclic_obstruction(group: Group, steps: StepSet) -> Optional[ObstructionWitn
     trivial the walk can mix; otherwise its order is returned together
     with the label of every group element.
     """
-    if steps.group is not group and steps.group.name != group.name:
-        raise GroupMismatchError(
-            f"step set lives on {steps.group.name}, expected {group.name}"
-        )
-    _check_walk_size(group)
+    _check_walk(group, steps)
     generated = closure(group, steps.support)
     if len(generated) != group.order:
         raise NotGeneratingError(

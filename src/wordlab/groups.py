@@ -690,15 +690,9 @@ def _validate_cayley_table(rows: Sequence[Sequence[int]], name: str) -> None:
     # Associativity, exactly, by Light's test: the elements a with
     # (x*a)*y = x*(a*y) for all x, y are closed under products, so checking
     # every s in a set S suffices once right multiplication by S reaches
-    # every element from the identity.  S is grown greedily, with no group
-    # shortcut, since the table is not known to be a group yet.
+    # every element from the identity.
     table = np.array(rows, dtype=np.int64)
-    gens = []
-    reached = np.arange(n) == 0
-    while not reached.all():
-        gens.append(int(np.argmin(reached)))
-        reached = right_orbit(lambda a, b: table[a, b], n, [0], gens)
-    for s in gens:
+    for s in greedy_generators(lambda a, b: table[a, b], n, 0):
         bad = np.argwhere(table[table[:, s]] != table[:, table[s]])
         if bad.size:
             x, y = bad[0]
@@ -875,6 +869,20 @@ def right_orbit(mul_vec, n: int, start, gens, stop: Optional[int] = None) -> np.
     return seen
 
 
+def greedy_generators(mul_vec, n: int, identity: int) -> list:
+    """Generators grown greedily: add the least element not yet reached
+    until right multiplication by them reaches every element from `identity`.
+
+    No Lagrange stop, so it also runs on a table not yet known to be a group.
+    """
+    gens = []
+    reached = np.arange(n) == identity
+    while not reached.all():
+        gens.append(int(np.argmin(reached)))
+        reached = right_orbit(mul_vec, n, [identity], gens)
+    return gens
+
+
 def closure_mask(group: Group, gens: Sequence[int]) -> np.ndarray:
     """Boolean mask of the subgroup generated by the indices `gens`.
 
@@ -894,16 +902,15 @@ def closure(group: Group, gens: Iterable[Element | int]) -> frozenset:
 
 
 def center(group: Group) -> frozenset:
+    """Elements commuting with every generator of a greedy generating set."""
     _check_structure_cap(group)
     n = group.order
     mul_vec = vector_multiplier(group)
     everyone = np.arange(n, dtype=np.int64)
-    out = []
-    for z in range(n):
-        zs = np.full(n, z, dtype=np.int64)
-        if np.array_equal(mul_vec(zs, everyone), mul_vec(everyone, zs)):
-            out.append(z)
-    return frozenset(out)
+    central = np.ones(n, dtype=bool)
+    for s in greedy_generators(mul_vec, n, group.identity):
+        central &= mul_vec(everyone, s) == mul_vec(s, everyone)
+    return frozenset(np.flatnonzero(central).tolist())
 
 
 def commutator_subgroup(group: Group) -> frozenset:

@@ -19,12 +19,13 @@ import csv
 import hashlib
 import json
 import math
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -61,22 +62,20 @@ from .measure import (
 from .rng import stream
 from .words import Word, abelianize, gcd_of_vector, parse_word, sample_word
 
-EXPERIMENTS = ("density", "trend", "walk-gcd", "mixing", "generation")
-
-# key -> (type tag, short description)
+# key -> (type tag, short description); flag types and help come from here
 KNOWN_KEYS = {
-    "experiment": ("str", "one of " + ", ".join(EXPERIMENTS)),
+    "experiment": ("str", "experiment name; must match the subcommand"),
     "seed": ("int", "root seed; mandatory everywhere"),
-    "model": ("str", "word sampling model: positive | symmetric"),
+    "model": ("str", "word sampling model"),
     "d": ("int", "word rank / lattice dimension / tuple length"),
     "n": ("int", "word length / step count / profile horizon"),
     "words": ("int", "number of sampled words (density)"),
     "word": ("str", "explicit word text, e.g. 'x1 x2 X1 X2' (trend)"),
     "groups": ("str", "comma-separated group specs (density, trend)"),
     "group": ("str", "single group spec (mixing, generation)"),
-    "mode": ("str", "distribution mode: exact | sampled"),
+    "mode": ("str", "distribution mode"),
     "samples": ("int", "sample count for sampled mode / walks"),
-    "tau": ("float", "closeness threshold on the L1 distance (proxy)"),
+    "tau": ("float", "closeness threshold on the L1 distance, a proxy"),
     "gcd_cap": ("int", "gcd histogram cap M"),
     "steps": ("str", "comma-separated element indices (mixing)"),
     "cycles": ("str", "semicolon-separated cycles, e.g. (1 2 3);(1 2) (mixing)"),
@@ -91,6 +90,11 @@ DEFAULTS = {
     "tau": 0.1,
     "workers": 1,
     "out": ".",
+}
+
+CHOICES = {
+    "model": ("positive", "symmetric"),
+    "mode": ("exact", "sampled"),
 }
 
 VOLATILE_REPORT_KEYS = ("wall_clock_seconds", "_witness_labels")
@@ -195,10 +199,9 @@ def build_config(experiment: str, *sources: dict) -> ExperimentConfig:
     seed = values.pop("seed")
     for key, default in DEFAULTS.items():
         values.setdefault(key, default)
-    if values.get("model") not in (None, "positive", "symmetric"):
-        raise ConfigError(f"model must be positive or symmetric, got {values['model']!r}")
-    if values.get("mode") not in (None, "exact", "sampled"):
-        raise ConfigError(f"mode must be exact or sampled, got {values['mode']!r}")
+    for key, allowed in CHOICES.items():
+        if values[key] not in allowed:
+            raise ConfigError(f"{key} must be {' or '.join(allowed)}, got {values[key]!r}")
     return ExperimentConfig(experiment=experiment, seed=seed, values=values)
 
 
@@ -232,13 +235,39 @@ def canonical_report_bytes(report: dict) -> bytes:
     return (text + "\n").encode("utf-8")
 
 
-def write_report(report: dict, out_dir: Union[str, Path],
-                 name: str = "report.json") -> Path:
+def _out_path(out_dir: Union[str, Path], name: str) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    path = out / name
+    return out / name
+
+
+def _write_csv(out_dir: Union[str, Path], name: str, header: list, rows) -> Path:
+    path = _out_path(out_dir, name)
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
+def write_report(report: dict, out_dir: Union[str, Path],
+                 name: str = "report.json") -> Path:
+    path = _out_path(out_dir, name)
     path.write_bytes(canonical_report_bytes(report))
     return path
+
+
+def _compare(diffs: list, label: str, stored, recomputed) -> None:
+    a = json.dumps(_jsonable(stored), sort_keys=True)
+    b = json.dumps(_jsonable(recomputed), sort_keys=True)
+    if a != b:
+        diffs.append(f"{label}: stored {a} != recomputed {b}")
+
+
+def _report(name: str, config: ExperimentConfig, t0: float, body: dict) -> dict:
+    """Name, version and config echo, then `body`, then the time since `t0`."""
+    return {"experiment": name, "version": __version__, "config": config.echo(),
+            **body, "wall_clock_seconds": time.perf_counter() - t0}
 
 
 def _fraction_fields(value) -> dict:
@@ -251,6 +280,21 @@ def _fraction_fields(value) -> dict:
 # ---------------------------------------------------------------------------
 # Density experiment
 # ---------------------------------------------------------------------------
+
+
+def _mode_and_samples(config: ExperimentConfig) -> tuple:
+    mode = config.get("mode", "exact")
+    samples = config.get("samples")
+    if mode == "sampled" and samples is None:
+        raise ConfigError("sampled mode requires samples")
+    return mode, samples
+
+
+def _group_specs(text: str) -> list:
+    specs = [s.strip() for s in text.split(",") if s.strip()]
+    if not specs:
+        raise ConfigError("groups must name at least one group spec")
+    return specs
 
 
 def _density_cell(word: Word, gamma: int, group, spec: str, mode: str,
@@ -329,15 +373,10 @@ def run_density(config: ExperimentConfig) -> dict:
     model, d, n, r, group_text, gcd_cap = config.require(
         "model", "d", "n", "words", "groups", "gcd_cap"
     )
-    mode = config.get("mode", "exact")
+    mode, samples = _mode_and_samples(config)
     tau = config.get("tau", 0.1)
     workers = config.get("workers", 1)
-    samples = config.get("samples")
-    if mode == "sampled" and samples is None:
-        raise ConfigError("sampled mode requires samples")
-    specs = [s.strip() for s in group_text.split(",") if s.strip()]
-    if not specs:
-        raise ConfigError("groups must name at least one group spec")
+    specs = _group_specs(group_text)
     groups = [construct_group(s) for s in specs]
     for g in groups:
         if g.has_table:
@@ -370,40 +409,50 @@ def run_density(config: ExperimentConfig) -> dict:
             "gamma": gammas[i],
             "groups": [cells[(i, j)] for j in range(len(groups))],
         })
-    report = {
-        "experiment": "density",
-        "version": __version__,
-        "config": config.echo(),
+    return _report("density", config, t0, {
         "group_specs": specs,
         "words": word_records,
         "aggregates": density_aggregates(word_records, tau, gcd_cap),
-        "wall_clock_seconds": time.perf_counter() - t0,
-    }
-    return report
+    })
 
 
 def write_density_csv(report: dict, out_dir: Union[str, Path],
                       name: str = "words.csv") -> Path:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / name
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([
-            "word_index", "word", "reduced_length", "gamma",
-            "group", "l1", "l1_exact", "covers_powers", "error",
-        ])
-        for rec in report["words"]:
-            for cell in rec["groups"]:
-                writer.writerow([
-                    rec["index"], rec["word"], rec["reduced_length"], rec["gamma"],
-                    cell["group"],
-                    "" if cell["l1"] is None else repr(cell["l1"]),
-                    cell["l1_exact"] or "",
-                    "" if cell["covers_powers"] is None else cell["covers_powers"],
-                    cell["error"] or "",
-                ])
-    return path
+    header = ["word_index", "word", "reduced_length", "gamma",
+              "group", "l1", "l1_exact", "covers_powers", "error"]
+    rows = ([rec["index"], rec["word"], rec["reduced_length"], rec["gamma"],
+             cell["group"],
+             "" if cell["l1"] is None else repr(cell["l1"]),
+             cell["l1_exact"] or "",
+             "" if cell["covers_powers"] is None else cell["covers_powers"],
+             cell["error"] or ""]
+            for rec in report["words"] for cell in rec["groups"])
+    return _write_csv(out_dir, name, header, rows)
+
+
+def _audit_density(report: dict, path: Path, diffs: list) -> None:
+    agg = report["aggregates"]
+    tau = agg.get("tau")
+    gcd_cap = agg.get("gcd_cap")
+    if tau is None or gcd_cap is None:
+        diffs.append("aggregates lack tau/gcd_cap echo")
+    else:
+        _compare(diffs, "aggregates", agg, density_aggregates(report["words"], tau, gcd_cap))
+    for rec in report["words"]:
+        gamma = gcd_of_vector(rec["exponent_vector"])
+        if gamma != rec["gamma"]:
+            diffs.append(f"word {rec['index']}: gamma {rec['gamma']} != {gamma}")
+
+
+def _summarize_density(report: dict) -> int:
+    agg = report["aggregates"]
+    print(f"words: {agg['word_count']}  "
+          f"gamma in [1, {agg['gcd_cap']}]: {agg['fraction_gamma_in_cap_range']:.4f}  "
+          f"all L1 < {agg['tau']}: {agg['fraction_words_all_below_tau']:.4f}")
+    if agg["budget_error_count"] > 0:
+        print(f"budget errors in {agg['budget_error_count']} cell(s)", file=sys.stderr)
+        return 2
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -414,14 +463,9 @@ def write_density_csv(report: dict, out_dir: Union[str, Path],
 def run_trend(config: ExperimentConfig) -> dict:
     t0 = time.perf_counter()
     word_text, group_text = config.require("word", "groups")
-    mode = config.get("mode", "exact")
-    samples = config.get("samples")
-    if mode == "sampled" and samples is None:
-        raise ConfigError("sampled mode requires samples")
+    mode, samples = _mode_and_samples(config)
     word = parse_word(word_text)
-    specs = [s.strip() for s in group_text.split(",") if s.strip()]
-    if not specs:
-        raise ConfigError("groups must name at least one group spec")
+    specs = _group_specs(group_text)
     rows = family_trend(word, specs, mode=mode,
                         samples=samples or 10_000, seed=config.seed)
     out_rows = []
@@ -437,34 +481,35 @@ def run_trend(config: ExperimentConfig) -> dict:
         else:
             entry.update(_fraction_fields(row.distance))
         out_rows.append(entry)
-    return {
-        "experiment": "trend",
-        "version": __version__,
-        "config": config.echo(),
+    return _report("trend", config, t0, {
         "word": word.to_text(),
         "gamma": gcd_of_vector(abelianize(word)),
         "rows": out_rows,
-        "wall_clock_seconds": time.perf_counter() - t0,
-    }
+    })
 
 
 def write_trend_csv(report: dict, out_dir: Union[str, Path],
                     name: str = "trend.csv") -> Path:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / name
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["spec", "order", "l1", "l1_exact", "error"])
-        for row in report["rows"]:
-            writer.writerow([
-                row["spec"],
-                "" if row["order"] is None else row["order"],
-                "" if row["l1"] is None else repr(row["l1"]),
-                row["l1_exact"] or "",
-                row["error"] or "",
-            ])
-    return path
+    rows = ([row["spec"],
+             "" if row["order"] is None else row["order"],
+             "" if row["l1"] is None else repr(row["l1"]),
+             row["l1_exact"] or "",
+             row["error"] or ""]
+            for row in report["rows"])
+    return _write_csv(out_dir, name, ["spec", "order", "l1", "l1_exact", "error"], rows)
+
+
+def _audit_trend(report: dict, path: Path, diffs: list) -> None:
+    keys = [(r["order"] is None, r["order"] or 0, r["spec"]) for r in report["rows"]]
+    if keys != sorted(keys):
+        diffs.append("trend rows not sorted by (order, spec)")
+
+
+def _summarize_trend(report: dict) -> int:
+    for row in report["rows"]:
+        status = row["error"] or (f"l1={row['l1']!r}")
+        print(f"{row['spec']} (order {row['order']}): {status}")
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -517,10 +562,7 @@ def run_walk_gcd(config: ExperimentConfig) -> dict:
             "mc_fraction": divisible / samples,
             "mc_count": divisible,
         })
-    report = {
-        "experiment": "walk-gcd",
-        "version": __version__,
-        "config": config.echo(),
+    return _report("walk-gcd", config, t0, {
         "estimate": {
             "d": est.d, "n": est.n, "gcd_cap": est.gcd_cap, "samples": est.samples,
             "tail_count": est.tail_count, "zero_count": est.zero_count,
@@ -539,41 +581,57 @@ def run_walk_gcd(config: ExperimentConfig) -> dict:
         },
         "agreement_z": z,
         "mod_laws": mod_rows,
-        "wall_clock_seconds": time.perf_counter() - t0,
-    }
-    return report
+    })
 
 
 def write_walk_gcd_csv(report: dict, out_dir: Union[str, Path],
                        name: str = "gcd_law.csv") -> Path:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / name
     est = report["estimate"]
     pred = report["prediction"]["gcd_law_head"]
     samples = est["samples"]
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["gamma", "mc_count", "mc_fraction", "dp_probability"])
-        for v in range(est["gcd_cap"] + 1):
-            c = est["gamma_counts"].get(str(v), 0)
-            writer.writerow([v, c, repr(c / samples), repr(pred.get(str(v), 0.0))])
-    return path
+    rows = []
+    for v in range(est["gcd_cap"] + 1):
+        c = est["gamma_counts"].get(str(v), 0)
+        rows.append([v, c, repr(c / samples), repr(pred.get(str(v), 0.0))])
+    return _write_csv(out_dir, name, ["gamma", "mc_count", "mc_fraction", "dp_probability"],
+                      rows)
 
 
 def write_mod_law_csv(report: dict, out_dir: Union[str, Path],
                       name: str = "mod_laws.csv") -> Path:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / name
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["p", "k", "modulus", "dp_prob_zero", "mc_fraction", "mc_count"])
-        for row in report["mod_laws"]:
-            writer.writerow([row["p"], row["k"], row["modulus"],
-                             repr(row["dp_prob_zero"]), repr(row["mc_fraction"]),
-                             row["mc_count"]])
-    return path
+    rows = ([row["p"], row["k"], row["modulus"],
+             repr(row["dp_prob_zero"]), repr(row["mc_fraction"]), row["mc_count"]]
+            for row in report["mod_laws"])
+    return _write_csv(out_dir, name,
+                      ["p", "k", "modulus", "dp_prob_zero", "mc_fraction", "mc_count"], rows)
+
+
+def _audit_walk_gcd(report: dict, path: Path, diffs: list) -> None:
+    est = report["estimate"]
+    samples = est["samples"]
+    _compare(diffs, "estimate.tail_probability",
+             est["tail_probability"], est["tail_count"] / samples)
+    _compare(diffs, "estimate.zero_probability",
+             est["zero_probability"], est["zero_count"] / samples)
+    pred = report["prediction"]
+    _compare(diffs, "prediction.zero_route_gap",
+             pred["zero_route_gap"],
+             abs(pred["zero_probability_dp"] - pred["return_probability_exact"]))
+    p = pred["tail_probability"]
+    se = math.sqrt(max(p * (1 - p), 1e-300) / samples)
+    _compare(diffs, "agreement_z", report["agreement_z"],
+             (est["tail_probability"] - p) / se)
+    for row in report["mod_laws"]:
+        _compare(diffs, f"mod_laws[{row['modulus']}].mc_fraction",
+                 row["mc_fraction"], row["mc_count"] / samples)
+
+
+def _summarize_walk_gcd(report: dict) -> int:
+    est, pred = report["estimate"], report["prediction"]
+    print(f"tail Pr[gcd > {est['gcd_cap']}]: sampled {est['tail_probability']:.6f} "
+          f"predicted {pred['tail_probability']:.6f} (z = {report['agreement_z']:+.2f})")
+    print(f"zero-probability routes agree to {pred['zero_route_gap']:.3e}")
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -602,6 +660,10 @@ def _parse_cycles_text(text: str) -> list:
     if not steps:
         raise ConfigError("cycles text contains no steps")
     return steps
+
+
+def _labels_digest(labels) -> str:
+    return hashlib.sha256(json.dumps(list(labels)).encode()).hexdigest()
 
 
 def run_mixing(config: ExperimentConfig) -> dict:
@@ -633,19 +695,13 @@ def run_mixing(config: ExperimentConfig) -> dict:
     below = [i for i, v in enumerate(floats) if v < tau]
     first_below = below[0] if below else None
     obstruction = None
-    witness_digest = None
     if witness is not None:
-        label_bytes = json.dumps(list(witness.labels)).encode()
-        witness_digest = hashlib.sha256(label_bytes).hexdigest()
         obstruction = {
             "modulus": witness.modulus,
-            "labels_sha256": witness_digest,
+            "labels_sha256": _labels_digest(witness.labels),
             "distance_floor": _fraction_fields(witness.distance_floor()),
         }
-    report = {
-        "experiment": "mixing",
-        "version": __version__,
-        "config": config.echo(),
+    report = _report("mixing", config, t0, {
         "group": group.name,
         "order": group.order,
         "step_indices": list(step_set.support),
@@ -654,8 +710,7 @@ def run_mixing(config: ExperimentConfig) -> dict:
         "final_l1": floats[-1],
         "first_n_below_tau": first_below,
         "obstruction": obstruction,
-        "wall_clock_seconds": time.perf_counter() - t0,
-    }
+    })
     if witness is not None:
         report["witness_file"] = "witness.json"
         report["_witness_labels"] = list(witness.labels)
@@ -664,19 +719,11 @@ def run_mixing(config: ExperimentConfig) -> dict:
 
 def write_mixing_outputs(report: dict, out_dir: Union[str, Path]) -> list:
     """Profile CSV plus, when an obstruction exists, the full witness JSON."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths = []
-    csv_path = out / "profile.csv"
-    with csv_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "l1"])
-        for i, v in enumerate(report["profile_l1"]):
-            writer.writerow([i, repr(v)])
-    paths.append(csv_path)
+    paths = [_write_csv(out_dir, "profile.csv", ["n", "l1"],
+                        ([i, repr(v)] for i, v in enumerate(report["profile_l1"])))]
     labels = report.get("_witness_labels")
     if report.get("obstruction") is not None and labels is not None:
-        wpath = out / report["witness_file"]
+        wpath = _out_path(out_dir, report["witness_file"])
         payload = {
             "group": report["group"],
             "modulus": report["obstruction"]["modulus"],
@@ -686,6 +733,35 @@ def write_mixing_outputs(report: dict, out_dir: Union[str, Path]) -> list:
         wpath.write_bytes(canonical_report_bytes(payload))
         paths.append(wpath)
     return paths
+
+
+def _audit_mixing(report: dict, path: Path, diffs: list) -> None:
+    floats = report["profile_l1"]
+    _compare(diffs, "final_l1", report["final_l1"], floats[-1])
+    tau = float(report["config"].get("tau", DEFAULTS["tau"]))
+    below = [i for i, v in enumerate(floats) if v < tau]
+    _compare(diffs, "first_n_below_tau", report["first_n_below_tau"],
+             below[0] if below else None)
+    ob = report["obstruction"]
+    if ob is not None and report.get("witness_file"):
+        wpath = path.parent / report["witness_file"]
+        if wpath.exists():
+            witness = json.loads(wpath.read_text())
+            _compare(diffs, "witness digest", ob["labels_sha256"],
+                     _labels_digest(witness["labels"]))
+        else:
+            diffs.append(f"witness file {wpath} missing")
+
+
+def _summarize_mixing(report: dict) -> int:
+    if report["obstruction"] is not None:
+        print(f"obstruction: walk is locked mod {report['obstruction']['modulus']}; "
+              f"L1 floor {report['obstruction']['distance_floor']['l1']}")
+    cut = report["first_n_below_tau"]
+    print(f"final L1 after {len(report['profile_l1']) - 1} steps: "
+          f"{report['final_l1']:.3e}" +
+          (f"; first below tau at n = {cut}" if cut is not None else "; never below tau"))
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -719,13 +795,104 @@ def run_generation(config: ExperimentConfig) -> dict:
             "sqrt_bound": math.isqrt(4 * group.order),
             "consistent": None,
         })
-    return {
-        "experiment": "generation",
-        "version": __version__,
-        "config": config.echo(),
-        **body,
-        "wall_clock_seconds": time.perf_counter() - t0,
-    }
+    return _report("generation", config, t0, body)
+
+
+def _audit_generation(report: dict, path: Path, diffs: list) -> None:
+    if report["aut_order"] is not None:
+        _compare(diffs, "max_power", report["max_power"],
+                 report["tuple_count"] // report["aut_order"])
+        _compare(diffs, "consistent", report["consistent"],
+                 report["sqrt_bound"] <= report["max_power"])
+    _compare(diffs, "sqrt_bound", report["sqrt_bound"],
+             math.isqrt(4 * report["order"]))
+
+
+def _summarize_generation(report: dict) -> int:
+    if report["max_power"] is not None:
+        print(f"{report['group']}: {report['tuple_count']} generating "
+              f"{report['d']}-tuples, |Aut| = {report['aut_order']}, "
+              f"largest {report['d']}-generated power: {report['max_power']}")
+    else:
+        print(f"{report['group']}: {report['tuple_count']} generating "
+              f"{report['d']}-tuples (no Aut catalog entry)")
+    return 0
+
+
+# ---------------------------------------------------------------------------
+# Experiment registry
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """Everything the CLI, `build_config` and `audit_report` know of an experiment.
+
+    `keys` are the config keys its subcommand takes as flags, besides
+    `seed` and `out`.  `run` makes the report; `write` writes every output
+    file and returns the paths; `audit(report, path, diffs)` appends the
+    report's discrepancies; `summarize` prints the console summary and
+    returns the exit code.  `run` and `write` look the module's functions
+    up by name at each call, so rebinding one (as the benchmark's tracer
+    does) takes effect here too.
+    """
+
+    help: str
+    keys: tuple
+    run: Callable[[ExperimentConfig], dict]
+    write: Callable[[dict, Union[str, Path]], list]
+    audit: Callable[[dict, Path, list], None]
+    summarize: Callable[[dict], int]
+
+
+EXPERIMENTS = {
+    "density": Experiment(
+        "distance-to-uniform of sampled words across groups",
+        ("model", "d", "n", "words", "groups", "mode", "samples", "tau", "gcd_cap",
+         "workers"),
+        run=lambda config: run_density(config),
+        write=lambda report, out: [write_report(report, out),
+                                   write_density_csv(report, out)],
+        audit=_audit_density,
+        summarize=_summarize_density,
+    ),
+    "trend": Experiment(
+        "one word across a family of groups",
+        ("word", "groups", "mode", "samples"),
+        run=lambda config: run_trend(config),
+        write=lambda report, out: [write_report(report, out),
+                                   write_trend_csv(report, out)],
+        audit=_audit_trend,
+        summarize=_summarize_trend,
+    ),
+    "walk-gcd": Experiment(
+        "endpoint gcd statistics of lattice walks",
+        ("d", "n", "samples", "gcd_cap"),
+        run=lambda config: run_walk_gcd(config),
+        write=lambda report, out: [write_report(report, out),
+                                   write_walk_gcd_csv(report, out),
+                                   write_mod_law_csv(report, out)],
+        audit=_audit_walk_gcd,
+        summarize=_summarize_walk_gcd,
+    ),
+    "mixing": Experiment(
+        "exact mixing profile of a walk on a group",
+        ("group", "n", "steps", "cycles", "tau"),
+        run=lambda config: run_mixing(config),
+        write=lambda report, out: [write_report(report, out),
+                                   *write_mixing_outputs(report, out)],
+        audit=_audit_mixing,
+        summarize=_summarize_mixing,
+    ),
+    "generation": Experiment(
+        "generating-tuple counts and largest power",
+        ("group", "d"),
+        run=lambda config: run_generation(config),
+        write=lambda report, out: [write_report(report, out)],
+        audit=_audit_generation,
+        summarize=_summarize_generation,
+    ),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -733,98 +900,35 @@ def run_generation(config: ExperimentConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _compare(diffs: list, label: str, stored, recomputed) -> None:
-    a = json.dumps(_jsonable(stored), sort_keys=True)
-    b = json.dumps(_jsonable(recomputed), sort_keys=True)
-    if a != b:
-        diffs.append(f"{label}: stored {a} != recomputed {b}")
-
-
 def audit_report(path: Union[str, Path]) -> list:
     """Recompute every derived field of a report from its own records.
 
     Returns the list of discrepancies; an empty list means the aggregates
     are exactly the function of the raw records that the harness claims.
+    A report that is not a JSON object, or lacks a field its audit reads,
+    raises ConfigError.
     """
     path = Path(path)
     try:
         report = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read report {path}: {exc}") from exc
-    diffs = []
+    if not isinstance(report, dict):
+        raise ConfigError(f"{path}: report is not a JSON object")
     kind = report.get("experiment")
     if kind is None:
         raise ConfigError(f"{path}: no experiment field")
-    config = report.get("config", {})
-    if "seed" not in config:
-        diffs.append("config echo lacks seed")
-    if kind == "density":
-        agg = report.get("aggregates", {})
-        tau = agg.get("tau")
-        gcd_cap = agg.get("gcd_cap")
-        if tau is None or gcd_cap is None:
-            diffs.append("aggregates lack tau/gcd_cap echo")
-        else:
-            recomputed = density_aggregates(report["words"], tau, gcd_cap)
-            _compare(diffs, "aggregates", agg, recomputed)
-        for rec in report.get("words", []):
-            vec = rec["exponent_vector"]
-            gamma = 0
-            for v in vec:
-                gamma = math.gcd(gamma, v)
-            if gamma != rec["gamma"]:
-                diffs.append(f"word {rec['index']}: gamma {rec['gamma']} != {gamma}")
-    elif kind == "trend":
-        rows = report.get("rows", [])
-        keys = [(r["order"] is None, r["order"] or 0, r["spec"]) for r in rows]
-        if keys != sorted(keys):
-            diffs.append("trend rows not sorted by (order, spec)")
-    elif kind == "walk-gcd":
-        est = report["estimate"]
-        samples = est["samples"]
-        _compare(diffs, "estimate.tail_probability",
-                 est["tail_probability"], est["tail_count"] / samples)
-        _compare(diffs, "estimate.zero_probability",
-                 est["zero_probability"], est["zero_count"] / samples)
-        pred = report["prediction"]
-        _compare(diffs, "prediction.zero_route_gap",
-                 pred["zero_route_gap"],
-                 abs(pred["zero_probability_dp"] - pred["return_probability_exact"]))
-        p = pred["tail_probability"]
-        se = math.sqrt(max(p * (1 - p), 1e-300) / samples)
-        _compare(diffs, "agreement_z", report["agreement_z"],
-                 (est["tail_probability"] - p) / se)
-        for row in report.get("mod_laws", []):
-            _compare(diffs, f"mod_laws[{row['modulus']}].mc_fraction",
-                     row["mc_fraction"], row["mc_count"] / samples)
-    elif kind == "mixing":
-        floats = report["profile_l1"]
-        _compare(diffs, "final_l1", report["final_l1"], floats[-1])
-        tau = float(report["config"].get("tau", DEFAULTS["tau"]))
-        below = [i for i, v in enumerate(floats) if v < tau]
-        _compare(diffs, "first_n_below_tau", report["first_n_below_tau"],
-                 below[0] if below else None)
-        ob = report.get("obstruction")
-        if ob is not None and report.get("witness_file"):
-            wpath = path.parent / report["witness_file"]
-            if wpath.exists():
-                witness = json.loads(wpath.read_text())
-                digest = hashlib.sha256(
-                    json.dumps(list(witness["labels"])).encode()
-                ).hexdigest()
-                _compare(diffs, "witness digest", ob["labels_sha256"], digest)
-            else:
-                diffs.append(f"witness file {wpath} missing")
-    elif kind == "generation":
-        if report.get("aut_order") is not None:
-            _compare(diffs, "max_power", report["max_power"],
-                     report["tuple_count"] // report["aut_order"])
-            _compare(diffs, "consistent", report["consistent"],
-                     report["sqrt_bound"] <= report["max_power"])
-        _compare(diffs, "sqrt_bound", report["sqrt_bound"],
-                 math.isqrt(4 * report["order"]))
-    else:
+    if not isinstance(kind, str) or kind not in EXPERIMENTS:
         raise ConfigError(f"{path}: unknown experiment {kind!r}")
+    diffs = []
+    try:
+        if "seed" not in report.get("config", {}):
+            diffs.append("config echo lacks seed")
+        EXPERIMENTS[kind].audit(report, path, diffs)
+    except KeyError as exc:
+        raise ConfigError(f"{path}: {kind} report lacks field {exc.args[0]!r}") from exc
+    except (TypeError, AttributeError, IndexError) as exc:
+        raise ConfigError(f"{path}: malformed {kind} report: {exc}") from exc
     return diffs
 
 
@@ -858,7 +962,5 @@ def ingest_cayley_table(path: Union[str, Path],
         summary["abelian"] = len(z) == group.order
         summary["perfect"] = len(commutator_subgroup(group)) == group.order
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "ingest.json").write_bytes(canonical_report_bytes(summary))
+        _out_path(out_dir, "ingest.json").write_bytes(canonical_report_bytes(summary))
     return summary

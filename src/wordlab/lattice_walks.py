@@ -20,6 +20,7 @@ import numpy as np
 from .errors import BudgetExceededError, UnsupportedParameterError
 from .groups import _is_prime
 from .rng import Rng, as_rng
+from .words import gcd_of_vector
 
 # Torus DP state count p^(k*d) cap, and the cap for exact big-integer DP.
 STATE_CAP = 10**6
@@ -64,11 +65,7 @@ def sample_endpoints(d: int, n: int, samples: int, rng: Union[Rng, int]) -> np.n
     return out
 
 
-def gcd_of_endpoint(endpoint: Sequence[int]) -> int:
-    g = 0
-    for v in endpoint:
-        g = math.gcd(g, v)
-    return g
+gcd_of_endpoint = gcd_of_vector
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +169,19 @@ def _neighbor_indices(d: int, q: int) -> list:
     return cols
 
 
+def _torus_law(side: int, d: int, n: int) -> np.ndarray:
+    """Float64 n-step law on the torus (Z/side)^d, one array axis per coordinate."""
+    probs = np.zeros((side,) * d, dtype=np.float64)
+    probs[(0,) * d] = 1.0
+    for _ in range(n):
+        nxt = np.zeros_like(probs)
+        for axis in range(d):
+            nxt += np.roll(probs, 1, axis=axis)
+            nxt += np.roll(probs, -1, axis=axis)
+        probs = nxt / (2 * d)
+    return probs
+
+
 def exact_mod_law(d: int, p: int, k: int, n: int, exact: Optional[bool] = None) -> ModLaw:
     """n-fold convolution of the uniform step law on the torus (Z/p^k)^d.
 
@@ -200,15 +210,7 @@ def exact_mod_law(d: int, p: int, k: int, n: int, exact: Optional[bool] = None) 
         for _ in range(n):
             counts = [sum(counts[j] for j in nbr[s]) for s in range(size)]
         return ModLaw(d, p, k, n, True, counts, None)
-    probs = np.zeros((q,) * d, dtype=np.float64)
-    probs[(0,) * d] = 1.0
-    for _ in range(n):
-        nxt = np.zeros_like(probs)
-        for axis in range(d):
-            nxt += np.roll(probs, 1, axis=axis)
-            nxt += np.roll(probs, -1, axis=axis)
-        probs = nxt / (2 * d)
-    return ModLaw(d, p, k, n, False, None, probs.reshape(-1))
+    return ModLaw(d, p, k, n, False, None, _torus_law(q, d, n).reshape(-1))
 
 
 # ---------------------------------------------------------------------------
@@ -340,14 +342,7 @@ def predicted_tail_probability(d: int, n: int, gcd_cap: int,
             f"boxed law needs {side**d} states, over the {BOX_STATE_CAP} cap; "
             "reduce n or pass a smaller box_radius"
         )
-    probs = np.zeros((side,) * d, dtype=np.float64)
-    probs[(0,) * d] = 1.0
-    for _ in range(n):
-        nxt = np.zeros_like(probs)
-        for axis in range(d):
-            nxt += np.roll(probs, 1, axis=axis)
-            nxt += np.roll(probs, -1, axis=axis)
-        probs = nxt / (2 * d)
+    probs = _torus_law(side, d, n)
     # torus coordinate t in [0, side) represents the integer t or t - side
     signed = np.arange(side, dtype=np.int64)
     signed[signed > box_radius] -= side

@@ -1,0 +1,84 @@
+"""Golden bytes: every output file of small fixed runs, pinned by SHA-256.
+
+One fixed CLI run per experiment plus one ingest.  The digests were
+recorded before the experiment registry replaced the per-experiment
+wiring; a refactor that changes any written byte fails here.
+"""
+
+import hashlib
+
+import pytest
+
+from wordlab.cli import main
+
+# The Cayley table of the dihedral group of order 8 (center of order 2).
+D4_TABLE = """8
+0 1 2 3 4 5 6 7
+1 2 3 0 5 6 7 4
+2 3 0 1 6 7 4 5
+3 0 1 2 7 4 5 6
+4 7 6 5 0 3 2 1
+5 4 7 6 1 0 3 2
+6 5 4 7 2 1 0 3
+7 6 5 4 3 2 1 0
+"""
+
+GOLDEN = {
+    "density": (
+        ["density", "--seed", "5", "--d", "2", "--n", "30", "--words", "6",
+         "--groups", "symmetric:3,cyclic:6,alternating:4", "--gcd-cap", "6"],
+        {
+            "report.json": "8025807d2028b03e3dfe0ffc32e4b432d50f8b26e25b3abb41aa24d8ea656725",
+            "words.csv": "ec9bff3960c8bfd453a712352983d880db36be514cca27a782c731815904cbef",
+        },
+    ),
+    "trend": (
+        ["trend", "--seed", "2", "--word", "x1 x1", "--groups", "psl2:5,cyclic:5,dihedral:4"],
+        {
+            "report.json": "51be4da6f96c2c315b8a4d82bcaf2d2ec042fed054370aadb19bbdc3e339c4d5",
+            "trend.csv": "c990958f1006eaebf5fa503d2d178606683a22db38f6a06928e32d924581188a",
+        },
+    ),
+    "walk-gcd": (
+        ["walk-gcd", "--seed", "4", "--d", "2", "--n", "30", "--samples", "2000",
+         "--gcd-cap", "5"],
+        {
+            "report.json": "852a6e32078db856c0dc25bc18d54a4f0313908cfc0bf44c1c1a6f4d9fe8692e",
+            "gcd_law.csv": "228033f9ef64e767122b1ab691c45e57bfb65a6371eab2765b4fcd500a35d138",
+            "mod_laws.csv": "44ad74b431d27ad32450bec6d8e07288b60c0bbdb6603fb9c84087494a463fd5",
+        },
+    ),
+    "mixing": (
+        ["mixing", "--seed", "9", "--group", "symmetric:3", "--cycles", "(1 2);(1 3)",
+         "--n", "20"],
+        {
+            "report.json": "7ac7f4fdc1f9dab11649fd92281729fea96fb19e87a1d2f494a5784378c8c488",
+            "profile.csv": "5a3aab1abc7c1763817fa14ac45d4c22479e0492e1a7296ae47d0d9704fae665",
+            "witness.json": "3175c3266a49ebc4312d845bc7622745be18365bab7ca4ad614080bf717aa2b5",
+        },
+    ),
+    "generation": (
+        ["generation", "--seed", "1", "--group", "alternating:5", "--d", "2"],
+        {
+            "report.json": "c05b617d3dca61bfae278e50c73245ae34458b52830cc7c9f58cec6e19cfbacb",
+        },
+    ),
+    "ingest": (
+        ["ingest", "d4.txt"],
+        {
+            "ingest.json": "5da1ca6eaed92cc186c6ee39d0774ce66ebc75a7c718c61124fb1f292944f83a",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_output_bytes_match_golden_digests(name, tmp_path, monkeypatch):
+    # relative paths, since the ingest summary echoes its source path
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d4.txt").write_text(D4_TABLE)
+    argv, digests = GOLDEN[name]
+    assert main(argv + ["--out", "out"]) == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in (tmp_path / "out").iterdir()}
+    assert written == digests

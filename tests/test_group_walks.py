@@ -9,8 +9,10 @@ from wordlab.errors import (
     DimensionMismatchError,
     GroupMismatchError,
     NotGeneratingError,
+    TooLargeError,
     UnsupportedParameterError,
 )
+from wordlab.cli import main
 from wordlab.generation import power_tuple_generates
 from wordlab.group_walks import (
     ObstructionWitness,
@@ -20,7 +22,7 @@ from wordlab.group_walks import (
     mixing_profile,
     power_walk_equivalence,
 )
-from wordlab.groups import DirectPowerGroup
+from wordlab.groups import STRUCTURE_CAP, DirectPowerGroup
 from wordlab.measure import l1_uniform_distance
 from wordlab.rng import stream
 
@@ -49,6 +51,20 @@ def test_step_set_validation():
     assert steps.denominator() == 3
     uni = StepSet.uniform(s3, [s3.element(1), 2, 3])
     assert uni.size == 3 and uni.denominator() == 3
+
+
+def test_exact_walks_refuse_groups_above_the_structure_cap(tmp_path):
+    big = get_group("sl2:29")
+    assert big.order == 24360 > STRUCTURE_CAP
+    steps = StepSet.uniform(big, [1])
+    with pytest.raises(TooLargeError):
+        exact_walk_law(big, steps, 1)
+    with pytest.raises(TooLargeError):
+        mixing_profile(big, steps, 1)
+    with pytest.raises(TooLargeError):
+        cyclic_obstruction(big, steps)
+    assert main(["mixing", "--group", "sl2:29", "--steps", "1", "--n", "1",
+                 "--seed", "1", "--out", str(tmp_path)]) == 2
 
 
 def test_single_step_walk_is_deterministic():

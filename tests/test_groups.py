@@ -25,6 +25,7 @@ from wordlab.groups import (
     closure_mask,
     commutator_subgroup,
     construct_group,
+    greedy_generators,
     is_perfect,
     load_cayley_table,
     power_array,
@@ -173,6 +174,42 @@ def test_center_and_quotient_of_double_cover():
         y = int(rng.integers(0, sl.order))
         assert proj[sl.mul(x, y)] == q.mul(proj[x], proj[y])
     assert is_perfect(q)
+
+
+def all_products_center(group) -> frozenset:
+    """Elements z with z*g = g*z for every g, from all |G|^2 products."""
+    everyone = np.arange(group.order)
+    central = []
+    for lo in range(0, group.order, 256):
+        z = np.arange(lo, min(lo + 256, group.order))[:, None]
+        commutes = group.mul_vec(z, everyone) == group.mul_vec(everyone, z)
+        central.extend((z[commutes.all(axis=1), 0]).tolist())
+    return frozenset(central)
+
+
+def test_center_matches_all_products():
+    groups = [g for g in map(get_group, CATALOG) if g.order <= 168]
+    assert [g.name for g in groups] == ["cyclic:2", "cyclic:4", "cyclic:6", "dihedral:4",
+                                        "symmetric:3", "symmetric:4", "alternating:4",
+                                        "alternating:5", "sl2:5", "psl2:7"]
+    groups += [DirectPowerGroup(get_group("alternating:5"), 2),
+               DirectPowerGroup(get_group("dihedral:4"), 2)]
+    sizes = []
+    for group in groups:
+        z = center(group)
+        assert z == all_products_center(group), group.name
+        sizes.append(len(z))
+    assert sizes == [2, 4, 6, 2, 1, 1, 1, 1, 2, 1, 1, 4]
+
+
+def test_greedy_generators_reach_every_element():
+    for spec in ("cyclic:6", "symmetric:4", "sl2:5"):
+        group = get_group(spec)
+        gens = greedy_generators(vector_multiplier(group), group.order, group.identity)
+        assert closure(group, gens) == frozenset(range(group.order))
+        # each generator lies outside the subgroup its predecessors generate
+        for k in range(1, len(gens)):
+            assert gens[k] not in closure(group, gens[:k])
 
 
 def test_commutator_subgroups():

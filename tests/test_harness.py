@@ -10,6 +10,7 @@ from wordlab.cli import main
 from wordlab.errors import ConfigError, MalformedCayleyTableError
 from wordlab.generation import count_generating_tuples
 from wordlab.harness import (
+    EXPERIMENTS,
     audit_report,
     build_config,
     canonical_report_bytes,
@@ -408,6 +409,49 @@ def test_cli_exit_codes(tmp_path):
                  "--out", str(out)]) == 2
     # the partial report is still written and passes its audit
     assert audit_report(out / "report.json") == []
+
+
+# Tiny flags for each registered experiment, and the files its run writes.
+ROUND_TRIP = {
+    "density": (["--d", "2", "--n", "8", "--words", "3", "--groups", "cyclic:4",
+                 "--mode", "sampled", "--samples", "200", "--gcd-cap", "4"],
+                {"report.json", "words.csv"}),
+    "trend": (["--word", "x1 x2 X1 X2", "--groups", "symmetric:3,cyclic:3"],
+              {"report.json", "trend.csv"}),
+    "walk-gcd": (["--d", "1", "--n", "10", "--samples", "300", "--gcd-cap", "3"],
+                 {"report.json", "gcd_law.csv", "mod_laws.csv"}),
+    "mixing": (["--group", "cyclic:5", "--steps", "1,2", "--n", "5"],
+               {"report.json", "profile.csv"}),
+    "generation": (["--group", "symmetric:3", "--d", "2"], {"report.json"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+def test_cli_round_trip_for_every_experiment(name, tmp_path):
+    flags, files = ROUND_TRIP[name]
+    out = tmp_path / "out"
+    assert main([name, "--seed", "3", "--out", str(out)] + flags) == 0
+    assert {p.name for p in out.iterdir()} == files
+    assert main(["audit", str(out / "report.json")]) == 0
+
+
+def test_audit_of_a_malformed_report_is_a_config_error(tmp_path):
+    path = tmp_path / "report.json"
+
+    def check(report, field):
+        path.write_text(json.dumps(report))
+        with pytest.raises(ConfigError, match=field):
+            audit_report(path)
+        assert main(["audit", str(path)]) == 1
+
+    walk = run_walk_gcd(build_config(
+        "walk-gcd", {"seed": 3, "d": 2, "n": 10, "samples": 200, "gcd_cap": 3}))
+    del walk["estimate"]
+    check(walk, "'estimate'")
+    check([1, 2], "not a JSON object")
+    density = json.loads(canonical_report_bytes(run_density(density_config(words=2))))
+    del density["words"]
+    check(density, "'words'")
 
 
 def test_cli_ingest(tmp_path, capsys):
