@@ -378,10 +378,16 @@ def _cycle_notation(perm: Sequence[int]) -> str:
 class _MatrixGroup(Group):
     """Common machinery for SL(2,p) and PSL(2,p).
 
-    Elements are canonical 2x2 matrices mod p packed into a single int
-    ((a*p+b)*p+c)*p+d.  Carrier order: identity first, the rest sorted by
-    packed value.
+    Elements are 2x2 matrices mod p of determinant 1 (for PSL, the lex-min
+    of {M, -M}).  Carrier order: identity first, the rest sorted by the
+    packed value ((a*p+b)*p+c)*p+d.  `entries` holds four arrays, the a, b,
+    c, d of every index, and a rank table sends each of the p(p^2-1)
+    matrices of SL(2,p) to its index, so a product is four dot products
+    mod p and one lookup.
     """
+
+    # PSL(2,p): M and -M are one element
+    modulo_sign = False
 
     def __init__(self, kind: str, p: int):
         if not _is_prime(p) or p == 2:
@@ -393,153 +399,98 @@ class _MatrixGroup(Group):
         self.spec = GroupSpec(kind, p)
         self.name = str(self.spec)
         self.p = p
-        packed = self._enumerate_packed(p)
-        packed.sort()
-        ident = self._pack(1, 0, 0, 1)
-        ordered = [ident] + [v for v in packed if v != ident]
-        self._packed_by_index = np.array(ordered, dtype=np.int64)
-        self._sorted_packed = np.array(packed, dtype=np.int64)
-        # position in the sorted array -> carrier index
-        self._sorted_to_index = np.argsort(self._packed_by_index, kind="stable")
-        self.order = len(packed)
+        entries = _sl2_entries(p)
+        if self.modulo_sign:
+            # M is the lex-min of {M, -M} iff its first nonzero entry is < p/2
+            a, b = entries[:2]
+            keep = np.where(a, a, b) <= p // 2
+            entries = [e[keep] for e in entries]
+        # the identity is the least matrix with a != 0
+        first = int(np.count_nonzero(entries[0] == 0))
+        order = np.r_[first, 0:first, first + 1:entries[0].size]
+        self.entries = tuple(e[order].astype(np.int32) for e in entries)
+        self.order = order.size
+        indices = np.arange(self.order, dtype=np.int64)
+        self._index_of_rank = np.empty(p * (p * p - 1), dtype=np.int64)
+        self._index_of_rank[self._rank(*self.entries)] = indices
+        if self.modulo_sign:
+            self._index_of_rank[self._rank(*(-e % p for e in self.entries))] = indices
 
-    def _enumerate_packed(self, p: int) -> list:
-        raise NotImplementedError
+    def _rank(self, a, b, c, d):
+        """Rank of det-1 matrices in 0 .. p(p^2-1)-1.
 
-    def _pack(self, a: int, b: int, c: int, d: int) -> int:
+        ((a-1)p + b)p + c when a != 0 (det = 1 fixes d); when a = 0 the
+        same expression with d for c is negative, and mod p(p^2-1) it is
+        (p-1)p^2 + (b-1)p + d (c = -1/b is fixed).
+        """
         p = self.p
-        return ((a * p + b) * p + c) * p + d
-
-    def _unpack(self, v: int) -> tuple:
-        p = self.p
-        v, d = divmod(v, p)
-        v, c = divmod(v, p)
-        a, b = divmod(v, p)
-        return a, b, c, d
-
-    def _canon(self, a: int, b: int, c: int, d: int) -> int:
-        raise NotImplementedError
-
-    def _index_of_packed(self, v: int) -> int:
-        pos = int(np.searchsorted(self._sorted_packed, v))
-        return int(self._sorted_to_index[pos])
+        return (((a - 1) * p + b) * p + np.where(a, c, d)) % (p * (p * p - 1))
 
     def mul(self, x: int, y: int) -> int:
         p = self.p
-        a, b, c, d = self._unpack(int(self._packed_by_index[x]))
-        e, f, g, h = self._unpack(int(self._packed_by_index[y]))
-        return self._index_of_packed(
-            self._canon((a * e + b * g) % p, (a * f + b * h) % p,
-                        (c * e + d * g) % p, (c * f + d * h) % p)
-        )
+        a, b, c, d = [v.item(x) for v in self.entries]
+        e, f, g, h = [v.item(y) for v in self.entries]
+        return int(self._index_of_rank[self._rank(
+            (a * e + b * g) % p, (a * f + b * h) % p, (c * e + d * g) % p, (c * f + d * h) % p)])
 
     def inv(self, x: int) -> int:
-        # det = 1, so inverse of [[a,b],[c,d]] is [[d,-b],[-c,a]]
-        p = self.p
-        a, b, c, d = self._unpack(int(self._packed_by_index[x]))
-        return self._index_of_packed(self._canon(d, (-b) % p, (-c) % p, a))
+        return int(self.inv_array()[x])
 
     def matrix(self, index: int) -> tuple:
         """Canonical representative as ((a, b), (c, d)) with entries mod p."""
-        a, b, c, d = self._unpack(int(self._packed_by_index[index]))
+        a, b, c, d = [v.item(index) for v in self.entries]
         return ((a, b), (c, d))
 
     def element_repr(self, index: int) -> str:
         (a, b), (c, d) = self.matrix(index)
         return f"[[{a},{b}],[{c},{d}]]"
 
-    def _unpack_vec(self, v: np.ndarray) -> tuple:
-        p = self.p
-        v, d = np.divmod(v, p)
-        v, c = np.divmod(v, p)
-        a, b = np.divmod(v, p)
-        return a, b, c, d
-
     def mul_vec(self, x, y) -> np.ndarray:
         p = self.p
-        a0, b0, c0, d0 = self._unpack_vec(self._packed_by_index[np.asarray(x)])
-        a1, b1, c1, d1 = self._unpack_vec(self._packed_by_index[np.asarray(y)])
-        packed = self._canon_vec(
+        a0, b0, c0, d0 = (e.take(x) for e in self.entries)
+        a1, b1, c1, d1 = (e.take(y) for e in self.entries)
+        return self._index_of_rank.take(self._rank(
             (a0 * a1 + b0 * c1) % p,
             (a0 * b1 + b0 * d1) % p,
             (c0 * a1 + d0 * c1) % p,
             (c0 * b1 + d0 * d1) % p,
-        )
-        pos = np.searchsorted(self._sorted_packed, packed)
-        return self._sorted_to_index[pos]
-
-    def _canon_vec(self, a, b, c, d):
-        raise NotImplementedError
+        ))
 
     def inv_array(self) -> np.ndarray:
-        # vectorised [[a,b],[c,d]]^-1 = [[d,-b],[-c,a]] over the whole carrier
+        # det = 1, so [[a,b],[c,d]]^-1 = [[d,-b],[-c,a]], over the whole carrier
         if self._inv_array is None:
+            a, b, c, d = self.entries
             p = self.p
-            a, b, c, d = self._unpack_vec(self._packed_by_index)
-            packed = self._canon_vec(d, (p - b) % p, (p - c) % p, a)
-            pos = np.searchsorted(self._sorted_packed, packed)
-            self._inv_array = self._sorted_to_index[pos].astype(np.int32)
+            self._inv_array = self._index_of_rank[self._rank(d, -b % p, -c % p, a)].astype(np.int32)
         return self._inv_array
 
 
-def _enumerate_sl2_packed(p: int) -> list:
-    """All det-1 matrices mod p as packed ints, split on whether a = 0."""
-    packed = []
-    inv = [0] + [pow(x, p - 2, p) for x in range(1, p)]
-    for a in range(1, p):
-        for b in range(p):
-            for c in range(p):
-                d = (1 + b * c) * inv[a] % p
-                packed.append(((a * p + b) * p + c) * p + d)
-    for b in range(1, p):
-        c = (-inv[b]) % p
-        for d in range(p):
-            packed.append((b * p + c) * p + d)  # a = 0
-    return packed
-
-
-def _psl2_canon(a: int, b: int, c: int, d: int, p: int) -> int:
-    v1 = ((a * p + b) * p + c) * p + d
-    v2 = ((((-a) % p) * p + (-b) % p) * p + (-c) % p) * p + (-d) % p
-    return min(v1, v2)
+def _sl2_entries(p: int) -> list:
+    """Entry arrays a, b, c, d of every det-1 matrix mod p, in packed (lex) order."""
+    inv = np.array([0] + [pow(x, p - 2, p) for x in range(1, p)], dtype=np.int64)
+    # a = 0: b != 0, c = -1/b, any d
+    b = np.repeat(np.arange(1, p, dtype=np.int64), p)
+    zero = [np.zeros_like(b), b, -inv[b] % p, np.tile(np.arange(p, dtype=np.int64), p - 1)]
+    # a != 0: any b, c, and d = (1 + bc)/a
+    a, bc = np.divmod(np.arange(p * p * (p - 1), dtype=np.int64), p * p)
+    a += 1
+    b, c = np.divmod(bc, p)
+    rest = [a, b, c, (1 + b * c) * inv[a] % p]
+    return [np.concatenate(pair) for pair in zip(zero, rest)]
 
 
 class SL2Group(_MatrixGroup):
     def __init__(self, p: int):
         super().__init__("sl2", p)
 
-    def _enumerate_packed(self, p: int) -> list:
-        return _enumerate_sl2_packed(p)
-
-    def _canon(self, a, b, c, d):
-        return self._pack(a, b, c, d)
-
-    def _canon_vec(self, a, b, c, d):
-        p = self.p
-        return ((a * p + b) * p + c) * p + d
-
 
 class PSL2Group(_MatrixGroup):
     """SL(2,p) modulo its center {+-I}; representative = lex-min of {M, -M}."""
 
+    modulo_sign = True
+
     def __init__(self, p: int):
         super().__init__("psl2", p)
-
-    def _enumerate_packed(self, p: int) -> list:
-        reps = set()
-        for v in _enumerate_sl2_packed(p):
-            a, b, c, d = _MatrixGroup._unpack(self, v)
-            reps.add(_psl2_canon(a, b, c, d, p))
-        return list(reps)
-
-    def _canon(self, a, b, c, d):
-        return _psl2_canon(a, b, c, d, self.p)
-
-    def _canon_vec(self, a, b, c, d):
-        p = self.p
-        v1 = ((a * p + b) * p + c) * p + d
-        v2 = (((p - a) % p * p + (p - b) % p) * p + (p - c) % p) * p + (p - d) % p
-        return np.minimum(v1, v2)
 
 
 class CayleyGroup(Group):
@@ -914,57 +865,60 @@ def center(group: Group) -> frozenset:
 
 
 def commutator_subgroup(group: Group) -> frozenset:
-    """Closure of all commutators a^-1 b^-1 a b.
+    """[G, G] as the normal closure of the commutators s^-1 t^-1 s t of a
+    greedy generating set S (modulo it the images of S commute).
 
-    Commutators are adjoined one at a time, skipping those already inside
-    the running subgroup, so the closure is recomputed only O(log |G|)
-    times however many distinct commutators there are.
+    Elements the subgroup lacks are adjoined one at a time, first those
+    commutators, then the conjugates s^-1 g s of its generators g by each
+    s in S, until conjugation by S brings nothing new.  Each adjoin grows
+    the subgroup, so the closure is recomputed only O(log |G|) times.
     """
     _check_structure_cap(group)
-    n = group.order
     mul_vec = vector_multiplier(group)
-    everyone = np.arange(n, dtype=np.int64)
-    inv_all = group.inv_array().astype(np.int64)
-    seen = np.zeros(n, dtype=bool)
-    for a in range(n):
-        ia = np.full(n, inv_all[a], dtype=np.int64)
-        left = mul_vec(ia, inv_all)
-        right = mul_vec(np.full(n, a, dtype=np.int64), everyone)
-        seen[mul_vec(left, right)] = True
-    sub = everyone == group.identity
+    s = np.array(greedy_generators(mul_vec, group.order, group.identity), dtype=np.int64)
+    s_inv = group.inv_array()[s]
+    sub = np.arange(group.order) == group.identity
     gens = []
-    for v in np.flatnonzero(seen).tolist():
-        if not sub[v]:
-            gens.append(v)
-            sub = closure_mask(group, gens)
+    pending = mul_vec(mul_vec(s_inv[:, None], s_inv), mul_vec(s[:, None], s)).ravel()
+    while pending.size:
+        for v in pending.tolist():
+            if not sub[v]:
+                gens.append(v)
+                sub = closure_mask(group, gens)
+        conj = mul_vec(mul_vec(s_inv[:, None], np.array(gens, dtype=np.int64)), s[:, None]).ravel()
+        pending = conj[~sub[conj]]
     return frozenset(np.flatnonzero(sub).tolist())
 
 
 def quotient_group(group: Group, normal: Iterable[int], name: str) -> CayleyGroup:
     """Quotient by a normal subgroup, as a Cayley-table group.
 
-    Coset ids are assigned in order of each coset's minimal element index,
-    so the identity coset gets id 0.  The result carries `.projection`
-    (element index -> coset id) and `.parent`.
+    Normality is checked on a greedy generating set S: s^-1 k s must lie
+    in the subgroup for every s in S and every k in it.  Coset ids are
+    assigned in order of each coset's minimal element index, so the
+    identity coset gets id 0.  The result carries `.projection` (element
+    index -> coset id) and `.parent`.
     """
-    sub = sorted(set(normal))
+    sub = np.array(sorted(set(normal)), dtype=np.int64)
     n = group.order
-    if n % len(sub) != 0:
-        raise MalformedCayleyTableError(f"{name}: subgroup size {len(sub)} does not divide {n}")
-    mul = group.mul
-    proj = [-1] * n
+    if n % sub.size != 0:
+        raise MalformedCayleyTableError(f"{name}: subgroup size {sub.size} does not divide {n}")
+    mul_vec = vector_multiplier(group)
+    in_sub = np.zeros(n, dtype=bool)
+    in_sub[sub] = True
+    s = np.array(greedy_generators(mul_vec, n, group.identity), dtype=np.int64)
+    conj = mul_vec(mul_vec(group.inv_array()[s][:, None], sub), s[:, None])
+    if not in_sub[conj].all():
+        raise MalformedCayleyTableError(f"{name}: the subgroup is not normal")
+    proj = np.full(n, -1, dtype=np.int64)
     reps = []
     for g in range(n):
-        if proj[g] != -1:
-            continue
-        cid = len(reps)
-        reps.append(g)
-        for k in sub:
-            proj[mul(g, k)] = cid
-    m = len(reps)
-    rows = [[proj[mul(reps[i], reps[j])] for j in range(m)] for i in range(m)]
-    q = CayleyGroup(rows, name=name, validate=False)
-    q.projection = proj
+        if proj[g] < 0:
+            proj[mul_vec(g, sub)] = len(reps)
+            reps.append(g)
+    reps = np.array(reps, dtype=np.int64)
+    q = CayleyGroup(proj[mul_vec(reps[:, None], reps)].tolist(), name=name, validate=False)
+    q.projection = proj.tolist()
     q.parent = group
     return q
 

@@ -74,6 +74,36 @@ def generated_subgroup(group, gens) -> frozenset:
     return frozenset(seen)
 
 
+def all_commutators_subgroup(group) -> frozenset:
+    """[G, G] from all |G|^2 commutators a^-1 b^-1 a b (the backend's own
+    `mul_vec`, in row blocks), closed by scalar worklist saturation."""
+    n = group.order
+    everyone = np.arange(n)
+    inv = np.array([group.inv(a) for a in range(n)])
+    seen = np.zeros(n, dtype=bool)
+    for lo in range(0, n, 256):
+        a = np.arange(lo, min(lo + 256, n))[:, None]
+        seen[group.mul_vec(group.mul_vec(inv[a], inv), group.mul_vec(a, everyone))] = True
+    sub, gens = frozenset({group.identity}), []
+    for c in np.flatnonzero(seen).tolist():
+        if c not in sub:
+            gens.append(c)
+            sub = generated_subgroup(group, gens)
+    return sub
+
+
+def sl2_matrices(p: int) -> np.ndarray:
+    """Rows (a, b, c, d) of every 2x2 matrix mod p with ad - bc = 1, in
+    lexicographic order, found by testing all p^4 matrices (one a at a time)."""
+    b, c, d = (v.ravel() for v in np.meshgrid(*[np.arange(p)] * 3, indexing="ij"))
+    one_plus_bc = (1 + b * c) % p
+    blocks = []
+    for a in range(p):
+        keep = (a * np.arange(p) % p)[d] == one_plus_bc
+        blocks.append(np.stack([np.full(keep.sum(), a), b[keep], c[keep], d[keep]], axis=1))
+    return np.concatenate(blocks)
+
+
 def conjugacy_classes(group) -> list:
     """Partition of element indices into conjugacy classes (orbit walk)."""
     n = group.order

@@ -1,8 +1,12 @@
 """Golden bytes: every output file of small fixed runs, pinned by SHA-256.
 
-One fixed CLI run per experiment plus one ingest.  The digests were
-recorded before the experiment registry replaced the per-experiment
-wiring; a refactor that changes any written byte fails here.
+One fixed CLI run per experiment plus one ingest, and two runs on groups
+above the table cap (sampled density on sl2:17 and psl2:23, exact trend
+on psl2:23), which multiply through the native matrix product.  The
+digests were recorded before the experiment registry replaced the
+per-experiment wiring, and those of the two matrix runs before the rank
+table replaced the sorted-carrier lookup; a refactor that changes any
+written byte fails here.
 """
 
 import hashlib
@@ -37,6 +41,22 @@ GOLDEN = {
         {
             "report.json": "51be4da6f96c2c315b8a4d82bcaf2d2ec042fed054370aadb19bbdc3e339c4d5",
             "trend.csv": "c990958f1006eaebf5fa503d2d178606683a22db38f6a06928e32d924581188a",
+        },
+    ),
+    "density-matrix": (
+        ["density", "--seed", "7", "--d", "2", "--n", "12", "--words", "4",
+         "--groups", "sl2:17,psl2:23", "--mode", "sampled", "--samples", "300",
+         "--gcd-cap", "6"],
+        {
+            "report.json": "82353c03e05bb1e64d837186877d089c21bc98a95f9e16f39eb1b568799ceb34",
+            "words.csv": "eef0e1f8d7e9b6d0ff485f3a32b35e00badf7512ac6cb56779731b80bc01a003",
+        },
+    ),
+    "trend-matrix": (
+        ["trend", "--seed", "3", "--word", "x1 x2 X1 X2", "--groups", "psl2:23"],
+        {
+            "report.json": "3b133a0237c29410da820e208367b87f9b8d9a8d7d27dd43dfde8bc4986adf2c",
+            "trend.csv": "b568f77b78c9e1d0f6d5844be7fdc016b0b1fac03f599be0a12075e50ce31de1",
         },
     ),
     "walk-gcd": (

@@ -35,7 +35,13 @@ from wordlab.groups import (
 )
 from wordlab.rng import stream
 
-from conftest import CATALOG, generated_subgroup, get_group
+from conftest import (
+    CATALOG,
+    all_commutators_subgroup,
+    generated_subgroup,
+    get_group,
+    sl2_matrices,
+)
 
 EXPECTED_ORDERS = {
     "cyclic:2": 2, "cyclic:4": 4, "cyclic:6": 6, "dihedral:4": 8,
@@ -149,6 +155,58 @@ def test_matrix_groups_multiply_like_matrices():
             assert (flat[0] * flat[3] - flat[1] * flat[2]) % p == 1
 
 
+@pytest.mark.parametrize("spec", ("sl2:3", "psl2:3", "sl2:17", "psl2:23", "sl2:97", "psl2:97"))
+def test_matrix_groups_match_independent_arithmetic(spec):
+    # carrier, products and inverses against 2x2 arithmetic mod p done here
+    g = construct_group(spec)
+    p = g.p
+    mats = sl2_matrices(p)
+
+    def packed(m):
+        return ((m[:, 0] * p + m[:, 1]) * p + m[:, 2]) * p + m[:, 3]
+
+    def canonical(m):
+        if spec.startswith("psl2"):
+            neg = -m % p
+            return np.where((packed(m) < packed(neg))[:, None], m, neg)
+        return m
+
+    reps = mats[packed(mats) == packed(canonical(mats))]
+    ident = (reps == [1, 0, 0, 1]).all(axis=1)
+    carrier = np.concatenate([reps[ident], reps[~ident]])
+    assert g.order == len(carrier) == len(mats) // (2 if spec.startswith("psl2") else 1)
+    assert np.array_equal(np.stack(g.entries, axis=1), carrier)
+    assert [g.matrix(i) for i in (0, g.order - 1)] == [
+        tuple(map(tuple, carrier[i].reshape(2, 2).tolist())) for i in (0, -1)]
+    # O(|G|) memory: nothing the size of the p^4 packed range
+    arrays = [v for v in vars(g).values() if isinstance(v, np.ndarray)] + list(g.entries)
+    assert max(v.size for v in arrays) <= p * (p * p - 1)
+
+    keys = packed(carrier)
+    by_key = np.argsort(keys)
+
+    def index_of(m):
+        k = packed(canonical(m))
+        pos = np.searchsorted(keys, k, sorter=by_key)
+        assert np.array_equal(keys[by_key[pos]], k)
+        return by_key[pos]
+
+    if g.order ** 2 <= 10**4:
+        x, y = (v.ravel() for v in np.meshgrid(np.arange(g.order), np.arange(g.order)))
+    else:
+        rng = np.random.default_rng(61)
+        x, y = rng.integers(0, g.order, size=(2, 10**4))
+    a, b, c, d = carrier[x].T
+    e, f, h, i = carrier[y].T
+    prod = np.stack([a * e + b * h, a * f + b * i, c * e + d * h, c * f + d * i], axis=1) % p
+    expected = index_of(prod)
+    assert np.array_equal(g.mul_vec(x, y), expected)
+    assert [g.mul(u, v) for u, v in zip(x[:200].tolist(), y[:200].tolist())] == expected[:200].tolist()
+    a, b, c, d = carrier.T
+    inverse = index_of(np.stack([d, -b % p, -c % p, a], axis=1))
+    assert np.array_equal(g.inv_array(), inverse)
+
+
 def test_permutation_group_cycle_lookup():
     s4 = get_group("symmetric:4")
     idx = s4.index_of_cycles([(1, 2)])
@@ -210,6 +268,18 @@ def test_greedy_generators_reach_every_element():
         # each generator lies outside the subgroup its predecessors generate
         for k in range(1, len(gens)):
             assert gens[k] not in closure(group, gens[:k])
+
+
+def test_commutator_subgroup_matches_all_commutators():
+    groups = [g for g in map(get_group, CATALOG) if g.order <= 168]
+    groups += [DirectPowerGroup(get_group("alternating:5"), 2),
+               DirectPowerGroup(get_group("dihedral:4"), 2)]
+    sizes = []
+    for group in groups:
+        derived = commutator_subgroup(group)
+        assert derived == all_commutators_subgroup(group), group.name
+        sizes.append(len(derived))
+    assert sizes == [1, 1, 1, 2, 3, 12, 4, 60, 120, 168, 3600, 4]
 
 
 def test_commutator_subgroups():
@@ -298,6 +368,21 @@ def test_quotient_group_cosets():
     q = quotient_group(s4, a4, name="s4-mod-a4")
     assert q.order == 2
     assert sorted(q.projection) == [0] * 12 + [1] * 12
+
+
+def test_quotient_by_a_subgroup_that_is_not_normal_is_rejected():
+    s4 = get_group("symmetric:4")
+    transposition = closure(s4, [s4.index_of_cycles([(1, 2)])])
+    assert len(transposition) == 2
+    with pytest.raises(MalformedCayleyTableError, match="not normal"):
+        quotient_group(s4, transposition, name="s4-mod-transposition")
+    # normal subgroups still pass, and the projection is a homomorphism
+    for parent, q in ((s4, quotient_group(s4, commutator_subgroup(s4), name="s4-mod-a4")),
+                      (get_group("sl2:5"), quotient_by_center(get_group("sl2:5")))):
+        proj = np.array(q.projection)
+        table = vector_multiplier(parent)(np.arange(parent.order)[:, None],
+                                          np.arange(parent.order))
+        assert np.array_equal(proj[table], q.mul_vec(proj[:, None], proj))
 
 
 def test_group_spec_parsing():
