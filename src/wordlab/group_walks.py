@@ -110,27 +110,26 @@ class StepSet:
         return f"steps[{parts}]"
 
 
-def _step_columns(group: Group, support: Sequence[int]) -> list:
-    """For each step g, the column s -> s*g as a plain python list."""
+def _source_columns(group: Group, support: Sequence[int]) -> list:
+    """For each step g, the column y -> y*g^-1: the state that s -> s*g
+    sends to y, since right multiplication by g is a permutation."""
     mul_vec = vector_multiplier(group)
     n = group.order
     everyone = np.arange(n, dtype=np.int64)
-    return [[int(v) for v in mul_vec(everyone, np.full(n, g, dtype=np.int64))]
-            for g in support]
+    columns = []
+    for g in support:
+        src = np.empty(n, dtype=np.int64)
+        src[mul_vec(everyone, np.full(n, g, dtype=np.int64))] = everyone
+        columns.append(src)
+    return columns
 
 
-def _convolve_step(counts: list, columns: list, int_weights: Sequence[int]) -> list:
-    """One tick: push each state's count along every step column."""
-    new = [0] * len(counts)
-    for col, w in zip(columns, int_weights):
-        if w == 1:
-            for src, c in enumerate(counts):
-                if c:
-                    new[col[src]] += c
-        else:
-            for src, c in enumerate(counts):
-                if c:
-                    new[col[src]] += c * w
+def _convolve_step(counts: np.ndarray, sources: list, int_weights: Sequence[int]) -> np.ndarray:
+    """One tick on an object array of python ints: new[y] = sum_g w_g counts[y*g^-1]."""
+    new = None
+    for src, w in zip(sources, int_weights):
+        term = counts[src] if w == 1 else counts[src] * w
+        new = term if new is None else new + term
     return new
 
 
@@ -143,7 +142,8 @@ def _check_walk(group: Group, steps: StepSet) -> None:
 
 
 def _walk_laws(group: Group, steps: StepSet, n: int):
-    """Yield (counts, total) after 0, 1, ..., n steps: the law is counts/total.
+    """Yield (counts, total) after 0, 1, ..., n steps: the law is counts/total,
+    with counts an object array of python ints.
 
     Each round right-multiplies by one step draw; the total grows by D,
     the lcm of the weight denominators.
@@ -153,13 +153,13 @@ def _walk_laws(group: Group, steps: StepSet, n: int):
         raise UnsupportedParameterError("step count must be nonnegative")
     D = steps.denominator()
     int_weights = [int(w * D) for w in steps.weights]
-    columns = _step_columns(group, steps.support)
-    counts = [0] * group.order
+    sources = _source_columns(group, steps.support)
+    counts = np.zeros(group.order, dtype=object)
     counts[group.identity] = 1
     total = 1
     yield counts, total
     for _ in range(n):
-        counts = _convolve_step(counts, columns, int_weights)
+        counts = _convolve_step(counts, sources, int_weights)
         total *= D
         yield counts, total
 
@@ -174,7 +174,7 @@ def exact_walk_law(group: Group, steps: StepSet, n: int) -> Distribution:
         pass
     return Distribution(
         group=group,
-        counts=counts,
+        counts=counts.tolist(),
         total=total,
         mode="exact",
         d=1,
@@ -187,8 +187,7 @@ def mixing_profile(group: Group, steps: StepSet, n_max: int) -> list:
     order = group.order
     profile = []
     for counts, total in _walk_laws(group, steps, n_max):
-        s = sum(abs(c * order - total) for c in counts)
-        profile.append(Fraction(s, total * order))
+        profile.append(Fraction(np.abs(counts * order - total).sum(), total * order))
     return profile
 
 

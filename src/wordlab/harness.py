@@ -34,6 +34,7 @@ from .errors import (
     BudgetExceededError,
     ConfigError,
     NotInCatalogError,
+    UnsupportedParameterError,
     WordlabError,
 )
 from .generation import count_generating_tuples, hall_max_power
@@ -47,10 +48,11 @@ from .groups import (
     load_cayley_table,
 )
 from .lattice_walks import (
+    endpoint_gcds,
     exact_mod_law,
-    gcd_tail_estimate,
     predicted_tail_probability,
     sample_endpoints,
+    tail_estimate_from_gcds,
 )
 from .measure import (
     exact_distribution,
@@ -537,28 +539,29 @@ def run_walk_gcd(config: ExperimentConfig) -> dict:
     return probability (dual-route identity carried in the report).  The
     mod-law block compares, for every prime power q <= M, the exact
     probability that the endpoint vanishes mod q with the sampled fraction
-    of endpoints whose gcd q divides.
+    of endpoints whose gcd q divides.  Both DPs, and so their state caps,
+    come before the one draw of endpoints that feeds the estimate and the
+    mod-law rows.
     """
     t0 = time.perf_counter()
     d, n, samples, gcd_cap = config.require("d", "n", "samples", "gcd_cap")
-    seed = config.seed
-    est = gcd_tail_estimate(d, n, gcd_cap, samples, stream(seed, 3))
+    if samples < 1:  # sample_endpoints would say so only after the DPs
+        raise UnsupportedParameterError(f"samples must be >= 1, got {samples}")
     pred = predicted_tail_probability(d, n, gcd_cap)
+    dp_zero = [(p, k, q, float(exact_mod_law(d, p, k, n, exact=False).prob_zero()))
+               for p, k, q in _prime_powers_up_to(min(gcd_cap, 64))]
+    gammas = endpoint_gcds(sample_endpoints(d, n, samples, stream(config.seed, 3)))
+    est = tail_estimate_from_gcds(d, n, gcd_cap, gammas)
     se = math.sqrt(max(pred.probability * (1 - pred.probability), 1e-300) / samples)
     z = (est.tail_probability - pred.probability) / se
-    # Same substream as gcd_tail_estimate, so these are the same endpoints;
-    # redrawing keeps the estimate API self-contained.
-    ends = sample_endpoints(d, n, samples, stream(seed, 3))
-    gammas = np.gcd.reduce(np.abs(ends), axis=1)
     mod_rows = []
-    for p, k, q in _prime_powers_up_to(min(gcd_cap, 64)):
-        law = exact_mod_law(d, p, k, n, exact=False)
+    for p, k, q, prob_zero in dp_zero:
         # q divides the endpoint gcd exactly when the endpoint is 0 mod q
         # (gamma = 0, the true origin, counts as divisible on both routes).
         divisible = int(np.count_nonzero(gammas % q == 0))
         mod_rows.append({
             "p": p, "k": k, "modulus": q,
-            "dp_prob_zero": float(law.prob_zero()),
+            "dp_prob_zero": prob_zero,
             "mc_fraction": divisible / samples,
             "mc_count": divisible,
         })

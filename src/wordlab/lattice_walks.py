@@ -169,17 +169,52 @@ def _neighbor_indices(d: int, q: int) -> list:
     return cols
 
 
+# (destination, source) slice pairs along one axis for a move of the whole
+# torus: by +1 (two pieces, the second across the edge), then by -1.
+_WRAP_SHIFTS = (
+    (slice(1, None), slice(None, -1)), (slice(None, 1), slice(-1, None)),
+    (slice(None, -1), slice(1, None)), (slice(-1, None), slice(None, 1)),
+)
+
+
 def _torus_law(side: int, d: int, n: int) -> np.ndarray:
-    """Float64 n-step law on the torus (Z/side)^d, one array axis per coordinate."""
+    """Float64 n-step law on the torus (Z/side)^d, one array axis per coordinate.
+
+    The walk starts at the centre index c = side // 2 and after t steps
+    lies in the box of radius t around it.  While the box of radius t + 1
+    stays clear of the edge, a step adds only the current box, moved by
+    +1 and by -1 along each axis, into the next one; after that a step
+    adds the whole torus, moved with wraparound.  Every state receives
+    its nonzero terms in the order of the full-torus recurrence (per axis,
+    roll by +1 then by -1, then divide by 2d); the terms left out are
+    +0.0, so the floats are the same.  A final roll by -c puts the origin
+    at index 0.
+    """
+    c = side // 2
+    reach = (side - 1) // 2  # largest box radius around c that does not wrap
     probs = np.zeros((side,) * d, dtype=np.float64)
-    probs[(0,) * d] = 1.0
-    for _ in range(n):
-        nxt = np.zeros_like(probs)
-        for axis in range(d):
-            nxt += np.roll(probs, 1, axis=axis)
-            nxt += np.roll(probs, -1, axis=axis)
-        probs = nxt / (2 * d)
-    return probs
+    nxt = np.zeros_like(probs)
+    probs[(c,) * d] = 1.0
+    for t in range(n):
+        if t < reach:
+            box = slice(c - t, c + t + 1)
+            grown = (slice(c - t - 1, c + t + 2),) * d
+            nxt[grown] = 0.0
+            for axis in range(d):
+                for shift in (1, -1):
+                    dst = [box] * d
+                    dst[axis] = slice(c - t + shift, c + t + 1 + shift)
+                    nxt[tuple(dst)] += probs[(box,) * d]
+            nxt[grown] /= 2 * d
+        else:
+            nxt.fill(0.0)
+            for axis in range(d):
+                head = (slice(None),) * axis
+                for dst, src in _WRAP_SHIFTS:
+                    nxt[head + (dst,)] += probs[head + (src,)]
+            nxt /= 2 * d
+        probs, nxt = nxt, probs
+    return np.roll(probs, -c, axis=tuple(range(d)))
 
 
 def exact_mod_law(d: int, p: int, k: int, n: int, exact: Optional[bool] = None) -> ModLaw:
@@ -278,13 +313,24 @@ class TailEstimate:
     gamma_counts: dict  # str(v) -> count of endpoints with gcd exactly v <= M
 
 
+def endpoint_gcds(ends: np.ndarray) -> np.ndarray:
+    """gcd of each endpoint's coordinates (0 for the origin), shape (samples,)."""
+    return np.gcd.reduce(np.abs(ends), axis=1)
+
+
 def gcd_tail_estimate(d: int, n: int, gcd_cap: int, samples: int,
                       rng: Union[Rng, int]) -> TailEstimate:
     """Monte Carlo estimate of Pr[gcd(endpoint) > M] and Pr[endpoint = 0]."""
     if gcd_cap < 0:
         raise UnsupportedParameterError(f"gcd cap must be >= 0, got {gcd_cap}")
-    ends = sample_endpoints(d, n, samples, rng)
-    gammas = np.gcd.reduce(np.abs(ends), axis=1)
+    gammas = endpoint_gcds(sample_endpoints(d, n, samples, rng))
+    return tail_estimate_from_gcds(d, n, gcd_cap, gammas)
+
+
+def tail_estimate_from_gcds(d: int, n: int, gcd_cap: int,
+                            gammas: np.ndarray) -> TailEstimate:
+    """The `gcd_tail_estimate` statistics of already drawn endpoint gcds."""
+    samples = len(gammas)
     tail = int(np.count_nonzero(gammas > gcd_cap))
     zero = int(np.count_nonzero(gammas == 0))
     head = np.bincount(gammas[gammas <= gcd_cap], minlength=gcd_cap + 1)
@@ -347,11 +393,11 @@ def predicted_tail_probability(d: int, n: int, gcd_cap: int,
     signed = np.arange(side, dtype=np.int64)
     signed[signed > box_radius] -= side
     mags = np.abs(signed)
-    gamma = np.zeros((side,) * d, dtype=np.int64)
-    for axis in range(d):
-        shape = [1] * d
-        shape[axis] = side
-        gamma = np.gcd(gamma, mags.reshape(shape))
+    # gcd_with[g, i] = gcd(g, mags[i]); each pass appends one coordinate axis
+    gcd_with = np.gcd.outer(np.arange(box_radius + 1), mags)
+    gamma = mags
+    for _ in range(d - 1):
+        gamma = gcd_with[gamma]
     flat_gamma = gamma.ravel()
     flat_probs = probs.ravel()
     law = np.bincount(flat_gamma, weights=flat_probs)

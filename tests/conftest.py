@@ -9,6 +9,7 @@ counterpart to be compared against.
 """
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -146,3 +147,38 @@ def s5_conjugation_maps(alt5: PermutationGroup) -> list:
             table.append(alt5.index_of_perm(conj))
         maps.append(tuple(table))
     return maps
+
+
+def roll_torus_law(side: int, d: int, n: int) -> np.ndarray:
+    """Float64 n-step walk law on (Z/side)^d: every step rolls the whole
+    torus once per axis and sign and divides by 2d."""
+    probs = np.zeros((side,) * d, dtype=np.float64)
+    probs[(0,) * d] = 1.0
+    for _ in range(n):
+        nxt = np.zeros_like(probs)
+        for axis in range(d):
+            nxt += np.roll(probs, 1, axis=axis)
+            nxt += np.roll(probs, -1, axis=axis)
+        probs = nxt / (2 * d)
+    return probs
+
+
+def list_loop_mixing_profile(group, support, n_max: int) -> list:
+    """Exact L1 distances to uniform of the uniform walk on `support` after
+    0..n_max steps, pushing python-int counts along scalar products."""
+    order = group.order
+    counts = [0] * order
+    counts[group.identity] = 1
+    total = 1
+    profile = []
+    for step in range(n_max + 1):
+        if step:
+            new = [0] * order
+            for g in support:
+                for src, c in enumerate(counts):
+                    if c:
+                        new[group.mul(src, g)] += c
+            counts = new
+            total *= len(support)
+        profile.append(Fraction(sum(abs(c * order - total) for c in counts), total * order))
+    return profile

@@ -5,8 +5,11 @@ above the table cap (sampled density on sl2:17 and psl2:23, exact trend
 on psl2:23), which multiply through the native matrix product.  The
 digests were recorded before the experiment registry replaced the
 per-experiment wiring, and those of the two matrix runs before the rank
-table replaced the sorted-carrier lookup; a refactor that changes any
-written byte fails here.
+table replaced the sorted-carrier lookup.  Three more runs cover the
+boxed torus DP (d=3, and d=2 past the wrap step) and the exact group-walk
+convolution on psl2:13; their digests were recorded before the windowed DP
+and the gather convolution replaced the full-torus rolls and the list
+loops.  A refactor that changes any written byte fails here.
 """
 
 import hashlib
@@ -68,6 +71,26 @@ GOLDEN = {
             "mod_laws.csv": "44ad74b431d27ad32450bec6d8e07288b60c0bbdb6603fb9c84087494a463fd5",
         },
     ),
+    "walk-gcd-d3": (
+        ["walk-gcd", "--seed", "4", "--d", "3", "--n", "20", "--gcd-cap", "8",
+         "--samples", "3000"],
+        {
+            "report.json": "c0bec13495f848c1a99ad75b93de3b96421384417f43fd54856d5a3158b887c8",
+            "gcd_law.csv": "89e22be0e8d6cddd041f6fc98cac618a599860bbdb4d40cb7fd4eee7706f8c3f",
+            "mod_laws.csv": "2bb72cdd95c34fd7fb60e7ea49e2e3b1002c2f615c14d0d8d8080dabca007e90",
+        },
+    ),
+    # box radius 83 < n = 100: the torus DP runs past the step where the
+    # reachable box meets the edge and wraps around
+    "walk-gcd-wrap": (
+        ["walk-gcd", "--seed", "4", "--d", "2", "--n", "100", "--gcd-cap", "8",
+         "--samples", "3000"],
+        {
+            "report.json": "c5c5baf3b59cb34cba604fcf87c08a5287e3bb09e3f5b9a891582b2f8e44f690",
+            "gcd_law.csv": "d61fadcc08a3b0051928c0c895104aa994e3645118c15e857259b8c8120f2c31",
+            "mod_laws.csv": "90b9b6ab265114e12367c8b45f52c93338b9f2d56745de713802dd6ca4939a89",
+        },
+    ),
     "mixing": (
         ["mixing", "--seed", "9", "--group", "symmetric:3", "--cycles", "(1 2);(1 3)",
          "--n", "20"],
@@ -75,6 +98,13 @@ GOLDEN = {
             "report.json": "7ac7f4fdc1f9dab11649fd92281729fea96fb19e87a1d2f494a5784378c8c488",
             "profile.csv": "5a3aab1abc7c1763817fa14ac45d4c22479e0492e1a7296ae47d0d9704fae665",
             "witness.json": "3175c3266a49ebc4312d845bc7622745be18365bab7ca4ad614080bf717aa2b5",
+        },
+    ),
+    "mixing-psl": (
+        ["mixing", "--seed", "9", "--group", "psl2:13", "--steps", "1,2", "--n", "40"],
+        {
+            "report.json": "695477f3cf546f47b6f08c080096efcba5914423227c8f78faf27ef166435a96",
+            "profile.csv": "c762f1a0939c2da2b825327d96481a46fb72a79b182f818620dadc9e952d34ea",
         },
     ),
     "generation": (

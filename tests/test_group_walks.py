@@ -26,7 +26,7 @@ from wordlab.groups import STRUCTURE_CAP, DirectPowerGroup
 from wordlab.measure import l1_uniform_distance
 from wordlab.rng import stream
 
-from conftest import get_group
+from conftest import get_group, list_loop_mixing_profile
 
 
 def test_step_set_validation():
@@ -109,6 +109,14 @@ def test_mixing_profile_matches_fresh_laws():
     # convolution can never move the law away from uniform
     for a, b in zip(profile, profile[1:]):
         assert a >= b
+
+
+def test_mixing_profile_matches_list_loop_on_psl2_13():
+    group = get_group("psl2:13")
+    steps = StepSet.uniform(group, [1, 2])
+    assert mixing_profile(group, steps, 12) == list_loop_mixing_profile(group, [1, 2], 12)
+    law = exact_walk_law(group, steps, 3)
+    assert type(law.counts) is list and all(type(c) is int for c in law.counts)
 
 
 def test_a5_walk_mixes():

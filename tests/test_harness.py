@@ -1,11 +1,13 @@
 """Harness: configs, deterministic reports, audits, and CLI exit codes."""
 
 import json
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from wordlab import harness, lattice_walks
 from wordlab.cli import main
 from wordlab.errors import ConfigError, MalformedCayleyTableError
 from wordlab.generation import count_generating_tuples
@@ -452,6 +454,40 @@ def test_audit_of_a_malformed_report_is_a_config_error(tmp_path):
     density = json.loads(canonical_report_bytes(run_density(density_config(words=2))))
     del density["words"]
     check(density, "'words'")
+
+
+def test_walk_gcd_draws_its_endpoints_once(monkeypatch):
+    calls = []
+    draw = harness.sample_endpoints
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return draw(*args, **kwargs)
+
+    for module in (harness, lattice_walks):
+        monkeypatch.setattr(module, "sample_endpoints", counted)
+    run_walk_gcd(build_config(
+        "walk-gcd", {"seed": 3, "d": 2, "n": 30, "samples": 500, "gcd_cap": 6}))
+    assert len(calls) == 1
+
+
+def test_walk_gcd_checks_its_state_caps_before_sampling(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the checks")
+
+    for module in (harness, lattice_walks):
+        monkeypatch.setattr(module, "sample_endpoints", refuse)
+    t0 = time.perf_counter()
+    # box side 4761: 22.7M states against the 4M cap, and 2*10^8 steps to draw
+    assert main(["walk-gcd", "--seed", "1", "--d", "2", "--n", "100000",
+                 "--samples", "2000", "--gcd-cap", "8"]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert "budget exceeded" in capsys.readouterr().err
+    # a sample count that sample_endpoints refuses is refused before the DPs
+    monkeypatch.setattr(harness, "predicted_tail_probability", refuse)
+    assert main(["walk-gcd", "--seed", "1", "--d", "2", "--n", "10",
+                 "--samples", "0", "--gcd-cap", "3"]) == 1
+    assert "samples must be >= 1" in capsys.readouterr().err
 
 
 def test_cli_ingest(tmp_path, capsys):

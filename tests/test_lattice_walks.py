@@ -9,6 +9,7 @@ import pytest
 
 from wordlab.errors import BudgetExceededError, UnsupportedParameterError
 from wordlab.lattice_walks import (
+    _torus_law,
     exact_mod_law,
     gcd_of_endpoint,
     gcd_tail_estimate,
@@ -18,6 +19,8 @@ from wordlab.lattice_walks import (
     simulate_walk,
 )
 from wordlab.rng import stream
+
+from conftest import roll_torus_law
 
 
 def test_endpoint_sampling_moments():
@@ -156,3 +159,19 @@ def test_tail_estimate_bookkeeping():
     assert est.gamma_counts.get("0", 0) == est.zero_count
     lo, hi = est.tail_ci
     assert lo <= est.tail_probability <= hi
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("side", [2, 4, 8, 3, 7, 85])
+def test_torus_law_matches_full_roll_bytes(side, d):
+    # the box around the centre meets the edge after (side - 1) // 2 steps;
+    # n = 0, below, at and past that step, and far past it on small tori
+    reach = (side - 1) // 2
+    steps = {0, max(reach - 1, 0), reach, reach + 1}
+    if side ** d <= 1000:
+        steps |= {reach + 3, 40}
+    for n in sorted(steps):
+        got = _torus_law(side, d, n)
+        want = roll_torus_law(side, d, n)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), (side, d, n)
