@@ -393,11 +393,13 @@ def predicted_tail_probability(d: int, n: int, gcd_cap: int,
     signed = np.arange(side, dtype=np.int64)
     signed[signed > box_radius] -= side
     mags = np.abs(signed)
-    # gcd_with[g, i] = gcd(g, mags[i]); each pass appends one coordinate axis
-    gcd_with = np.gcd.outer(np.arange(box_radius + 1), mags)
     gamma = mags
-    for _ in range(d - 1):
-        gamma = gcd_with[gamma]
+    if d > 1:
+        # gcd_with[g, i] = gcd(g, mags[i]); each pass appends one coordinate
+        # axis. Its (L + 1) * side entries stay under side^2 <= BOX_STATE_CAP.
+        gcd_with = np.gcd.outer(np.arange(box_radius + 1), mags)
+        for _ in range(d - 1):
+            gamma = gcd_with[gamma]
     flat_gamma = gamma.ravel()
     flat_probs = probs.ravel()
     law = np.bincount(flat_gamma, weights=flat_probs)

@@ -163,6 +163,27 @@ def roll_torus_law(side: int, d: int, n: int) -> np.ndarray:
     return probs
 
 
+def broadcast_gcd_tail(d: int, n: int, gcd_cap: int, box_radius: int):
+    """Pr[gcd > gcd_cap] and Pr[gcd = v] for v <= max(2 gcd_cap, 10) of the
+    n-step law on the torus of side 2 box_radius + 1, with the gcd grid built
+    by one broadcast np.gcd pass per axis."""
+    side = 2 * box_radius + 1
+    probs = roll_torus_law(side, d, n)
+    signed = np.arange(side, dtype=np.int64)
+    signed[signed > box_radius] -= side
+    mags = np.abs(signed)
+    gamma = np.zeros((side,) * d, dtype=np.int64)
+    for axis in range(d):
+        shape = [1] * d
+        shape[axis] = side
+        gamma = np.gcd(gamma, mags.reshape(shape))
+    flat_gamma, flat_probs = gamma.ravel(), probs.ravel()
+    law = np.bincount(flat_gamma, weights=flat_probs)
+    tail = float(flat_probs[flat_gamma > gcd_cap].sum())
+    head_cap = min(len(law) - 1, max(2 * gcd_cap, 10))
+    return tail, {str(v): float(law[v]) for v in range(head_cap + 1)}
+
+
 def list_loop_mixing_profile(group, support, n_max: int) -> list:
     """Exact L1 distances to uniform of the uniform walk on `support` after
     0..n_max steps, pushing python-int counts along scalar products."""

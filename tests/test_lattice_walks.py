@@ -20,7 +20,7 @@ from wordlab.lattice_walks import (
 )
 from wordlab.rng import stream
 
-from conftest import roll_torus_law
+from conftest import broadcast_gcd_tail, roll_torus_law
 
 
 def test_endpoint_sampling_moments():
@@ -136,6 +136,15 @@ def test_tail_prediction_internal_cross_check():
             prob for v, prob in pred.gcd_law_head.items() if int(v) <= 10
         )
         assert abs(mass_le_cap + pred.probability - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("d, n, cap", [(1, 4, 10**5), (2, 30, 8), (3, 6, 4)])
+def test_tail_prediction_gcd_grid_matches_broadcast(d, n, cap):
+    # d = 1 with a huge cap: side 200031, so a side x side gcd table would not fit
+    pred = predicted_tail_probability(d, n, cap)
+    tail, head = broadcast_gcd_tail(d, n, cap, pred.box_radius)
+    assert pred.probability == tail
+    assert pred.gcd_law_head == head
 
 
 def test_tail_prediction_matches_sampling():
