@@ -12,6 +12,7 @@ discrepancies), 2 enumeration budget exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Optional, Sequence
 
@@ -42,7 +43,10 @@ def _add_flags(parser: argparse.ArgumentParser, keys: Sequence[str]) -> None:
                             choices=CHOICES.get(key), help=text)
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The whole argument tree, built once per process: the experiment
+    registry is fixed at import, and parsing leaves the parser unchanged."""
     parser = argparse.ArgumentParser(
         prog="wordlab",
         description="Word maps, walks, and generation experiments on finite groups.",

@@ -128,6 +128,7 @@ class Group:
 
     _table: Optional[np.ndarray] = None
     _inv_array: Optional[np.ndarray] = None
+    _class_labels: Optional[np.ndarray] = None
 
     def mul_vec(self, a, b) -> np.ndarray:
         """Elementwise product of index arrays (numpy broadcasting applies).
@@ -747,17 +748,21 @@ def vector_multiplier(group: Group):
     return group.mul_vec
 
 
-def power_array(group: Group, k: int) -> np.ndarray:
-    """g^k for every carrier index g, by square-and-multiply on index arrays.
+def power_array(group: Group, k: int, indices: Optional[np.ndarray] = None) -> np.ndarray:
+    """g^k for every index g in `indices` (default: the whole carrier), by
+    square-and-multiply on index arrays.
 
     Agrees with `Group.pow` elementwise; negative exponents power the
     inverses.
     """
     mul_vec = vector_multiplier(group)
-    base = np.arange(group.order, dtype=np.int64)
+    if indices is None:
+        base = np.arange(group.order, dtype=np.int64)
+    else:
+        base = np.asarray(indices, dtype=np.int64)
     if k < 0:
-        base, k = group.inv_array().astype(np.int64), -k
-    acc = np.full(group.order, group.identity, dtype=np.int64)
+        base, k = group.inv_array()[base].astype(np.int64), -k
+    acc = np.full(base.shape, group.identity, dtype=np.int64)
     while k:
         if k & 1:
             acc = mul_vec(acc, base)
@@ -770,18 +775,39 @@ def power_array(group: Group, k: int) -> np.ndarray:
 def class_labels(group: Group) -> np.ndarray:
     """label[x] = the least index in the conjugacy class of x.
 
-    Classes are found in index order, each as one orbit {h x h^-1 : h in G},
-    so the cost is 2|G| products per class.
+    The classes are the orbits of the maps x -> s^-1 x s for s in a
+    generating set S, built with 2|S||G| products.  Every label starts at
+    its own index; each round lowers it to the least label among its images
+    under the maps, then to the label of that label, until a round changes
+    nothing.  A label only falls and stays inside its class, and a fixed
+    point is constant on every orbit, so it is the least index.  Cached on
+    the group, read-only.
     """
-    n = group.order
-    mul_vec = vector_multiplier(group)
-    carrier = np.arange(n, dtype=np.int64)
-    inv_arr = group.inv_array()
-    labels = np.full(n, -1, dtype=np.int64)
-    for x in range(n):
-        if labels[x] < 0:
-            labels[mul_vec(mul_vec(carrier, x), inv_arr)] = x
-    return labels
+    if group._class_labels is None:
+        inv_arr = group.inv_array()
+        carrier = np.arange(group.order, dtype=np.int64)
+        # S grows greedily as in `greedy_generators`, but each subgroup is
+        # closed over S and S^-1 (fewer rounds) with the Lagrange stop
+        gens = []
+        reached = carrier == group.identity
+        while not reached.all():
+            gens.append(int(np.argmin(reached)))
+            reached = closure_mask(group, gens + inv_arr[gens].tolist())
+        s = np.array(gens, dtype=np.int64)
+        mul_vec = vector_multiplier(group)
+        maps = mul_vec(mul_vec(inv_arr[s][:, None], carrier), s[:, None])
+        labels = carrier
+        while True:
+            fallen = labels
+            for conj in maps:
+                fallen = np.minimum(fallen, fallen[conj])
+            fallen = fallen[fallen]
+            if np.array_equal(fallen, labels):
+                break
+            labels = fallen
+        labels.flags.writeable = False
+        group._class_labels = labels
+    return group._class_labels
 
 
 def _as_indices(group: Group, gens: Iterable[Element | int]) -> list:

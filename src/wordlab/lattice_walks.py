@@ -257,8 +257,9 @@ def exact_mod_law(d: int, p: int, k: int, n: int, exact: Optional[bool] = None) 
 def _closed_walk_count(d: int, n: int) -> int:
     """Number of n-step walks on Z^d that end at the origin.
 
-    Slots are assigned axis by axis: an axis taking 2k of the s remaining
-    slots contributes C(s, 2k) * C(2k, k).
+    Slots are assigned axis by axis: an axis taking 2k of the r remaining
+    slots contributes C(r, 2k) * C(2k, k) = r! / ((r-2k)! k! k!), and each
+    term is the last one times (r-2k)(r-2k-1) / (k+1)^2, exactly.
     """
     prev = [0] * (n + 1)
     prev[0] = 1
@@ -270,7 +271,8 @@ def _closed_walk_count(d: int, n: int) -> int:
                 continue
             remaining = n - used
             for k in range(remaining // 2 + 1):
-                cur[used + 2 * k] += w * math.comb(remaining, 2 * k) * math.comb(2 * k, k)
+                cur[used + 2 * k] += w
+                w = w * (remaining - 2 * k) * (remaining - 2 * k - 1) // ((k + 1) ** 2)
         prev = cur
     return prev[n]
 

@@ -245,18 +245,25 @@ class ImageReport:
     certificate_values: Optional[frozenset]  # sampled mode: {g^m} hit by evaluation
 
 
-def _certified_powers(word: Word, group: Group, coeffs: Sequence[int]) -> set:
-    """Evaluate the word at (g^b1, ..., g^bd) for every g.
+def _class_union(labels: np.ndarray, values: np.ndarray) -> frozenset:
+    """Every element whose conjugacy class holds one of `values`."""
+    hit = np.zeros(labels.size, dtype=bool)
+    hit[labels[values]] = True
+    return frozenset(np.flatnonzero(hit[labels]).tolist())
 
-    By the gcd certificate these values are exactly the m-th powers; they
-    are computed by genuine evaluation, not by powering, so they certify
-    that the word map itself attains them.
+
+def _certified_powers(word: Word, group: Group, coeffs: Sequence[int],
+                      reps: np.ndarray) -> np.ndarray:
+    """The word evaluated at (r^b1, ..., r^bd) for every class representative r.
+
+    By the gcd certificate the values at every g are exactly the m-th
+    powers; they are computed by genuine evaluation, not by powering, so
+    they certify that the word map itself attains them.  Conjugating g by
+    h conjugates its value by h, so the representatives' values fix the
+    rest up to their classes.
     """
-    columns = {g: power_array(group, coeffs[g - 1]) for g in {abs(v) for v in word.letters}}
-    if not columns:
-        return {group.identity}
-    values = _evaluate(word.letters, columns, group, vector_multiplier(group))
-    return set(np.unique(values).tolist())
+    columns = {g: power_array(group, coeffs[g - 1], reps) for g in {abs(v) for v in word.letters}}
+    return _evaluate(word.letters, columns, group, vector_multiplier(group))
 
 
 def image_and_power_coverage(word: Word, group: Group, mode: str = "exact",
@@ -271,6 +278,10 @@ def image_and_power_coverage(word: Word, group: Group, mode: str = "exact",
     subset of the true image.  A caller that already holds the word's
     distribution in `mode` passes it as `dist`, and nothing is evaluated
     twice; `samples` and `rng` are then not needed.
+
+    Since (h r h^-1)^m = h r^m h^-1, the m-th powers and the certificate
+    values are computed on class representatives r only, and each set is
+    the union of the classes they hit.
     """
     vec = abelianize(word)
     gamma = gcd_of_vector(vec)
@@ -292,12 +303,14 @@ def image_and_power_coverage(word: Word, group: Group, mode: str = "exact",
     elif dist.mode != mode:
         raise UnsupportedParameterError(f"a {dist.mode} distribution passed in {mode} mode")
     image = set(np.flatnonzero(dist.counts).tolist())
+    labels = class_labels(group)
+    reps = np.flatnonzero(labels == np.arange(group.order))
     certificate = None
     if mode == "sampled" and gamma > 0:
         _, coeffs = bezout_certificate(vec)
-        certificate = frozenset(_certified_powers(word, group, coeffs))
+        certificate = _class_union(labels, _certified_powers(word, group, coeffs, reps))
         image |= certificate
-    powers = frozenset(np.unique(power_array(group, m)).tolist())
+    powers = _class_union(labels, power_array(group, m, reps))
     image = frozenset(image)
     covers = powers <= image
     witness = min((x for x in image if x not in powers), default=None)

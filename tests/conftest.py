@@ -9,14 +9,16 @@ counterpart to be compared against.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from wordlab.groups import PermutationGroup, construct_group
-from wordlab.words import Word, evaluate_indices
+from wordlab.groups import PermutationGroup, construct_group, power_array, vector_multiplier
+from wordlab.measure import ImageReport, _evaluate
+from wordlab.words import Word, abelianize, bezout_certificate, evaluate_indices, gcd_of_vector
 
 settings.register_profile("suite", deadline=None, derandomize=True, max_examples=60)
 settings.load_profile("suite")
@@ -127,6 +129,57 @@ def conjugacy_classes(group) -> list:
             seen[x] = True
         classes.append(frozenset(orbit))
     return classes
+
+
+def orbit_class_labels(group) -> np.ndarray:
+    """label[x] = the least index in the class of x, with the classes found
+    in index order, each as one whole orbit {h x h^-1 : h in G} (2|G|
+    products per class)."""
+    n = group.order
+    mul_vec = vector_multiplier(group)
+    carrier = np.arange(n, dtype=np.int64)
+    inv_arr = group.inv_array()
+    labels = np.full(n, -1, dtype=np.int64)
+    for x in range(n):
+        if labels[x] < 0:
+            labels[mul_vec(mul_vec(carrier, x), inv_arr)] = x
+    return labels
+
+
+def full_carrier_coverage(word: Word, group, dist, m=None) -> ImageReport:
+    """The coverage report of `dist` with no class reduction: the m-th
+    powers are g^m for every g, and in sampled mode the certificate is the
+    word evaluated at (g^b1, ..., g^bd) for every g."""
+    vec = abelianize(word)
+    gamma = gcd_of_vector(vec)
+    m = gamma if m is None else m
+    image = set(np.flatnonzero(dist.counts).tolist())
+    certificate = None
+    if dist.mode == "sampled" and gamma > 0:
+        _, coeffs = bezout_certificate(vec)
+        columns = {g: power_array(group, coeffs[g - 1]) for g in {abs(v) for v in word.letters}}
+        values = _evaluate(word.letters, columns, group, vector_multiplier(group))
+        certificate = frozenset(np.unique(values).tolist())
+        image |= certificate
+    powers = frozenset(np.unique(power_array(group, m)).tolist())
+    image = frozenset(image)
+    return ImageReport(group_name=group.name, word_text=word.to_text(), mode=dist.mode, m=m,
+                       image=image, power_values=powers, covers_powers=powers <= image,
+                       witness=min((x for x in image if x not in powers), default=None),
+                       certificate_values=certificate)
+
+
+def comb_closed_walk_count(d: int, n: int) -> int:
+    """Closed n-step walks on Z^d, assigning slots axis by axis with two
+    fresh binomials per term: C(r, 2k) * C(2k, k) for 2k of r free slots."""
+    prev = [1] + [0] * n
+    for _ in range(d):
+        cur = [0] * (n + 1)
+        for used, w in enumerate(prev):
+            for k in range((n - used) // 2 + 1):
+                cur[used + 2 * k] += w * math.comb(n - used, 2 * k) * math.comb(2 * k, k)
+        prev = cur
+    return prev[n]
 
 
 def s5_conjugation_maps(alt5: PermutationGroup) -> list:

@@ -132,3 +132,17 @@ def test_output_bytes_match_golden_digests(name, tmp_path, monkeypatch):
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in (tmp_path / "out").iterdir()}
     assert written == digests
+
+
+def test_golden_digests_hold_when_every_run_repeats_in_one_process(tmp_path, monkeypatch):
+    # the CLI parser is built once per process and shared by every call
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d4.txt").write_text(D4_TABLE)
+    for pass_index, names in enumerate((sorted(GOLDEN), sorted(GOLDEN, reverse=True))):
+        for name in names:
+            argv, digests = GOLDEN[name]
+            out = tmp_path / f"out-{pass_index}-{name}"
+            assert main(argv + ["--out", str(out.name)]) == 0
+            written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                       for p in out.iterdir()}
+            assert written == digests, (pass_index, name)

@@ -21,6 +21,7 @@ from wordlab.groups import (
     _validate_cayley_table,
     abelianization_invariants,
     center,
+    class_labels,
     closure,
     closure_mask,
     commutator_subgroup,
@@ -40,6 +41,7 @@ from conftest import (
     all_commutators_subgroup,
     generated_subgroup,
     get_group,
+    orbit_class_labels,
     sl2_matrices,
 )
 
@@ -111,8 +113,10 @@ def test_array_power_and_inverse_match_scalar(spec):
     assert g.has_table == (spec != "sl2:17")
     n = g.order
     assert g.inv_array().tolist() == [g.inv(a) for a in range(n)]
+    some = np.arange(n - 1, -1, -3)
     for k in (-7, -1, 0, 1, 2, 5, 60):
         assert power_array(g, k).tolist() == [g.pow(a, k) for a in range(n)]
+        assert power_array(g, k, some).tolist() == [g.pow(a, k) for a in some.tolist()]
 
 
 def test_element_power_reaches_identity():
@@ -268,6 +272,51 @@ def test_greedy_generators_reach_every_element():
         # each generator lies outside the subgroup its predecessors generate
         for k in range(1, len(gens)):
             assert gens[k] not in closure(group, gens[:k])
+
+
+def relabelled_psl27_table(tmp_path):
+    """PSL(2,7) read back from a table file whose non-identity elements
+    are shuffled."""
+    table = get_group("psl2:7").mul_table()
+    perm = np.r_[0, 1 + np.random.default_rng(7).permutation(table.shape[0] - 1)]
+    rank = np.argsort(perm)  # old index -> new index
+    rows = np.empty_like(table)
+    rows[np.ix_(rank, rank)] = rank[table]
+    path = tmp_path / "psl27.txt"
+    path.write_text(f"{len(rows)}\n" + "\n".join(" ".join(map(str, r)) for r in rows.tolist()))
+    return load_cayley_table(path)
+
+
+def test_class_labels_match_one_orbit_per_class(tmp_path):
+    # symmetric:7 is above TABLE_CAP, so it multiplies natively
+    specs = CATALOG + ("sl2:17", "psl2:23", "symmetric:7")
+    cases = [construct_group(s) for s in specs]
+    cases += [DirectPowerGroup(get_group("alternating:5"), 2), relabelled_psl27_table(tmp_path)]
+    for group in cases:
+        labels = class_labels(group)
+        assert labels.tolist() == orbit_class_labels(group).tolist(), group.name
+    assert len(np.unique(class_labels(cases[-1]))) == 6  # the classes of PSL(2,7)
+
+
+@pytest.mark.parametrize("spec", ("alternating:4", "sl2:17"))
+def test_class_labels_are_computed_once_per_group(spec, monkeypatch):
+    products = []
+
+    def counting(group):
+        mul_vec = vector_multiplier(group)
+
+        def counted(a, b):
+            products.append(1)
+            return mul_vec(a, b)
+        return counted
+
+    monkeypatch.setattr("wordlab.groups.vector_multiplier", counting)
+    group = construct_group(spec)
+    first = class_labels(group)
+    assert products
+    products.clear()
+    assert class_labels(group) is first and not products
+    assert not first.flags.writeable
 
 
 def test_commutator_subgroup_matches_all_commutators():

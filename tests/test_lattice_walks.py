@@ -2,13 +2,16 @@
 
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from wordlab.cli import main
 from wordlab.errors import BudgetExceededError, UnsupportedParameterError
 from wordlab.lattice_walks import (
+    _closed_walk_count,
     _torus_law,
     exact_mod_law,
     gcd_of_endpoint,
@@ -20,7 +23,7 @@ from wordlab.lattice_walks import (
 )
 from wordlab.rng import stream
 
-from conftest import broadcast_gcd_tail, roll_torus_law
+from conftest import broadcast_gcd_tail, comb_closed_walk_count, roll_torus_law
 
 
 def test_endpoint_sampling_moments():
@@ -124,6 +127,28 @@ def test_return_probability_closed_forms():
             if sum(m[0] for m in seq) == 0 and sum(m[1] for m in seq) == 0
         )
         assert return_probability(2, n) == Fraction(hits, 4**n)
+
+
+def test_closed_walk_count_matches_the_binomial_formula():
+    for d in range(1, 5):
+        for n in range(41):
+            assert _closed_walk_count(d, n) == comb_closed_walk_count(d, n), (d, n)
+
+
+@pytest.mark.parametrize("n", (0, 2, 4, 10, 64, 301, 500, 1000, 2000))
+def test_closed_walk_count_closed_forms(n):
+    # d = 1: C(n, n/2); d = 2: C(n, n/2)^2 (rotate the axes by 45 degrees)
+    want = math.comb(n, n // 2) if n % 2 == 0 else 0
+    assert _closed_walk_count(1, n) == want
+    assert _closed_walk_count(2, n) == want**2
+
+
+def test_long_one_dimensional_walk_gcd_run_is_quick(tmp_path):
+    # the exact return probability at n = 20000 once took about 90 s
+    start = time.perf_counter()
+    assert main(["walk-gcd", "--seed", "1", "--d", "1", "--n", "20000", "--gcd-cap", "8",
+                 "--samples", "10", "--out", str(tmp_path)]) == 0
+    assert time.perf_counter() - start < 30
 
 
 def test_tail_prediction_internal_cross_check():

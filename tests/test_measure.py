@@ -9,6 +9,7 @@ from wordlab import harness, measure
 from wordlab.errors import BudgetExceededError, EmptyWordError
 from wordlab.groups import CayleyGroup, class_labels
 from wordlab.measure import (
+    TUPLE_BUDGET,
     _class_totals,
     exact_distribution,
     family_trend,
@@ -19,9 +20,10 @@ from wordlab.measure import (
     write_distribution_csv,
 )
 from wordlab.rng import stream
-from wordlab.words import Word, abelianize, gcd_of_vector, parse_word
+from wordlab.words import Word, abelianize, gcd_of_vector, parse_word, sample_word
 
-from conftest import brute_pushforward, conjugacy_classes, get_group
+from conftest import (CATALOG, brute_pushforward, conjugacy_classes, full_carrier_coverage,
+                      get_group)
 
 
 # Non-abelian groups, where the reduction to class representatives is not
@@ -147,6 +149,33 @@ def test_image_coverage_sampled_mode_certifies_powers():
     assert rep.certificate_values is not None
     assert rep.certificate_values <= rep.image
     assert rep.power_values <= rep.image
+
+
+# (word, m): a square; a commutator with m = 1; a d = 3 word with x1 unused;
+# five seeded symmetric words (m = 1 where the exponent sums vanish).
+COVERAGE_WORDS = [(parse_word("x1 x1"), None), (parse_word("x1 x2 X1 X2"), 1),
+                  (parse_word("x2 x3 X2 x3"), None)]
+COVERAGE_WORDS += [(w, None if gcd_of_vector(abelianize(w)) else 1)
+                   for w in (sample_word("symmetric", 2, 9, stream(21, i)) for i in range(5))]
+COVERAGE_GROUPS = tuple(s for s in CATALOG if get_group(s).order <= 168) + ("sl2:17", "psl2:23")
+
+
+@pytest.mark.parametrize("mode", ("exact", "sampled"))
+@pytest.mark.parametrize("spec", COVERAGE_GROUPS)
+def test_class_reduced_coverage_matches_full_carrier(spec, mode):
+    group = get_group(spec)
+    checked = 0
+    for i, (word, m) in enumerate(COVERAGE_WORDS):
+        if mode == "exact":
+            if group.order ** word.rank > TUPLE_BUDGET:
+                continue  # exact_distribution refuses it before any evaluation
+            dist = exact_distribution(word, group)
+        else:
+            dist = monte_carlo_distribution(word, group, 200, stream(5, i))
+        got = image_and_power_coverage(word, group, mode, m=m, dist=dist)
+        assert got == full_carrier_coverage(word, group, dist, m), (spec, word.to_text())
+        checked += 1
+    assert checked >= len(COVERAGE_WORDS) - 1
 
 
 def test_image_coverage_needs_m_for_balanced_words():
