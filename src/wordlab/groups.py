@@ -784,18 +784,10 @@ def class_labels(group: Group) -> np.ndarray:
     the group, read-only.
     """
     if group._class_labels is None:
-        inv_arr = group.inv_array()
         carrier = np.arange(group.order, dtype=np.int64)
-        # S grows greedily as in `greedy_generators`, but each subgroup is
-        # closed over S and S^-1 (fewer rounds) with the Lagrange stop
-        gens = []
-        reached = carrier == group.identity
-        while not reached.all():
-            gens.append(int(np.argmin(reached)))
-            reached = closure_mask(group, gens + inv_arr[gens].tolist())
-        s = np.array(gens, dtype=np.int64)
+        s = group_generators(group)
         mul_vec = vector_multiplier(group)
-        maps = mul_vec(mul_vec(inv_arr[s][:, None], carrier), s[:, None])
+        maps = mul_vec(mul_vec(group.inv_array()[s][:, None], carrier), s[:, None])
         labels = carrier
         while True:
             fallen = labels
@@ -850,7 +842,8 @@ def greedy_generators(mul_vec, n: int, identity: int) -> list:
     """Generators grown greedily: add the least element not yet reached
     until right multiplication by them reaches every element from `identity`.
 
-    No Lagrange stop, so it also runs on a table not yet known to be a group.
+    No Lagrange stop, so it also runs on a table not yet known to be a group;
+    on a group, `group_generators` finds the same set faster.
     """
     gens = []
     reached = np.arange(n) == identity
@@ -858,6 +851,21 @@ def greedy_generators(mul_vec, n: int, identity: int) -> list:
         gens.append(int(np.argmin(reached)))
         reached = right_orbit(mul_vec, n, [identity], gens)
     return gens
+
+
+def group_generators(group: Group) -> np.ndarray:
+    """The generating set of `greedy_generators`, as an index array.
+
+    Each subgroup on the way is closed over the generators and their
+    inverses (fewer rounds) with the Lagrange stop of `closure_mask`.
+    """
+    inv_arr = group.inv_array()
+    gens = []
+    reached = np.arange(group.order) == group.identity
+    while not reached.all():
+        gens.append(int(np.argmin(reached)))
+        reached = closure_mask(group, gens + inv_arr[gens].tolist())
+    return np.array(gens, dtype=np.int64)
 
 
 def closure_mask(group: Group, gens: Sequence[int]) -> np.ndarray:
@@ -885,7 +893,7 @@ def center(group: Group) -> frozenset:
     mul_vec = vector_multiplier(group)
     everyone = np.arange(n, dtype=np.int64)
     central = np.ones(n, dtype=bool)
-    for s in greedy_generators(mul_vec, n, group.identity):
+    for s in group_generators(group).tolist():
         central &= mul_vec(everyone, s) == mul_vec(s, everyone)
     return frozenset(np.flatnonzero(central).tolist())
 
@@ -901,7 +909,7 @@ def commutator_subgroup(group: Group) -> frozenset:
     """
     _check_structure_cap(group)
     mul_vec = vector_multiplier(group)
-    s = np.array(greedy_generators(mul_vec, group.order, group.identity), dtype=np.int64)
+    s = group_generators(group)
     s_inv = group.inv_array()[s]
     sub = np.arange(group.order) == group.identity
     gens = []
@@ -932,7 +940,7 @@ def quotient_group(group: Group, normal: Iterable[int], name: str) -> CayleyGrou
     mul_vec = vector_multiplier(group)
     in_sub = np.zeros(n, dtype=bool)
     in_sub[sub] = True
-    s = np.array(greedy_generators(mul_vec, n, group.identity), dtype=np.int64)
+    s = group_generators(group)
     conj = mul_vec(mul_vec(group.inv_array()[s][:, None], sub), s[:, None])
     if not in_sub[conj].all():
         raise MalformedCayleyTableError(f"{name}: the subgroup is not normal")

@@ -34,6 +34,9 @@ from .words import Word, abelianize, bezout_certificate, gcd_of_vector
 TUPLE_BUDGET = 10**8
 # Samples processed per vectorized batch.
 BATCH = 1 << 16
+# Products per element that `class_labels` costs, about (11-17 measured on
+# SL(2,17), PSL(2,97) and SL(2,97)); see `image_and_power_coverage`.
+LABEL_PRODUCTS = 16
 
 
 @dataclass
@@ -245,11 +248,17 @@ class ImageReport:
     certificate_values: Optional[frozenset]  # sampled mode: {g^m} hit by evaluation
 
 
-def _class_union(labels: np.ndarray, values: np.ndarray) -> frozenset:
-    """Every element whose conjugacy class holds one of `values`."""
+def _class_union(labels: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Mask of every element whose class under `labels` holds one of `values`."""
     hit = np.zeros(labels.size, dtype=bool)
     hit[labels[values]] = True
-    return frozenset(np.flatnonzero(hit[labels]).tolist())
+    return hit[labels]
+
+
+def _power_products(k: int) -> int:
+    """Products `power_array` spends on the exponent k."""
+    k = abs(k)
+    return k.bit_length() + bin(k).count("1") - 1 if k else 0
 
 
 def _certified_powers(word: Word, group: Group, coeffs: Sequence[int],
@@ -280,8 +289,11 @@ def image_and_power_coverage(word: Word, group: Group, mode: str = "exact",
     twice; `samples` and `rng` are then not needed.
 
     Since (h r h^-1)^m = h r^m h^-1, the m-th powers and the certificate
-    values are computed on class representatives r only, and each set is
-    the union of the classes they hit.
+    values may be computed on class representatives r only, each set then
+    being the union of the classes they hit.  That route is taken when the
+    group's class labels exist already (an exact enumeration over two or
+    more generators builds them), or when the whole carrier would take more
+    than LABEL_PRODUCTS products per element, about what the labels cost.
     """
     vec = abelianize(word)
     gamma = gcd_of_vector(vec)
@@ -302,18 +314,28 @@ def image_and_power_coverage(word: Word, group: Group, mode: str = "exact",
             dist = monte_carlo_distribution(word, group, samples, rng)
     elif dist.mode != mode:
         raise UnsupportedParameterError(f"a {dist.mode} distribution passed in {mode} mode")
-    image = set(np.flatnonzero(dist.counts).tolist())
-    labels = class_labels(group)
+    image = np.asarray(dist.counts) != 0
+    coeffs = bezout_certificate(vec)[1] if mode == "sampled" and gamma > 0 else None
+    products = _power_products(m)
+    if coeffs is not None:
+        products += len(word.letters) - 1 + sum(
+            _power_products(coeffs[g - 1]) for g in {abs(v) for v in word.letters})
+    if group._class_labels is not None or products > LABEL_PRODUCTS:
+        labels = class_labels(group)
+    else:
+        labels = np.arange(group.order)  # each element its own class
     reps = np.flatnonzero(labels == np.arange(group.order))
     certificate = None
-    if mode == "sampled" and gamma > 0:
-        _, coeffs = bezout_certificate(vec)
-        certificate = _class_union(labels, _certified_powers(word, group, coeffs, reps))
-        image |= certificate
+    if coeffs is not None:
+        certified = _class_union(labels, _certified_powers(word, group, coeffs, reps))
+        image |= certified
+        certificate = frozenset(np.flatnonzero(certified).tolist())
     powers = _class_union(labels, power_array(group, m, reps))
-    image = frozenset(image)
-    covers = powers <= image
-    witness = min((x for x in image if x not in powers), default=None)
+    beyond = np.flatnonzero(image & ~powers)
+    covers = not (powers & ~image).any()
+    witness = int(beyond[0]) if beyond.size else None
+    image = frozenset(np.flatnonzero(image).tolist())
+    powers = frozenset(np.flatnonzero(powers).tolist())
     return ImageReport(group_name=group.name, word_text=word.to_text(), mode=mode,
                        m=m, image=image, power_values=powers, covers_powers=covers,
                        witness=witness, certificate_values=certificate)

@@ -27,6 +27,7 @@ from wordlab.groups import (
     commutator_subgroup,
     construct_group,
     greedy_generators,
+    group_generators,
     is_perfect,
     load_cayley_table,
     power_array,
@@ -272,6 +273,7 @@ def test_greedy_generators_reach_every_element():
         # each generator lies outside the subgroup its predecessors generate
         for k in range(1, len(gens)):
             assert gens[k] not in closure(group, gens[:k])
+        assert group_generators(group).tolist() == gens
 
 
 def relabelled_psl27_table(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 
 from wordlab import harness, measure
 from wordlab.errors import BudgetExceededError, EmptyWordError
-from wordlab.groups import CayleyGroup, class_labels
+from wordlab.groups import CayleyGroup, class_labels, construct_group
 from wordlab.measure import (
     TUPLE_BUDGET,
     _class_totals,
@@ -160,10 +160,13 @@ COVERAGE_WORDS += [(w, None if gcd_of_vector(abelianize(w)) else 1)
 COVERAGE_GROUPS = tuple(s for s in CATALOG if get_group(s).order <= 168) + ("sl2:17", "psl2:23")
 
 
+@pytest.mark.parametrize("reduce", (False, True))
 @pytest.mark.parametrize("mode", ("exact", "sampled"))
 @pytest.mark.parametrize("spec", COVERAGE_GROUPS)
-def test_class_reduced_coverage_matches_full_carrier(spec, mode):
-    group = get_group(spec)
+def test_class_reduced_coverage_matches_full_carrier(spec, mode, reduce, monkeypatch):
+    # force the route: class representatives always, or the whole carrier
+    monkeypatch.setattr(measure, "LABEL_PRODUCTS", -1 if reduce else 10**9)
+    group = construct_group(spec)
     checked = 0
     for i, (word, m) in enumerate(COVERAGE_WORDS):
         if mode == "exact":
@@ -172,10 +175,28 @@ def test_class_reduced_coverage_matches_full_carrier(spec, mode):
             dist = exact_distribution(word, group)
         else:
             dist = monte_carlo_distribution(word, group, 200, stream(5, i))
+        group._class_labels = None  # as built by a two-generator enumeration
         got = image_and_power_coverage(word, group, mode, m=m, dist=dist)
+        assert (group._class_labels is not None) == reduce
         assert got == full_carrier_coverage(word, group, dist, m), (spec, word.to_text())
         checked += 1
     assert checked >= len(COVERAGE_WORDS) - 1
+
+
+def test_coverage_builds_class_labels_only_when_they_pay():
+    # on a fresh group, a short sampled word is cheaper on the whole
+    # carrier; a long one needs more than LABEL_PRODUCTS products per
+    # element there, and builds the labels
+    short, long_ = parse_word("x1 x1"), parse_word("x1 x2 " * 12)
+    group = construct_group("sl2:17")
+    image_and_power_coverage(short, group, "sampled", samples=50, rng=1)
+    assert group._class_labels is None
+    image_and_power_coverage(long_, group, "sampled", samples=50, rng=1)
+    assert group._class_labels is not None
+    # once built, every later call takes the class route
+    built = group._class_labels
+    image_and_power_coverage(short, group, "sampled", samples=50, rng=1)
+    assert group._class_labels is built
 
 
 def test_image_coverage_needs_m_for_balanced_words():
