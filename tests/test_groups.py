@@ -35,6 +35,7 @@ from wordlab.groups import (
     quotient_group,
     vector_multiplier,
 )
+from wordlab.harness import ingest_cayley_table
 from wordlab.rng import stream
 
 from conftest import (
@@ -276,24 +277,32 @@ def test_greedy_generators_reach_every_element():
         assert group_generators(group).tolist() == gens
 
 
-def relabelled_psl27_table(tmp_path):
-    """PSL(2,7) read back from a table file whose non-identity elements
-    are shuffled."""
-    table = get_group("psl2:7").mul_table()
+def relabelled_table_file(tmp_path, spec):
+    """Table file of the group `spec` whose non-identity elements are shuffled."""
+    table = get_group(spec).mul_table()
     perm = np.r_[0, 1 + np.random.default_rng(7).permutation(table.shape[0] - 1)]
     rank = np.argsort(perm)  # old index -> new index
     rows = np.empty_like(table)
     rows[np.ix_(rank, rank)] = rank[table]
-    path = tmp_path / "psl27.txt"
+    path = tmp_path / (spec.replace(":", "_") + ".txt")
     path.write_text(f"{len(rows)}\n" + "\n".join(" ".join(map(str, r)) for r in rows.tolist()))
-    return load_cayley_table(path)
+    return path
+
+
+def test_ingest_relabelled_psl2_13(tmp_path):
+    summary = ingest_cayley_table(relabelled_table_file(tmp_path, "psl2:13"))
+    assert summary["order"] == 1092
+    assert summary["perfect"] is True
+    assert summary["center_size"] == 1
+    assert summary["abelian"] is False
 
 
 def test_class_labels_match_one_orbit_per_class(tmp_path):
     # symmetric:7 is above TABLE_CAP, so it multiplies natively
     specs = CATALOG + ("sl2:17", "psl2:23", "symmetric:7")
     cases = [construct_group(s) for s in specs]
-    cases += [DirectPowerGroup(get_group("alternating:5"), 2), relabelled_psl27_table(tmp_path)]
+    cases += [DirectPowerGroup(get_group("alternating:5"), 2),
+              load_cayley_table(relabelled_table_file(tmp_path, "psl2:7"))]
     for group in cases:
         labels = class_labels(group)
         assert labels.tolist() == orbit_class_labels(group).tolist(), group.name
@@ -351,9 +360,13 @@ def test_abelianization_invariants():
         "alternating:4": [3],
         "alternating:5": [],
     }
-    for spec, want in cases.items():
-        got = abelianization_invariants(get_group(spec))
-        assert list(got) == want, f"{spec}: {got} != {want}"
+    groups = [(get_group(spec), want) for spec, want in cases.items()]
+    groups += [(CayleyGroup(cyclic_product_rows(m, k), f"z{m}xz{k}"), [m, k])
+               for m, k in ((2, 4), (4, 4), (2, 64))]
+    groups.append((DirectPowerGroup(get_group("symmetric:3"), 2), [2, 2]))
+    for group, want in groups:
+        got = abelianization_invariants(group)
+        assert list(got) == want, f"{group.name}: {got} != {want}"
 
 
 def test_closure_sizes():
@@ -568,8 +581,53 @@ def test_light_associativity_test_agrees_with_all_triples(spec):
 
 def test_cayley_group_rejects_misplaced_identity():
     rows = [[1, 0], [0, 1]]  # element 0 is not the identity
-    with pytest.raises(MalformedCayleyTableError):
-        CayleyGroup("swapped", rows)
+    with pytest.raises(MalformedCayleyTableError, match="left identity"):
+        CayleyGroup(rows, "swapped")
+
+
+# One table per defect.  Rows are checked in order (length, range,
+# permutation), then columns, the identity on each side and the inverses.
+MALFORMED_TABLES = (
+    ([], r"t: empty table"),
+    ([[0, 1], [1]], r"t: row 1 has 1 entries, expected 2$"),
+    ([[0, 1], [1, 2]], r"t: row 1 has an index outside \[0,2\)$"),
+    ([[0, 1], [1, 10**30]], r"t: row 1 has an index outside \[0,2\)$"),
+    ([[0, 1], [1, 1]], r"t: row 1 is not a permutation of 0\.\.1$"),
+    ([[0, 1, 2], [1, 2, 0], [2, 1, 0]], r"t: column 1 is not a permutation of 0\.\.2$"),
+    ([[1, 0], [0, 1]], r"t: index 0 is not a left identity at row 0, column 0$"),
+    ([[0, 1, 2], [2, 0, 1], [1, 2, 0]], r"t: index 0 is not a right identity at row 1$"),
+    ([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1], [3, 4, 1, 2, 0], [4, 2, 0, 1, 3]],
+     r"t: row 2 has no two-sided inverse$"),
+    # a bad row before a ragged one is the one reported
+    ([[0, 1, 2], [1, 1, 0], [2, 0]], r"t: row 1 is not a permutation of 0\.\.2$"),
+    ([[0, 1, 2], [1, -1, 0], [2]], r"t: row 1 has an index outside \[0,3\)$"),
+    ([[0, 1, 2], [1, 2], [2, 9, 0]], r"t: row 1 has 2 entries, expected 3$"),
+)
+
+
+@pytest.mark.parametrize("rows, message", MALFORMED_TABLES)
+def test_cayley_table_defects_are_reported_in_check_order(rows, message):
+    with pytest.raises(MalformedCayleyTableError, match=message):
+        _validate_cayley_table(rows, "t")
+
+
+MALFORMED_FILES = (
+    ("", r"empty file$"),
+    ("3\n0 1 x\n", r"non-integer token$"),  # and the wrong token count
+    ("2\n0 1\n1\n", r"expected 5 tokens, got 4$"),
+    ("0\n", r"expected order line plus n\^2 tokens, got 1$"),
+    (f"2\n0 1\n1 {10**30}\n", r"row 1 has an index outside \[0,2\)$"),
+    (f"2\n0 1\n1 {-10**30}\n", r"row 1 has an index outside \[0,2\)$"),
+    (f"3\n0 1 2\n1 1 0\n2 0 {10**30}\n", r"row 1 is not a permutation of 0\.\.2$"),
+)
+
+
+@pytest.mark.parametrize("text, message", MALFORMED_FILES)
+def test_cayley_file_defects(tmp_path, text, message):
+    path = tmp_path / "t.txt"
+    path.write_text(text)
+    with pytest.raises(MalformedCayleyTableError, match=message):
+        load_cayley_table(path)
 
 
 def test_element_api_guards():

@@ -499,6 +499,10 @@ def test_cli_ingest(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("1 2 3")
     assert main(["ingest", str(bad)]) == 1
+    huge = tmp_path / "huge.txt"
+    huge.write_text(f"2\n0 1\n1 {10**30}\n")
+    assert main(["ingest", str(huge)]) == 1
+    assert "row 1 has an index outside [0,2)" in capsys.readouterr().err
 
 
 def test_cli_mixing_and_walk_gcd(tmp_path, capsys):
