@@ -495,36 +495,38 @@ class PSL2Group(_MatrixGroup):
 
 
 class CayleyGroup(Group):
-    """Group given by an explicit multiplication table (rows of indices)."""
+    """Group given by an explicit multiplication table.
+
+    The law is one (n, n) int32 array; every row is a permutation, so the
+    inverse of a is the position of 0 in row a.
+    """
 
     def __init__(self, table: Sequence[Sequence[int]], name: str,
                  spec: Optional[GroupSpec] = None, validate: bool = True):
         self.spec = spec
         self.name = name
         self.order = len(table)
-        self._rows = [list(row) for row in table]
         if validate:
-            _validate_cayley_table(self._rows, name)
-        self._invs = _inverse_vector(self._rows)
+            self._table = _validate_cayley_table(table, name)
+        else:
+            self._table = np.asarray(table, dtype=np.int32)
         # attributes set by quotient constructions
         self.projection: Optional[list] = None
         self.parent: Optional[Group] = None
 
     def mul(self, a: int, b: int) -> int:
-        return self._rows[a][b]
+        return int(self._table[a, b])
 
     def inv(self, a: int) -> int:
-        return self._invs[a]
-
-    _np_rows: Optional[np.ndarray] = None
+        return int(self.inv_array()[a])
 
     def mul_vec(self, a, b) -> np.ndarray:
-        if self._np_rows is None:
-            self._np_rows = np.array(self._rows, dtype=np.int64)
-        return self._np_rows[np.asarray(a), np.asarray(b)]
+        return self._table[np.asarray(a), np.asarray(b)]
 
-    def _build_table(self) -> np.ndarray:
-        return np.array(self._rows, dtype=np.int32)
+    def inv_array(self) -> np.ndarray:
+        if self._inv_array is None:
+            self._inv_array = np.argmin(self._table, axis=1).astype(np.int32)
+        return self._inv_array
 
 
 class DirectPowerGroup(Group):
@@ -600,55 +602,55 @@ class DirectPowerGroup(Group):
 # ---------------------------------------------------------------------------
 
 
-def _inverse_vector(rows: Sequence[Sequence[int]]) -> list:
-    n = len(rows)
-    invs = [-1] * n
-    for g in range(n):
-        for h in range(n):
-            if rows[g][h] == 0:
-                invs[g] = h
-                break
-    return invs
+def _validate_cayley_table(rows: Sequence[Sequence[int]], name: str) -> np.ndarray:
+    """Check that `rows` is the table of a group with identity 0 and return
+    it as an (n, n) int32 array.
 
-
-def _validate_cayley_table(rows: Sequence[Sequence[int]], name: str) -> None:
+    The first defect found is reported: rows in order (each for its length,
+    its range, then being a permutation), then columns, the left and the
+    right identity, two-sided inverses and associativity.
+    """
     n = len(rows)
     if n == 0:
         raise MalformedCayleyTableError(f"{name}: empty table")
-    full = set(range(n))
-    for g, row in enumerate(rows):
-        if len(row) != n:
-            raise MalformedCayleyTableError(f"{name}: row {g} has {len(row)} entries, expected {n}")
-        if any(not 0 <= v < n for v in row):
-            raise MalformedCayleyTableError(f"{name}: row {g} has an index outside [0,{n})")
-        if set(row) != full:
-            raise MalformedCayleyTableError(f"{name}: row {g} is not a permutation of 0..{n - 1}")
-    for h in range(n):
-        if {rows[g][h] for g in range(n)} != full:
-            raise MalformedCayleyTableError(f"{name}: column {h} is not a permutation of 0..{n - 1}")
-    for h in range(n):
-        if rows[0][h] != h:
-            raise MalformedCayleyTableError(f"{name}: index 0 is not a left identity at row 0, column {h}")
-    for g in range(n):
-        if rows[g][0] != g:
-            raise MalformedCayleyTableError(f"{name}: index 0 is not a right identity at row {g}")
-    # two-sided inverses
-    for g in range(n):
-        h = next((h for h in range(n) if rows[g][h] == 0), None)
-        if h is None:
-            raise MalformedCayleyTableError(f"{name}: row {g} has no inverse")
-        if rows[h][g] != 0:
-            raise MalformedCayleyTableError(f"{name}: row {g} has no two-sided inverse")
+    full = np.arange(n)
+    ragged = next((g for g, row in enumerate(rows) if len(row) != n), n)
+    table = np.asarray(rows[:ragged]).reshape(ragged, n)
+    out_of_range = np.flatnonzero(((table < 0) | (table >= n)).any(axis=1))
+    in_range = out_of_range[0] if out_of_range.size else ragged
+    table = table[:in_range].astype(np.int32, copy=False)
+    not_perm = np.flatnonzero((np.sort(table, axis=1) != full).any(axis=1))
+    if not_perm.size:
+        raise MalformedCayleyTableError(f"{name}: row {not_perm[0]} is not a permutation of 0..{n - 1}")
+    if in_range < ragged:
+        raise MalformedCayleyTableError(f"{name}: row {in_range} has an index outside [0,{n})")
+    if ragged < n:
+        raise MalformedCayleyTableError(
+            f"{name}: row {ragged} has {len(rows[ragged])} entries, expected {n}")
+    bad = np.flatnonzero((np.sort(table, axis=0) != full[:, None]).any(axis=0))
+    if bad.size:
+        raise MalformedCayleyTableError(f"{name}: column {bad[0]} is not a permutation of 0..{n - 1}")
+    bad = np.flatnonzero(table[0] != full)
+    if bad.size:
+        raise MalformedCayleyTableError(
+            f"{name}: index 0 is not a left identity at row 0, column {bad[0]}")
+    bad = np.flatnonzero(table[:, 0] != full)
+    if bad.size:
+        raise MalformedCayleyTableError(f"{name}: index 0 is not a right identity at row {bad[0]}")
+    # two-sided inverses: row g holds its one 0 at column h = g^-1
+    bad = np.flatnonzero(table[np.argmin(table, axis=1), full] != 0)
+    if bad.size:
+        raise MalformedCayleyTableError(f"{name}: row {bad[0]} has no two-sided inverse")
     # Associativity, exactly, by Light's test: the elements a with
     # (x*a)*y = x*(a*y) for all x, y are closed under products, so checking
     # every s in a set S suffices once right multiplication by S reaches
     # every element from the identity.
-    table = np.array(rows, dtype=np.int64)
     for s in greedy_generators(lambda a, b: table[a, b], n, 0):
         bad = np.argwhere(table[table[:, s]] != table[:, table[s]])
         if bad.size:
             x, y = bad[0]
             raise MalformedCayleyTableError(f"{name}: associativity fails at ({x},{s},{y})")
+    return table
 
 
 def load_cayley_table(path: str | Path) -> CayleyGroup:
@@ -661,17 +663,21 @@ def load_cayley_table(path: str | Path) -> CayleyGroup:
     if not tokens:
         raise MalformedCayleyTableError(f"{path}: empty file")
     try:
-        values = [int(t) for t in tokens]
+        n = int(tokens[0])
+        # Every entry is parsed with int(); one that is not an index of an
+        # order-n table is stored as -1, which fits the int32 array and
+        # fails the range check of its row like the value itself.
+        index = {v: v for v in range(min(n, len(tokens)))}
+        entries = map(index.get, map(int, itertools.islice(tokens, 1, None)), itertools.repeat(-1))
+        values = np.fromiter(entries, dtype=np.int32, count=len(tokens) - 1)
     except ValueError:
         raise MalformedCayleyTableError(f"{path}: non-integer token") from None
-    n = values[0]
-    if n < 1 or len(values) != 1 + n * n:
+    if n < 1 or len(tokens) != 1 + n * n:
         raise MalformedCayleyTableError(
-            f"{path}: expected {1 + n * n if n >= 1 else 'order line plus n^2'} tokens, got {len(values)}"
+            f"{path}: expected {1 + n * n if n >= 1 else 'order line plus n^2'} tokens, got {len(tokens)}"
         )
-    rows = [values[1 + i * n : 1 + (i + 1) * n] for i in range(n)]
     spec = GroupSpec("cayley-file", n, path=str(path))
-    return CayleyGroup(rows, name=str(spec), spec=spec)
+    return CayleyGroup(values.reshape(n, n), name=str(spec), spec=spec)
 
 
 # ---------------------------------------------------------------------------
@@ -951,7 +957,7 @@ def quotient_group(group: Group, normal: Iterable[int], name: str) -> CayleyGrou
             proj[mul_vec(g, sub)] = len(reps)
             reps.append(g)
     reps = np.array(reps, dtype=np.int64)
-    q = CayleyGroup(proj[mul_vec(reps[:, None], reps)].tolist(), name=name, validate=False)
+    q = CayleyGroup(proj[mul_vec(reps[:, None], reps)], name=name, validate=False)
     q.projection = proj.tolist()
     q.parent = group
     return q
@@ -962,15 +968,6 @@ def quotient_by_center(group: Group) -> CayleyGroup:
     return quotient_group(group, z, name=f"{group.name}/center")
 
 
-def _element_order(group: Group, x: int) -> int:
-    k = 1
-    y = x
-    while y != group.identity:
-        y = group.mul(y, x)
-        k += 1
-    return k
-
-
 def abelianization_invariants(group: Group) -> list:
     """Cyclic factors of G/[G,G], ascending, each dividing the next."""
     k = commutator_subgroup(group)
@@ -978,7 +975,6 @@ def abelianization_invariants(group: Group) -> list:
     n = ab.order
     if n == 1:
         return []
-    orders = [_element_order(ab, x) for x in range(n)]
     # factor the group order
     primes = []
     m = n
@@ -998,7 +994,7 @@ def abelianization_invariants(group: Group) -> list:
         logs = [0]
         while True:
             pk = p ** len(logs)
-            c = sum(1 for o in orders if pk % o == 0)
+            c = int(np.count_nonzero(power_array(ab, pk) == ab.identity))
             # c is the size of a subgroup of a p-group, an exact power of p
             logc = 0
             while c > 1:
