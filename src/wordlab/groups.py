@@ -614,6 +614,7 @@ def _validate_cayley_table(rows: Sequence[Sequence[int]], name: str) -> np.ndarr
     if n == 0:
         raise MalformedCayleyTableError(f"{name}: empty table")
     full = np.arange(n)
+    # rows before `ragged` have n entries, rows before `in_range` also lie in [0, n)
     ragged = next((g for g, row in enumerate(rows) if len(row) != n), n)
     table = np.asarray(rows[:ragged]).reshape(ragged, n)
     out_of_range = np.flatnonzero(((table < 0) | (table >= n)).any(axis=1))
