@@ -137,6 +137,19 @@ class Group:
         """
         raise NotImplementedError(f"{self.name}: no vectorized multiplication")
 
+    # A word is evaluated in the group's own form (see `word_multiplier`):
+    # index arrays are lifted once, multiplied there, and lowered once.
+    # Indices are that form here; only the matrix groups override it.
+
+    def lift(self, x):
+        return x
+
+    def mul_lifted(self, x, y):
+        return self.mul_vec(x, y)
+
+    def lower(self, x):
+        return x
+
     @property
     def has_table(self) -> bool:
         return self.order <= TABLE_CAP
@@ -384,7 +397,8 @@ class _MatrixGroup(Group):
     packed value ((a*p+b)*p+c)*p+d.  `entries` holds four arrays, the a, b,
     c, d of every index, and a rank table sends each of the p(p^2-1)
     matrices of SL(2,p) to its index, so a product is four dot products
-    mod p and one lookup.
+    mod p and one lookup.  A word is multiplied out on the entries (`lift`,
+    `mul_lifted`) and ranked once at the end (`lower`).
     """
 
     # PSL(2,p): M and -M are one element
@@ -409,7 +423,10 @@ class _MatrixGroup(Group):
         # the identity is the least matrix with a != 0
         first = int(np.count_nonzero(entries[0] == 0))
         order = np.r_[first, 0:first, first + 1:entries[0].size]
-        self.entries = tuple(e[order].astype(np.int32) for e in entries)
+        # Entries are < p <= 97 and a sum of two products of them is at most
+        # 2(p-1)^2 <= 18432, so int16 holds both and a lookup reduces mod p.
+        self.entries = tuple(e[order].astype(np.int16) for e in entries)
+        self._mod_p = (np.arange(2 * (p - 1) ** 2 + 1) % p).astype(np.int16)
         self.order = order.size
         indices = np.arange(self.order, dtype=np.int64)
         self._index_of_rank = np.empty(p * (p * p - 1), dtype=np.int64)
@@ -425,14 +442,11 @@ class _MatrixGroup(Group):
         (p-1)p^2 + (b-1)p + d (c = -1/b is fixed).
         """
         p = self.p
-        return (((a - 1) * p + b) * p + np.where(a, c, d)) % (p * (p * p - 1))
+        a = a.astype(np.int32)  # ranks reach p^3: past int16
+        return (((a - 1) * p + b) * p + c + (d - c) * (a == 0)) % (p * (p * p - 1))
 
     def mul(self, x: int, y: int) -> int:
-        p = self.p
-        a, b, c, d = [v.item(x) for v in self.entries]
-        e, f, g, h = [v.item(y) for v in self.entries]
-        return int(self._index_of_rank[self._rank(
-            (a * e + b * g) % p, (a * f + b * h) % p, (c * e + d * g) % p, (c * f + d * h) % p)])
+        return int(self.mul_vec(x, y))
 
     def inv(self, x: int) -> int:
         return int(self.inv_array()[x])
@@ -447,15 +461,22 @@ class _MatrixGroup(Group):
         return f"[[{a},{b}],[{c},{d}]]"
 
     def mul_vec(self, x, y) -> np.ndarray:
-        p = self.p
-        a0, b0, c0, d0 = (e.take(x) for e in self.entries)
-        a1, b1, c1, d1 = (e.take(y) for e in self.entries)
-        return self._index_of_rank.take(self._rank(
-            (a0 * a1 + b0 * c1) % p,
-            (a0 * b1 + b0 * d1) % p,
-            (c0 * a1 + d0 * c1) % p,
-            (c0 * b1 + d0 * d1) % p,
-        ))
+        return self.lower(self.mul_lifted(self.lift(x), self.lift(y)))
+
+    def lift(self, x) -> tuple:
+        """The entry arrays (a, b, c, d) of the index array x."""
+        return tuple(e[x] for e in self.entries)
+
+    def mul_lifted(self, x: tuple, y: tuple) -> tuple:
+        mod_p = self._mod_p.take
+        a0, b0, c0, d0 = x
+        a1, b1, c1, d1 = y
+        return (mod_p(a0 * a1 + b0 * c1), mod_p(a0 * b1 + b0 * d1),
+                mod_p(c0 * a1 + d0 * c1), mod_p(c0 * b1 + d0 * d1))
+
+    def lower(self, x: tuple) -> np.ndarray:
+        """Indices of lifted matrices (for PSL, M and -M rank to one index)."""
+        return self._index_of_rank.take(self._rank(*x))
 
     def inv_array(self) -> np.ndarray:
         # det = 1, so [[a,b],[c,d]]^-1 = [[d,-b],[-c,a]], over the whole carrier
@@ -654,31 +675,60 @@ def _validate_cayley_table(rows: Sequence[Sequence[int]], name: str) -> np.ndarr
     return table
 
 
+class _TableEntries(dict):
+    """Stored value of each parsed entry of an order-n table: the entry
+    itself if it is an index, else -1, which fits the int32 array and fails
+    the range check of its row like the value itself.  Indices are added
+    as they are met, so the map never outgrows the file."""
+
+    def __init__(self, n: int):
+        super().__init__()
+        self.n = n
+
+    def __missing__(self, value: int) -> int:
+        if 0 <= value < self.n:
+            self[value] = value
+            return value
+        return -1
+
+
 def load_cayley_table(path: str | Path) -> CayleyGroup:
-    """Read the text format: first line order n, then n rows of n indices."""
+    """Read the text format: first line order n, then n rows of n indices.
+
+    Only the sequence of whitespace-separated tokens counts, not where the
+    lines break.  The file is parsed one line at a time, each line's tokens
+    with int() into an int32 array, so no str per token of the whole file
+    is ever held.
+    """
     path = Path(path)
+    n = None
+    count = 0
+    rows = []
     try:
-        tokens = path.read_text().split()
+        with path.open() as text:
+            for line in text:
+                tokens = line.split()
+                if not tokens:
+                    continue
+                count += len(tokens)
+                try:
+                    if n is None:
+                        n = int(tokens.pop(0))
+                        stored = _TableEntries(n).__getitem__
+                    rows.append(np.fromiter(map(stored, map(int, tokens)), dtype=np.int32,
+                                            count=len(tokens)))
+                except ValueError:
+                    raise MalformedCayleyTableError(f"{path}: non-integer token") from None
     except OSError as exc:
         raise MalformedCayleyTableError(f"cannot read {path}: {exc}") from exc
-    if not tokens:
+    if n is None:
         raise MalformedCayleyTableError(f"{path}: empty file")
-    try:
-        n = int(tokens[0])
-        # Every entry is parsed with int(); one that is not an index of an
-        # order-n table is stored as -1, which fits the int32 array and
-        # fails the range check of its row like the value itself.
-        index = {v: v for v in range(min(n, len(tokens)))}
-        entries = map(index.get, map(int, itertools.islice(tokens, 1, None)), itertools.repeat(-1))
-        values = np.fromiter(entries, dtype=np.int32, count=len(tokens) - 1)
-    except ValueError:
-        raise MalformedCayleyTableError(f"{path}: non-integer token") from None
-    if n < 1 or len(tokens) != 1 + n * n:
+    if n < 1 or count != 1 + n * n:
         raise MalformedCayleyTableError(
-            f"{path}: expected {1 + n * n if n >= 1 else 'order line plus n^2'} tokens, got {len(tokens)}"
+            f"{path}: expected {1 + n * n if n >= 1 else 'order line plus n^2'} tokens, got {count}"
         )
     spec = GroupSpec("cayley-file", n, path=str(path))
-    return CayleyGroup(values.reshape(n, n), name=str(spec), spec=spec)
+    return CayleyGroup(np.concatenate(rows).reshape(n, n), name=str(spec), spec=spec)
 
 
 # ---------------------------------------------------------------------------
@@ -755,28 +805,47 @@ def vector_multiplier(group: Group):
     return group.mul_vec
 
 
+def _same(x):
+    return x
+
+
+def word_multiplier(group: Group) -> tuple:
+    """(lift, mul, lower) for multiplying out a word on index arrays.
+
+    `lift` takes index arrays to the form `mul` multiplies, and `lower`
+    takes a product back to indices, so a word of L letters is L - 1 calls
+    of `mul` between one lift per column and one lower.  A group with a
+    table multiplies indices by it; any other group uses its own form
+    (for SL(2,p) and PSL(2,p), the entry arrays of the matrices).
+    """
+    if group.has_table:
+        return _same, vector_multiplier(group), _same
+    return group.lift, group.mul_lifted, group.lower
+
+
 def power_array(group: Group, k: int, indices: Optional[np.ndarray] = None) -> np.ndarray:
     """g^k for every index g in `indices` (default: the whole carrier), by
-    square-and-multiply on index arrays.
+    square-and-multiply in the form of `word_multiplier`.
 
     Agrees with `Group.pow` elementwise; negative exponents power the
-    inverses.
+    inverses.  The result has the shape of `indices`.
     """
-    mul_vec = vector_multiplier(group)
+    lift, mul, lower = word_multiplier(group)
     if indices is None:
         base = np.arange(group.order, dtype=np.int64)
     else:
         base = np.asarray(indices, dtype=np.int64)
     if k < 0:
         base, k = group.inv_array()[base].astype(np.int64), -k
-    acc = np.full(base.shape, group.identity, dtype=np.int64)
+    acc = lift(np.full(base.shape, group.identity, dtype=np.int64))
+    base = lift(base)
     while k:
         if k & 1:
-            acc = mul_vec(acc, base)
+            acc = mul(acc, base)
         k >>= 1
         if k:
-            base = mul_vec(base, base)
-    return acc
+            base = mul(base, base)
+    return lower(acc)
 
 
 def class_labels(group: Group) -> np.ndarray:

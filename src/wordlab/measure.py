@@ -26,7 +26,7 @@ from .errors import (
     WordlabError,
 )
 from .groups import (Group, GroupSpec, class_labels, construct_group, power_array,
-                     vector_multiplier)
+                     word_multiplier)
 from .rng import Rng, as_rng, stream
 from .words import Word, abelianize, bezout_certificate, gcd_of_vector
 
@@ -34,9 +34,10 @@ from .words import Word, abelianize, bezout_certificate, gcd_of_vector
 TUPLE_BUDGET = 10**8
 # Samples processed per vectorized batch.
 BATCH = 1 << 16
-# Products per element that `class_labels` costs, about (11-17 measured on
-# SL(2,17), PSL(2,97) and SL(2,97)); see `image_and_power_coverage`.
-LABEL_PRODUCTS = 16
+# Kernel products per element that `class_labels` costs, about (59-77
+# measured in `power_array` on SL(2,17), PSL(2,97) and SL(2,97)); see
+# `image_and_power_coverage`.
+LABEL_PRODUCTS = 64
 
 
 @dataclass
@@ -100,20 +101,22 @@ def exact_distribution(word: Word, group: Group) -> Distribution:
                         d=d, label=word.to_text())
 
 
-def _evaluate(letters: Sequence[int], columns: dict, group: Group, mul_vec) -> np.ndarray:
+def _evaluate(letters: Sequence[int], columns: dict, group: Group) -> np.ndarray:
     """The word evaluated elementwise on index arrays.
 
     `columns` maps every generator in `letters` to an index array (all of
     one shape); an inverted letter reads that generator's column through
-    the inverse table, computed once per generator.
+    the inverse table.  Each letter's column is lifted once, the word is
+    multiplied out in the group's own form, and the product is lowered to
+    indices once (`word_multiplier`).
     """
+    lift, mul, lower = word_multiplier(group)
     inv_arr = group.inv_array()
-    inverted = {-v: inv_arr[columns[-v]] for v in set(letters) if v < 0}
+    lifted = {v: lift(columns[v] if v > 0 else inv_arr[columns[-v]]) for v in set(letters)}
     state = None
     for v in letters:
-        col = columns[v] if v > 0 else inverted[-v]
-        state = col if state is None else mul_vec(state, col)
-    return state
+        state = lifted[v] if state is None else mul(state, lifted[v])
+    return lower(state)
 
 
 def _class_totals(letters: Sequence[int], k: int, group: Group) -> tuple:
@@ -125,7 +128,6 @@ def _class_totals(letters: Sequence[int], k: int, group: Group) -> tuple:
     value lies in the class of representative r (0 off representatives).
     """
     n = group.order
-    mul_vec = vector_multiplier(group)
     labels = class_labels(group)
     reps = np.flatnonzero(labels == np.arange(n))
     sizes = np.bincount(labels, minlength=n)[reps]
@@ -138,7 +140,7 @@ def _class_totals(letters: Sequence[int], k: int, group: Group) -> tuple:
         columns = {1: reps[first]}
         for g in range(k, 1, -1):
             rest, columns[g] = np.divmod(rest, n)
-        values = _evaluate(letters, columns, group, mul_vec)
+        values = _evaluate(letters, columns, group)
         # generator 1 is the leading digit: the chunk spans reps lo..hi-1
         lo, hi = int(first[0]), int(first[-1]) + 1
         per_rep = np.bincount((first - lo) * n + values, minlength=(hi - lo) * n)
@@ -158,10 +160,9 @@ def _enumerate_pushforward(letters: Sequence[int], k: int, group: Group) -> np.n
     n = group.order
     if k == 1:
         counts = np.zeros(n, dtype=np.int64)
-        mul_vec = vector_multiplier(group)
         for start in range(0, n, BATCH):
             column = np.arange(start, min(start + BATCH, n), dtype=np.int64)
-            counts += np.bincount(_evaluate(letters, {1: column}, group, mul_vec), minlength=n)
+            counts += np.bincount(_evaluate(letters, {1: column}, group), minlength=n)
         return counts
     labels, totals = _class_totals(letters, k, group)
     return totals[labels] // np.bincount(labels, minlength=n)[labels]
@@ -180,12 +181,11 @@ def monte_carlo_distribution(word: Word, group: Group, samples: int,
         counts[group.identity] = samples
         return Distribution(group=group, counts=counts, total=samples, mode="sampled",
                             d=word.rank, label=word.to_text())
-    mul_vec = vector_multiplier(group)
     done = 0
     while done < samples:
         b = min(BATCH, samples - done)
         draws = {g: rng.integers(0, n, size=b) for g in support}
-        counts += np.bincount(_evaluate(word.letters, draws, group, mul_vec), minlength=n)
+        counts += np.bincount(_evaluate(word.letters, draws, group), minlength=n)
         done += b
     return Distribution(group=group, counts=counts, total=samples, mode="sampled",
                         d=word.rank, label=word.to_text())
@@ -272,7 +272,7 @@ def _certified_powers(word: Word, group: Group, coeffs: Sequence[int],
     rest up to their classes.
     """
     columns = {g: power_array(group, coeffs[g - 1], reps) for g in {abs(v) for v in word.letters}}
-    return _evaluate(word.letters, columns, group, vector_multiplier(group))
+    return _evaluate(word.letters, columns, group)
 
 
 def image_and_power_coverage(word: Word, group: Group, mode: str = "exact",

@@ -158,7 +158,7 @@ def full_carrier_coverage(word: Word, group, dist, m=None) -> ImageReport:
     if dist.mode == "sampled" and gamma > 0:
         _, coeffs = bezout_certificate(vec)
         columns = {g: power_array(group, coeffs[g - 1]) for g in {abs(v) for v in word.letters}}
-        values = _evaluate(word.letters, columns, group, vector_multiplier(group))
+        values = _evaluate(word.letters, columns, group)
         certificate = frozenset(np.unique(values).tolist())
         image |= certificate
     powers = frozenset(np.unique(power_array(group, m)).tolist())

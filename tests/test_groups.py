@@ -492,6 +492,18 @@ def test_cayley_table_loading(tmp_path):
         load_cayley_table(loop)
 
 
+def test_cayley_table_rows_may_wrap_across_lines(tmp_path):
+    # row 0 is split over two lines, row 1 shares a line with row 2, and
+    # the order shares a line with row 0
+    rows = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+    for text in ("3\n0 1\n2\n1 2 0 2 0 1\n", "3 0 1\n\n2\n1 2 0   2 0\n1"):
+        path = tmp_path / "c3.txt"
+        path.write_text(text)
+        g = load_cayley_table(path)
+        assert g.order == 3
+        assert g.mul_table().tolist() == rows
+
+
 def all_triples_associative(rows) -> bool:
     """The test oracle: check (a*b)*c = a*(b*c) on every triple."""
     n = len(rows)

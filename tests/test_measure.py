@@ -187,7 +187,9 @@ def test_coverage_builds_class_labels_only_when_they_pay():
     # on a fresh group, a short sampled word is cheaper on the whole
     # carrier; a long one needs more than LABEL_PRODUCTS products per
     # element there, and builds the labels
-    short, long_ = parse_word("x1 x1"), parse_word("x1 x2 " * 12)
+    short = parse_word("x1 x1")
+    # its certificate evaluation alone takes LABEL_PRODUCTS + 1 products
+    long_ = parse_word("x1 x2 " * (measure.LABEL_PRODUCTS // 2 + 1))
     group = construct_group("sl2:17")
     image_and_power_coverage(short, group, "sampled", samples=50, rng=1)
     assert group._class_labels is None
