@@ -9,7 +9,10 @@ table replaced the sorted-carrier lookup.  Three more runs cover the
 boxed torus DP (d=3, and d=2 past the wrap step) and the exact group-walk
 convolution on psl2:13; their digests were recorded before the windowed DP
 and the gather convolution replaced the full-torus rolls and the list
-loops.  A refactor that changes any written byte fails here.
+loops.  Three walk-gcd runs more (a long d = 1 walk, 16 moduli in d = 3,
+and two endpoint sampling batches) were recorded before the narrow
+endpoint draws, the compact box and the shared gather step of the small
+tori.  A refactor that changes any written byte fails here.
 """
 
 import hashlib
@@ -89,6 +92,38 @@ GOLDEN = {
             "report.json": "c5c5baf3b59cb34cba604fcf87c08a5287e3bb09e3f5b9a891582b2f8e44f690",
             "gcd_law.csv": "d61fadcc08a3b0051928c0c895104aa994e3645118c15e857259b8c8120f2c31",
             "mod_laws.csv": "90b9b6ab265114e12367c8b45f52c93338b9f2d56745de713802dd6ca4939a89",
+        },
+    ),
+    # d = 1, n = 20000: a long walk whose boxed torus (side 2139) wraps at
+    # step 1069 and runs the rest of the steps on the whole torus
+    "walk-gcd-d1-long": (
+        ["walk-gcd", "--seed", "4", "--d", "1", "--n", "20000", "--samples", "10",
+         "--gcd-cap", "8"],
+        {
+            "report.json": "14634e0491dae7ed233a9dff5f2e3cd3a2e1873671db04d9844f97de26a884b6",
+            "gcd_law.csv": "1261a1e39851197b322bfd363a230a629cbbe1453ee2b1de18672aad5d6c0b9f",
+            "mod_laws.csv": "bc39909a80a0767fa9948dbb867f6a9e5d61442da1a7973dd9d96e8e97dfd0ee",
+        },
+    ),
+    # every prime power up to 30 as a modulus: tori of side 2 to 29, which
+    # meet their edge at steps 0 to 14 of the 15
+    "walk-gcd-d3-moduli": (
+        ["walk-gcd", "--seed", "4", "--d", "3", "--n", "15", "--gcd-cap", "30",
+         "--samples", "2000"],
+        {
+            "report.json": "432ec245c997de9766648d02849791a6fdfd650e57cfd150d4d8abc09ba0fc1c",
+            "gcd_law.csv": "e5d71d366e62705816db46936b1eabdded20909052f0e93f0c2c3757d59c3859",
+            "mod_laws.csv": "851df2e7cfb4f7809844f342c5417892d79190ea89c38ca1b26fe37c8b2aaf93",
+        },
+    ),
+    # 2 * 10^7 step draws: two endpoint sampling batches
+    "walk-gcd-two-batches": (
+        ["walk-gcd", "--seed", "4", "--d", "2", "--n", "400", "--samples", "50000",
+         "--gcd-cap", "8"],
+        {
+            "report.json": "d0b7abd2ea24cff024c5e62cffc48f5f113ffe057284be49b0708f7eea68cc88",
+            "gcd_law.csv": "61fa28b00182e9a120f6ac8c93219b741076105e4e1ea864b2d770c85afbe024",
+            "mod_laws.csv": "10165137609ee7bafc899ae0baa50676be4042a85cedd845c6590964d5776894",
         },
     ),
     "mixing": (
