@@ -49,7 +49,7 @@ from .groups import (
 )
 from .lattice_walks import (
     endpoint_gcds,
-    exact_mod_law,
+    mod_zero_probabilities,
     predicted_tail_probability,
     sample_endpoints,
     tail_estimate_from_gcds,
@@ -548,14 +548,14 @@ def run_walk_gcd(config: ExperimentConfig) -> dict:
     if samples < 1:  # sample_endpoints would say so only after the DPs
         raise UnsupportedParameterError(f"samples must be >= 1, got {samples}")
     pred = predicted_tail_probability(d, n, gcd_cap)
-    dp_zero = [(p, k, q, float(exact_mod_law(d, p, k, n, exact=False).prob_zero()))
-               for p, k, q in _prime_powers_up_to(min(gcd_cap, 64))]
+    moduli = _prime_powers_up_to(min(gcd_cap, 64))
+    dp_zero = mod_zero_probabilities(d, n, [q for _, _, q in moduli])
     gammas = endpoint_gcds(sample_endpoints(d, n, samples, stream(config.seed, 3)))
     est = tail_estimate_from_gcds(d, n, gcd_cap, gammas)
     se = math.sqrt(max(pred.probability * (1 - pred.probability), 1e-300) / samples)
     z = (est.tail_probability - pred.probability) / se
     mod_rows = []
-    for p, k, q, prob_zero in dp_zero:
+    for (p, k, q), prob_zero in zip(moduli, dp_zero):
         # q divides the endpoint gcd exactly when the endpoint is 0 mod q
         # (gamma = 0, the true origin, counts as divisible on both routes).
         divisible = int(np.count_nonzero(gammas % q == 0))

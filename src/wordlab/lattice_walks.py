@@ -45,7 +45,13 @@ def simulate_walk(d: int, n: int, rng: Union[Rng, int]) -> Tuple[int, ...]:
 
 
 def sample_endpoints(d: int, n: int, samples: int, rng: Union[Rng, int]) -> np.ndarray:
-    """Endpoints of independent walks, shape (samples, d), int64."""
+    """Endpoints of independent walks, shape (samples, d), int64.
+
+    Steps are drawn as int32, which for a range below 2^32 gives the values
+    int64 draws give.  Each row's steps are counted in packed words: a step
+    of kind j adds 1 << (k j) to its row's sum, with k bits per kind, in
+    one uint32 word when all 2d kinds fit and in uint64 words otherwise.
+    """
     _check_walk_params(d, n)
     if samples < 1:
         raise UnsupportedParameterError(f"samples must be >= 1, got {samples}")
@@ -53,13 +59,27 @@ def sample_endpoints(d: int, n: int, samples: int, rng: Union[Rng, int]) -> np.n
     out = np.zeros((samples, d), dtype=np.int64)
     if n == 0:
         return out
+    k = n.bit_length()
+    word = np.uint32 if 2 * d * k <= 32 else np.uint64
+    per_word = 8 * np.dtype(word).itemsize // k
     batch = max(1, _BATCH_ELEMS // n)
     done = 0
     while done < samples:
         b = min(batch, samples - done)
-        draws = rng.integers(0, 2 * d, size=(b, n), dtype=np.int64)
-        offsets = draws + (np.arange(b, dtype=np.int64) * (2 * d))[:, None]
-        cnt = np.bincount(offsets.ravel(), minlength=b * 2 * d).reshape(b, 2 * d)
+        shifts = rng.integers(0, 2 * d, size=(b, n), dtype=np.int32).view(np.uint32)
+        shifts *= k
+        cnt = np.empty((b, 2 * d), dtype=np.int64)
+        for j0 in range(0, 2 * d, per_word):
+            if j0:  # kind j0 moves to shift 0; smaller kinds wrap past the width and add 0
+                shifts -= k * per_word
+            words = (np.left_shift(word(1), shifts, out=shifts) if word is np.uint32
+                     else np.left_shift(word(1), shifts, dtype=word))
+            # kinds past this word's fields add multiples of 2^(k per_word),
+            # which may wrap but leave the fields below them exact
+            packed = words.sum(axis=1, dtype=word)
+            fields = min(per_word, 2 * d - j0)
+            cnt[:, j0 : j0 + fields] = (
+                packed[:, None] >> (k * np.arange(fields, dtype=word))) & word((1 << k) - 1)
         out[done : done + b] = cnt[:, 0::2] - cnt[:, 1::2]
         done += b
     return out
@@ -153,20 +173,13 @@ def _projection_indices(d: int, q: int, q2: int) -> np.ndarray:
     return out
 
 
-def _neighbor_indices(d: int, q: int) -> list:
-    """For each axis and sign, the flat index reached by a +-1 move."""
-    size = q**d
-    flat = np.arange(size, dtype=np.int64)
-    cols = []
-    stride = 1
-    for _ in range(d):
-        digit = (flat // stride) % q
-        plus = flat + stride * (((digit + 1) % q) - digit)
-        minus = flat + stride * (((digit - 1) % q) - digit)
-        cols.append(plus)
-        cols.append(minus)
-        stride *= q
-    return cols
+def _neighbor_indices(d: int, q: int) -> np.ndarray:
+    """Flat indices of s - e_a and of s + e_a on (Z/q)^d, for each axis a
+    with axis 0 (the most significant digit) first: shape (2d, q^d)."""
+    grid = np.arange(q**d, dtype=np.intp).reshape((q,) * d)
+    # rolling by +1 brings s - e_a to s, rolling by -1 brings s + e_a
+    return np.stack([np.roll(grid, shift, axis=axis).ravel()
+                     for axis in range(d) for shift in (1, -1)])
 
 
 # (destination, source) slice pairs along one axis for a move of the whole
@@ -176,45 +189,137 @@ _WRAP_SHIFTS = (
     (slice(None, -1), slice(1, None)), (slice(-1, None), slice(None, 1)),
 )
 
+# Largest torus (in states) whose wrapped steps run as gathers in the flat
+# vector shared by the small tori of a `_torus_laws` call; a larger torus
+# steps by slices of its own array.  The shared vector costs 4d numpy calls
+# per step for all its tori together, against 4d + 2 calls per torus for
+# slices, but a gather costs more per state than a slice.  Measured per
+# torus and step (best of 5 runs of 50 steps; numpy 2.4.6, 2-core x86 VM),
+# gather added to the shared vector against slices:
+#   4096 states:   d=1 24 / 23 us,  d=2  41 / 55 us,  d=3  66 / 97 us
+#   16384 states:  d=1 89 / 50 us,  d=2 165 / 122 us  (d=3 at 32768: 470 / 351 us)
+GATHER_STATES = 4096
 
-def _torus_law(side: int, d: int, n: int) -> np.ndarray:
-    """Float64 n-step law on the torus (Z/side)^d, one array axis per coordinate.
 
-    The walk starts at the centre index c = side // 2 and after t steps
-    lies in the box of radius t around it.  While the box of radius t + 1
-    stays clear of the edge, a step adds only the current box, moved by
-    +1 and by -1 along each axis, into the next one; after that a step
-    adds the whole torus, moved with wraparound.  Every state receives
-    its nonzero terms in the order of the full-torus recurrence (per axis,
-    roll by +1 then by -1, then divide by 2d); the terms left out are
-    +0.0, so the floats are the same.  A final roll by -c puts the origin
-    at index 0.
+def _box_laws(d: int, radii: set) -> dict:
+    """The law on Z^d after r steps, for each r in `radii`: an array of side
+    2r + 1 with the origin at its centre.
+
+    One DP runs to the largest radius.  After t steps the walk lies in the
+    box of radius t, so a step adds only that box, moved by -1 and by +1
+    along each axis, into the box of radius t + 1.
     """
-    c = side // 2
-    reach = (side - 1) // 2  # largest box radius around c that does not wrap
-    probs = np.zeros((side,) * d, dtype=np.float64)
+    top = max(radii)
+    probs = np.zeros((2 * top + 1,) * d, dtype=np.float64)
     nxt = np.zeros_like(probs)
-    probs[(c,) * d] = 1.0
-    for t in range(n):
-        if t < reach:
-            box = slice(c - t, c + t + 1)
-            grown = (slice(c - t - 1, c + t + 2),) * d
-            nxt[grown] = 0.0
-            for axis in range(d):
-                for shift in (1, -1):
-                    dst = [box] * d
-                    dst[axis] = slice(c - t + shift, c + t + 1 + shift)
-                    nxt[tuple(dst)] += probs[(box,) * d]
-            nxt[grown] /= 2 * d
-        else:
-            nxt.fill(0.0)
-            for axis in range(d):
-                head = (slice(None),) * axis
-                for dst, src in _WRAP_SHIFTS:
-                    nxt[head + (dst,)] += probs[head + (src,)]
-            nxt /= 2 * d
+    probs[(top,) * d] = 1.0
+    laws = {}
+    for t in range(top):
+        if t in radii:
+            laws[t] = probs[(slice(top - t, top + t + 1),) * d].copy()
+        box = slice(top - t, top + t + 1)
+        grown = (slice(top - t - 1, top + t + 2),) * d
+        nxt[grown] = 0.0
+        for axis in range(d):
+            for shift in (1, -1):
+                dst = [box] * d
+                dst[axis] = slice(top - t + shift, top + t + 1 + shift)
+                nxt[tuple(dst)] += probs[(box,) * d]
+        nxt[grown] /= 2 * d
         probs, nxt = nxt, probs
-    return np.roll(probs, -c, axis=tuple(range(d)))
+    laws[top] = probs
+    return laws
+
+
+def _slice_steps(probs: np.ndarray, steps: int) -> np.ndarray:
+    """`steps` steps of the whole torus `probs`, each move in two slices."""
+    d = probs.ndim
+    nxt = np.empty_like(probs)
+    for _ in range(steps):
+        nxt.fill(0.0)
+        for axis in range(d):
+            head = (slice(None),) * axis
+            for dst, src in _WRAP_SHIFTS:
+                nxt[head + (dst,)] += probs[head + (src,)]
+        nxt /= 2 * d
+        probs, nxt = nxt, probs
+    return probs
+
+
+def _gather_steps(laws: list, starts: list, d: int, n: int) -> list:
+    """Torus law i run from step starts[i] to step n, for every i, by
+    gathers in one flat vector that each torus joins at its start step."""
+    order = sorted(range(len(laws)), key=starts.__getitem__)
+    vec = np.zeros(0, dtype=np.float64)
+    cols = np.zeros((2 * d, 0), dtype=np.intp)
+    offsets = []
+    for t in range(starts[order[0]], n):
+        while len(offsets) < len(order) and starts[order[len(offsets)]] == t:
+            law = laws[order[len(offsets)]]
+            offsets.append(vec.size)
+            cols = np.concatenate([cols, _neighbor_indices(d, law.shape[0]) + vec.size], axis=1)
+            vec = np.concatenate([vec, law.ravel()])
+        nxt = vec[cols[0]]
+        for col in cols[1:]:
+            nxt += vec[col]
+        nxt /= 2 * d
+        vec = nxt
+    out = list(laws)
+    for i, offset in zip(order, offsets):
+        out[i] = vec[offset : offset + laws[i].size].reshape(laws[i].shape)
+    return out
+
+
+def _torus_laws(sides: Sequence[int], d: int, n: int) -> list:
+    """Float64 n-step laws on the tori (Z/side)^d, one array axis per
+    coordinate, origin at index 0.
+
+    Until step reach = (side - 1) // 2 the walk cannot wrap, so each torus
+    starts from the law on Z^d after min(n, reach) steps, taken from one
+    box DP for all sides and written around index 0.  A torus with steps
+    left then runs the whole-torus recurrence: by gathers in a flat vector
+    shared with the other tori of at most GATHER_STATES states, or by
+    slices of its own array.  Either way every state receives
+    0.0 + p[s - e_0] + p[s + e_0] + ... + p[s + e_(d-1)], then one division
+    by 2d, the order of rolling the whole torus by +1 then by -1 along each
+    axis; the terms left out are +0.0, so the floats are those of that
+    roll from step 0.
+    """
+    reaches = [(side - 1) // 2 for side in sides]
+    boxes = _box_laws(d, {min(n, r) for r in reaches})
+    laws = []
+    for side, reach in zip(sides, reaches):
+        r = min(n, reach)
+        at = np.arange(-r, r + 1) % side
+        law = np.zeros((side,) * d, dtype=np.float64)
+        law[np.ix_(*[at] * d)] = boxes[r]
+        laws.append(law)
+    wrapped = [i for i, reach in enumerate(reaches) if reach < n]
+    small = [i for i in wrapped if laws[i].size <= GATHER_STATES]
+    for i in wrapped:
+        if laws[i].size > GATHER_STATES:
+            laws[i] = _slice_steps(laws[i], n - reaches[i])
+    if small:
+        stepped = _gather_steps([laws[i] for i in small], [reaches[i] for i in small], d, n)
+        for i, law in zip(small, stepped):
+            laws[i] = law
+    return laws
+
+
+def _check_torus_states(size: int) -> None:
+    if size > STATE_CAP:
+        raise BudgetExceededError(f"state space {size} exceeds cap {STATE_CAP}")
+
+
+def mod_zero_probabilities(d: int, n: int, moduli: Sequence[int]) -> list:
+    """Float Pr[endpoint = 0 mod q] after n steps, for each modulus q, from
+    one `_torus_laws` call: the `prob_zero` of each float `exact_mod_law`."""
+    _check_walk_params(d, n)
+    for q in moduli:
+        if q < 1:
+            raise UnsupportedParameterError(f"modulus must be >= 1, got {q}")
+        _check_torus_states(q**d)
+    return [float(law[(0,) * d]) for law in _torus_laws(moduli, d, n)]
 
 
 def exact_mod_law(d: int, p: int, k: int, n: int, exact: Optional[bool] = None) -> ModLaw:
@@ -230,8 +335,7 @@ def exact_mod_law(d: int, p: int, k: int, n: int, exact: Optional[bool] = None) 
         raise UnsupportedParameterError(f"modulus base must be prime, got {p}")
     q = p**k
     size = q**d
-    if size > STATE_CAP:
-        raise BudgetExceededError(f"state space {size} exceeds cap {STATE_CAP}")
+    _check_torus_states(size)
     if exact is None:
         exact = size <= EXACT_DEFAULT_CAP
     if exact and size > EXACT_STATE_CAP:
@@ -239,13 +343,17 @@ def exact_mod_law(d: int, p: int, k: int, n: int, exact: Optional[bool] = None) 
             f"exact DP over {size} states exceeds cap {EXACT_STATE_CAP}"
         )
     if exact:
-        nbr = list(zip(*(col.tolist() for col in _neighbor_indices(d, q))))
-        counts = [0] * size
+        # gathers on an object array of python ints
+        nbr = _neighbor_indices(d, q)
+        counts = np.zeros(size, dtype=object)
         counts[0] = 1
         for _ in range(n):
-            counts = [sum(counts[j] for j in nbr[s]) for s in range(size)]
-        return ModLaw(d, p, k, n, True, counts, None)
-    return ModLaw(d, p, k, n, False, None, _torus_law(q, d, n).reshape(-1))
+            nxt = counts[nbr[0]]
+            for col in nbr[1:]:
+                nxt += counts[col]
+            counts = nxt
+        return ModLaw(d, p, k, n, True, counts.tolist(), None)
+    return ModLaw(d, p, k, n, False, None, _torus_laws([q], d, n)[0].reshape(-1))
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +498,7 @@ def predicted_tail_probability(d: int, n: int, gcd_cap: int,
             f"boxed law needs {side**d} states, over the {BOX_STATE_CAP} cap; "
             "reduce n or pass a smaller box_radius"
         )
-    probs = _torus_law(side, d, n)
+    probs = _torus_laws([side], d, n)[0]
     # torus coordinate t in [0, side) represents the integer t or t - side
     signed = np.arange(side, dtype=np.int64)
     signed[signed > box_radius] -= side

@@ -216,6 +216,37 @@ def roll_torus_law(side: int, d: int, n: int) -> np.ndarray:
     return probs
 
 
+def bincount_endpoints(d: int, n: int, samples: int, rng, batch_elems: int) -> np.ndarray:
+    """Walk endpoints from int64 step draws, batches of batch_elems // n
+    rows, each batch counted by one bincount over row-offset step kinds."""
+    out = np.zeros((samples, d), dtype=np.int64)
+    if n == 0:
+        return out
+    batch = max(1, batch_elems // n)
+    for done in range(0, samples, batch):
+        b = min(batch, samples - done)
+        draws = rng.integers(0, 2 * d, size=(b, n), dtype=np.int64)
+        offsets = draws + (np.arange(b, dtype=np.int64) * (2 * d))[:, None]
+        cnt = np.bincount(offsets.ravel(), minlength=b * 2 * d).reshape(b, 2 * d)
+        out[done : done + b] = cnt[:, 0::2] - cnt[:, 1::2]
+    return out
+
+
+def list_mod_law_counts(d: int, q: int, n: int) -> list:
+    """Counts of the n-step walks ending at each state of (Z/q)^d (flat
+    index, coordinate 0 most significant), as python ints: one list
+    comprehension per step, each state summing its 2d neighbours."""
+    states = list(itertools.product(range(q), repeat=d))
+    index = {s: i for i, s in enumerate(states)}
+    nbr = [tuple(index[s[:a] + ((s[a] + e) % q,) + s[a + 1:]]
+                 for a in range(d) for e in (1, -1)) for s in states]
+    counts = [0] * len(states)
+    counts[0] = 1
+    for _ in range(n):
+        counts = [sum(counts[j] for j in nbr[s]) for s in range(len(states))]
+    return counts
+
+
 def broadcast_gcd_tail(d: int, n: int, gcd_cap: int, box_radius: int):
     """Pr[gcd > gcd_cap] and Pr[gcd = v] for v <= max(2 gcd_cap, 10) of the
     n-step law on the torus of side 2 box_radius + 1, with the gcd grid built

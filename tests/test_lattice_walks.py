@@ -10,9 +10,11 @@ import pytest
 
 from wordlab.cli import main
 from wordlab.errors import BudgetExceededError, UnsupportedParameterError
+from wordlab import lattice_walks
 from wordlab.lattice_walks import (
+    GATHER_STATES,
     _closed_walk_count,
-    _torus_law,
+    _torus_laws,
     exact_mod_law,
     gcd_of_endpoint,
     gcd_tail_estimate,
@@ -23,7 +25,13 @@ from wordlab.lattice_walks import (
 )
 from wordlab.rng import stream
 
-from conftest import broadcast_gcd_tail, comb_closed_walk_count, roll_torus_law
+from conftest import (
+    bincount_endpoints,
+    broadcast_gcd_tail,
+    comb_closed_walk_count,
+    list_mod_law_counts,
+    roll_torus_law,
+)
 
 
 def test_endpoint_sampling_moments():
@@ -37,6 +45,22 @@ def test_endpoint_sampling_moments():
     assert np.array_equal(ends, again)
     # each step flips the parity of the coordinate sum
     assert np.all((ends.sum(axis=1) - n) % 2 == 0)
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_endpoints_match_int64_draws_counted_by_bincount(d):
+    for n in (0, 1, 7, 100):
+        got = sample_endpoints(d, n, 500, stream(6, d))
+        want = bincount_endpoints(d, n, 500, stream(6, d), 1 << 24)
+        assert got.dtype == want.dtype and np.array_equal(got, want), (d, n)
+
+
+def test_endpoints_match_int64_draws_across_batches(monkeypatch):
+    # 1000 elements per batch: 10 rows of 100 steps, so 95 rows take ten batches
+    monkeypatch.setattr(lattice_walks, "_BATCH_ELEMS", 1000)
+    for d in (1, 2, 5):
+        got = sample_endpoints(d, 100, 95, stream(7, d))
+        assert np.array_equal(got, bincount_endpoints(d, 100, 95, stream(7, d), 1000)), d
 
 
 def test_gcd_of_endpoint():
@@ -84,6 +108,13 @@ def test_mod_law_exact_and_float_paths_agree():
     ev = exact.probability_vector()
     fv = fast.probability_vector()
     assert float(np.max(np.abs(ev - fv))) < 1e-12
+
+
+@pytest.mark.parametrize("d, p, k, n", [(2, 3, 2, 40), (1, 2, 3, 500)])
+def test_exact_mod_law_matches_list_counts(d, p, k, n):
+    law = exact_mod_law(d, p, k, n, exact=True)
+    assert law.counts == list_mod_law_counts(d, p**k, n)
+    assert all(type(c) is int for c in law.counts)
 
 
 def test_mod_law_marginal_consistency():
@@ -196,16 +227,17 @@ def test_tail_estimate_bookkeeping():
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
-@pytest.mark.parametrize("side", [2, 4, 8, 3, 7, 85])
+@pytest.mark.parametrize("side", [2, 3, 4, 5, 7, 8, 85, "past-gather"])
 def test_torus_law_matches_full_roll_bytes(side, d):
-    # the box around the centre meets the edge after (side - 1) // 2 steps;
-    # n = 0, below, at and past that step, and far past it on small tori
+    # all tori step in one call: the small ones by gathers, each joining the
+    # shared vector when its box meets its edge after (side - 1) // 2 steps,
+    # and 85 (in d > 1) and the least side past GATHER_STATES by slices
+    big = next(s for s in itertools.count(2) if s**d > GATHER_STATES)
+    sides = [2, 3, 4, 5, 7, 8, 85, big]
+    side = big if side == "past-gather" else side
     reach = (side - 1) // 2
-    steps = {0, max(reach - 1, 0), reach, reach + 1}
-    if side ** d <= 1000:
-        steps |= {reach + 3, 40}
-    for n in sorted(steps):
-        got = _torus_law(side, d, n)
+    for n in sorted({0, max(reach - 1, 0), reach, reach + 1, 40}):
+        got = _torus_laws(sides, d, n)[sides.index(side)]
         want = roll_torus_law(side, d, n)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes(), (side, d, n)
