@@ -72,6 +72,7 @@ def sample_endpoints(d: int, n: int, samples: int, rng: Union[Rng, int]) -> np.n
         for j0 in range(0, 2 * d, per_word):
             if j0:  # kind j0 moves to shift 0; smaller kinds wrap past the width and add 0
                 shifts -= k * per_word
+            # a uint32 word holds every kind, so it may overwrite the shifts
             words = (np.left_shift(word(1), shifts, out=shifts) if word is np.uint32
                      else np.left_shift(word(1), shifts, dtype=word))
             # kinds past this word's fields add multiples of 2^(k per_word),

@@ -8,9 +8,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from wordlab import lattice_walks
 from wordlab.cli import main
 from wordlab.errors import BudgetExceededError, UnsupportedParameterError
-from wordlab import lattice_walks
 from wordlab.lattice_walks import (
     GATHER_STATES,
     _closed_walk_count,
