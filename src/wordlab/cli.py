@@ -5,8 +5,8 @@ flags that override it; the merged configuration is validated as a whole
 (unknown keys rejected, seed mandatory).  Reports and tables are written
 to the output directory with deterministic bytes.
 
-Exit codes: 0 success, 1 configuration or I/O problem (including audit
-discrepancies), 2 enumeration budget exceeded.
+Exit codes: 0 success, 1 configuration or I/O problem (including a bad
+flag and audit discrepancies), 2 enumeration budget exceeded.
 """
 
 from __future__ import annotations
@@ -43,11 +43,18 @@ def _add_flags(parser: argparse.ArgumentParser, keys: Sequence[str]) -> None:
                             choices=CHOICES.get(key), help=text)
 
 
+class _Parser(argparse.ArgumentParser):
+    # A bad flag is a config error (exit 1); argparse's own exit 2 is the
+    # budget code here.  Subparsers inherit the class.
+    def error(self, message: str):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 @functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The whole argument tree, built once per process: the experiment
     registry is fixed at import, and parsing leaves the parser unchanged."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wordlab",
         description="Word maps, walks, and generation experiments on finite groups.",
     )
@@ -73,7 +80,7 @@ def _run_experiment(args: argparse.Namespace, name: str) -> int:
     flags = {key: getattr(args, key) for key in _COMMON_KEYS + experiment.keys}
     config = build_config(name, from_file, flags)
     report = experiment.run(config)
-    paths = experiment.write(report, config.get("out", "."))
+    paths = experiment.write(report, config.get("out"))
     exit_code = experiment.summarize(report)
     for path in paths:
         print(f"wrote {path}")
@@ -82,9 +89,8 @@ def _run_experiment(args: argparse.Namespace, name: str) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "audit":
             diffs = audit_report(args.report)
             if diffs:

@@ -3,8 +3,8 @@
 A config is a flat text file of `key = value` lines (comments with `#`).
 Unknown keys are rejected and `seed` is always required: every random
 draw in a run is derived from the seed through named substreams, so a
-report is a pure function of its config and rerunning it, with any worker
-count, reproduces the same bytes.
+report is a pure function of its config and rerunning it reproduces the
+same bytes.
 
 Reports are JSON with sorted keys.  Every aggregate is recomputable from
 the per-record data in the same file; `audit_report` does exactly that
@@ -21,7 +21,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -82,7 +81,6 @@ KNOWN_KEYS = {
     "steps": ("str", "comma-separated element indices (mixing)"),
     "cycles": ("str", "semicolon-separated cycles, e.g. (1 2 3);(1 2) (mixing)"),
     "out": ("str", "output directory"),
-    "workers": ("int", "worker threads for independent cells"),
     "table": ("str", "Cayley-table file path (ingest)"),
 }
 
@@ -90,7 +88,6 @@ DEFAULTS = {
     "model": "symmetric",
     "mode": "exact",
     "tau": 0.1,
-    "workers": 1,
     "out": ".",
 }
 
@@ -110,8 +107,8 @@ class ExperimentConfig:
     seed: int
     values: dict
 
-    def get(self, key: str, default=None):
-        return self.values.get(key, default)
+    def get(self, key: str):
+        return self.values.get(key)
 
     def require(self, *keys: str):
         missing = [k for k in keys if self.values.get(k) is None]
@@ -123,8 +120,8 @@ class ExperimentConfig:
 
     # Keys that steer execution but cannot change any computed value; they
     # are kept out of the config echo so reports stay byte-identical across
-    # worker counts and output locations.
-    EXECUTION_KEYS = ("out", "workers")
+    # output locations.
+    EXECUTION_KEYS = ("out",)
 
     def echo(self) -> dict:
         out = {"experiment": self.experiment, "seed": str(self.seed)}
@@ -273,7 +270,10 @@ def _report(name: str, config: ExperimentConfig, t0: float, body: dict) -> dict:
 
 
 def _fraction_fields(value) -> dict:
-    """A distance as a float plus, when exact, the full rational."""
+    """A distance as a float plus, when exact, the full rational; None for
+    no distance."""
+    if value is None:
+        return {"l1": None, "l1_exact": None}
     if isinstance(value, Fraction):
         return {"l1": float(value), "l1_exact": f"{value.numerator}/{value.denominator}"}
     return {"l1": float(value), "l1_exact": None}
@@ -285,7 +285,7 @@ def _fraction_fields(value) -> dict:
 
 
 def _mode_and_samples(config: ExperimentConfig) -> tuple:
-    mode = config.get("mode", "exact")
+    mode = config.get("mode")
     samples = config.get("samples")
     if mode == "sampled" and samples is None:
         raise ConfigError("sampled mode requires samples")
@@ -367,49 +367,31 @@ def density_aggregates(word_records: Sequence[dict], tau: float, gcd_cap: int) -
 def run_density(config: ExperimentConfig) -> dict:
     """Sample R words, push them through every group, aggregate the results.
 
-    Cells (word x group) are independent; `workers` > 1 evaluates them in a
-    thread pool, and the report is assembled in (word, group) order either
-    way, so output bytes do not depend on the worker count.
+    Word i draws from substream (7, i) and its cell on group j from
+    (11, i, j), so a record depends on the seed and its indices, not on
+    the order in which cells are evaluated.
     """
     t0 = time.perf_counter()
     model, d, n, r, group_text, gcd_cap = config.require(
         "model", "d", "n", "words", "groups", "gcd_cap"
     )
     mode, samples = _mode_and_samples(config)
-    tau = config.get("tau", 0.1)
-    workers = config.get("workers", 1)
+    tau = config.get("tau")
     specs = _group_specs(group_text)
     groups = [construct_group(s) for s in specs]
-    for g in groups:
-        if g.has_table:
-            g.mul_table()  # prebuild so threads share the cached table
-
-    seed = config.seed
-    sampled_words = [sample_word(model, d, n, stream(seed, 7, i)) for i in range(r)]
-    gammas = [gcd_of_vector(abelianize(w)) for w in sampled_words]
-
-    def cell(i: int, j: int) -> dict:
-        return _density_cell(
-            sampled_words[i], gammas[i], groups[j], specs[j], mode, samples, seed, i, j
-        )
-
-    pairs = [(i, j) for i in range(r) for j in range(len(groups))]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda p: cell(*p), pairs))
-        cells = dict(zip(pairs, results))
-    else:
-        cells = {p: cell(*p) for p in pairs}
-
     word_records = []
-    for i, w in enumerate(sampled_words):
+    for i in range(r):
+        w = sample_word(model, d, n, stream(config.seed, 7, i))
+        vector = abelianize(w)
+        gamma = gcd_of_vector(vector)
         word_records.append({
             "index": i,
             "word": w.to_text(),
             "reduced_length": len(w),
-            "exponent_vector": list(abelianize(w)),
-            "gamma": gammas[i],
-            "groups": [cells[(i, j)] for j in range(len(groups))],
+            "exponent_vector": list(vector),
+            "gamma": gamma,
+            "groups": [_density_cell(w, gamma, g, spec, mode, samples, config.seed, i, j)
+                       for j, (g, spec) in enumerate(zip(groups, specs))],
         })
     return _report("density", config, t0, {
         "group_specs": specs,
@@ -468,25 +450,12 @@ def run_trend(config: ExperimentConfig) -> dict:
     mode, samples = _mode_and_samples(config)
     word = parse_word(word_text)
     specs = _group_specs(group_text)
-    rows = family_trend(word, specs, mode=mode,
-                        samples=samples or 10_000, seed=config.seed)
-    out_rows = []
-    for row in rows:
-        entry = {
-            "spec": row.spec,
-            "order": row.order,
-            "mode": row.mode,
-            "error": row.error,
-        }
-        if row.distance is None:
-            entry.update({"l1": None, "l1_exact": None})
-        else:
-            entry.update(_fraction_fields(row.distance))
-        out_rows.append(entry)
+    rows = family_trend(word, specs, mode=mode, samples=samples, seed=config.seed)
     return _report("trend", config, t0, {
         "word": word.to_text(),
         "gamma": gcd_of_vector(abelianize(word)),
-        "rows": out_rows,
+        "rows": [{"spec": row.spec, "order": row.order, "mode": row.mode,
+                  "error": row.error, **_fraction_fields(row.distance)} for row in rows],
     })
 
 
@@ -672,7 +641,7 @@ def _labels_digest(labels) -> str:
 def run_mixing(config: ExperimentConfig) -> dict:
     t0 = time.perf_counter()
     group_text, n_max = config.require("group", "n")
-    tau = config.get("tau", 0.1)
+    tau = config.get("tau")
     group = construct_group(group_text)
     steps_text = config.get("steps")
     cycles_text = config.get("cycles")
@@ -851,8 +820,7 @@ class Experiment:
 EXPERIMENTS = {
     "density": Experiment(
         "distance-to-uniform of sampled words across groups",
-        ("model", "d", "n", "words", "groups", "mode", "samples", "tau", "gcd_cap",
-         "workers"),
+        ("model", "d", "n", "words", "groups", "mode", "samples", "tau", "gcd_cap"),
         run=lambda config: run_density(config),
         write=lambda report, out: [write_report(report, out),
                                    write_density_csv(report, out)],

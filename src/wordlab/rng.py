@@ -2,8 +2,8 @@
 
 Every randomized operation takes a stream built from a 64-bit master seed
 plus an integer path.  The path identifies the consumer (word index, group
-index, ...), so results depend only on (seed, path) and never on scheduling
-or worker count.
+index, ...), so results depend only on (seed, path) and never on the order
+in which consumers run.
 """
 
 from __future__ import annotations

@@ -88,15 +88,24 @@ def test_build_config_validation():
     assert config.get("d") == 3  # later sources win
     assert config.get("model") == "symmetric"
     assert config.get("tau") == 0.1
-    assert config.get("workers") == 1
+    assert config.get("out") == "."
+
+
+def test_workers_key_is_refused(tmp_path):
+    # density runs its cells serially; a leftover thread-count key is unknown
+    with pytest.raises(ConfigError, match="unknown config key\\(s\\): workers"):
+        build_config("density", {"seed": 1, "d": 2, "workers": 2})
+    cfg = tmp_path / "threads.cfg"
+    cfg.write_text("seed = 1\nd = 2\nn = 8\nwords = 2\ngroups = cyclic:4\n"
+                   "gcd_cap = 4\nworkers = 2\n")
+    assert main(["density", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_echo_hides_execution_keys():
-    config = build_config(
-        "density", {"seed": 1, "d": 2, "out": "/tmp/x", "workers": 8}
-    )
+    config = build_config("density", {"seed": 1, "d": 2, "out": "/tmp/x"})
     echo = config.echo()
-    assert "out" not in echo and "workers" not in echo
+    assert "out" not in echo
     assert echo["experiment"] == "density" and echo["seed"] == "1"
 
 
@@ -134,11 +143,9 @@ def test_density_run_contents_and_determinism(tmp_path):
     assert sum(agg["gamma_histogram"].values()) == 10
     assert agg["cell_error_count"] == 0
 
-    # exact same bytes on a rerun and across worker counts
+    # exact same bytes on a rerun
     again = run_density(density_config())
-    threaded = run_density(density_config(workers=3))
     assert canonical_report_bytes(report) == canonical_report_bytes(again)
-    assert canonical_report_bytes(report) == canonical_report_bytes(threaded)
 
     path = write_report(report, tmp_path)
     assert audit_report(path) == []
@@ -213,6 +220,18 @@ def test_trend_run_and_audit(tmp_path):
     loaded["rows"] = loaded["rows"][::-1]
     path.write_text(json.dumps(loaded))
     assert any("sorted" in d for d in audit_report(path))
+
+
+def test_sampled_trend_refuses_zero_samples():
+    # samples = 0 reaches the sampler, so each row carries the refusal
+    config = build_config("trend", {"seed": 2, "word": "x1 x2 X1 X2",
+                                    "groups": "alternating:5,cyclic:3",
+                                    "mode": "sampled", "samples": 0})
+    report = run_trend(config)
+    assert report["config"]["samples"] == "0"
+    for row in report["rows"]:
+        assert row["l1"] is None and row["l1_exact"] is None
+        assert row["error"] == "UnsupportedParameterError: samples must be >= 1, got 0"
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +421,13 @@ def test_cli_exit_codes(tmp_path):
     assert main(["mixing", "--group", "cyclic:4", "--steps", "1",
                  "--n", "10", "--out", str(tmp_path)]) == 1  # no seed
     assert main(["audit", str(tmp_path / "nothing.json")]) == 1
+    # a bad flag is a config problem too, not argparse's exit 2
+    for flags in (["--bogus", "1"], ["--d", "two"], ["--mode", "weird"], ["--workers", "2"]):
+        assert main(["density", "--seed", "1", "--out", str(tmp_path)] + flags) == 1
+    for argv in (["--help"], ["density", "--help"]):
+        with pytest.raises(SystemExit) as help_exit:
+            main(argv)
+        assert help_exit.value.code == 0
     # budget problems: exit 2
     assert main(["generation", "--group", "symmetric:6", "--d", "3",
                  "--seed", "1", "--out", str(tmp_path)]) == 2
