@@ -10,6 +10,7 @@ multiplication table for vectorized consumers.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -130,25 +131,20 @@ class Group:
     _inv_array: Optional[np.ndarray] = None
     _class_labels: Optional[np.ndarray] = None
 
-    def mul_vec(self, a, b) -> np.ndarray:
-        """Elementwise product of index arrays (numpy broadcasting applies).
-
-        Every backend overrides this with a bulk product.
-        """
-        raise NotImplementedError(f"{self.name}: no vectorized multiplication")
-
-    # A word is evaluated in the group's own form (see `word_multiplier`):
-    # index arrays are lifted once, multiplied there, and lowered once.
-    # Indices are that form here; only the matrix groups override it.
+    # Every backend writes one bulk product, `mul_lifted`, on its own form
+    # of index arrays: `lift` takes indices there and `lower` back.  Indices
+    # are that form unless a backend overrides both.  A word is lifted once,
+    # multiplied there and lowered once (see `word_multiplier`).
 
     def lift(self, x):
         return x
 
-    def mul_lifted(self, x, y):
-        return self.mul_vec(x, y)
-
     def lower(self, x):
         return x
+
+    def mul_vec(self, a, b) -> np.ndarray:
+        """Elementwise product of index arrays (numpy broadcasting applies)."""
+        return self.lower(self.mul_lifted(self.lift(a), self.lift(b)))
 
     @property
     def has_table(self) -> bool:
@@ -235,7 +231,7 @@ class CyclicGroup(Group):
     def inv(self, a: int) -> int:
         return (-a) % self.order
 
-    def mul_vec(self, a, b) -> np.ndarray:
+    def mul_lifted(self, a, b) -> np.ndarray:
         return (np.asarray(a, dtype=np.int64) + np.asarray(b, dtype=np.int64)) % self.order
 
 
@@ -262,7 +258,7 @@ class DihedralGroup(Group):
         ra, fa = a % n, a // n
         return a if fa else (-ra) % n
 
-    def mul_vec(self, a, b) -> np.ndarray:
+    def mul_lifted(self, a, b) -> np.ndarray:
         n = self.n
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
@@ -312,6 +308,7 @@ class PermutationGroup(Group):
         self.carrier = carrier
         self.order = len(carrier)
         self._index = {p: i for i, p in enumerate(carrier)}
+        self._radix = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
 
     def mul(self, a: int, b: int) -> int:
         pa, pb = self.carrier[a], self.carrier[b]
@@ -324,35 +321,32 @@ class PermutationGroup(Group):
             out[x] = i
         return self._index[tuple(out)]
 
-    _carrier_arr: Optional[np.ndarray] = None
+    # Arrays are multiplied on one-line rows.  The carrier is lexicographic,
+    # so the rows' base-n values ascend and one searchsorted ranks a row.
 
-    def _vector_tables(self) -> np.ndarray:
-        if self._carrier_arr is None:
-            arr = np.array(self.carrier, dtype=np.int8)
-            radix = self.n ** np.arange(self.n - 1, -1, -1, dtype=np.int64)
-            packed = arr.astype(np.int64) @ radix
-            order = np.argsort(packed, kind="stable")
-            self._perm_radix = radix
-            self._sorted_packed = packed[order]
-            self._sorted_to_index = order
-            self._carrier_arr = arr
-        return self._carrier_arr
+    @functools.cached_property
+    def _rows(self) -> np.ndarray:
+        return np.array(self.carrier, dtype=np.int8)
 
-    def _index_of_rows(self, perms: np.ndarray) -> np.ndarray:
-        """Carrier indices of one-line permutations stacked on the last axis."""
-        packed = perms.astype(np.int64) @ self._perm_radix
-        return self._sorted_to_index[np.searchsorted(self._sorted_packed, packed)]
+    @functools.cached_property
+    def _values(self) -> np.ndarray:
+        return self._rows @ self._radix
 
-    def mul_vec(self, a, b) -> np.ndarray:
-        arr = self._vector_tables()
-        pa, pb = np.broadcast_arrays(arr[np.asarray(a)], arr[np.asarray(b)])
-        return self._index_of_rows(np.take_along_axis(pa, pb.astype(np.intp), axis=-1))
+    def lift(self, x) -> np.ndarray:
+        """One-line rows of the index array x, on a new last axis."""
+        return self._rows[np.asarray(x)]
+
+    def mul_lifted(self, x, y) -> np.ndarray:
+        x, y = np.broadcast_arrays(x, y)
+        return np.take_along_axis(x, y.astype(np.intp), axis=-1)
+
+    def lower(self, x) -> np.ndarray:
+        return np.searchsorted(self._values, x @ self._radix)
 
     def inv_array(self) -> np.ndarray:
         # the inverse of a one-line permutation is its argsort
         if self._inv_array is None:
-            inverses = np.argsort(self._vector_tables(), axis=1)
-            self._inv_array = self._index_of_rows(inverses).astype(np.int32)
+            self._inv_array = self.lower(np.argsort(self._rows, axis=1)).astype(np.int32)
         return self._inv_array
 
     def element_repr(self, index: int) -> str:
@@ -446,7 +440,8 @@ class _MatrixGroup(Group):
         return (((a - 1) * p + b) * p + c + (d - c) * (a == 0)) % (p * (p * p - 1))
 
     def mul(self, x: int, y: int) -> int:
-        return int(self.mul_vec(x, y))
+        # reads (on first use, builds) the table when the group has one
+        return int(vector_multiplier(self)(x, y))
 
     def inv(self, x: int) -> int:
         return int(self.inv_array()[x])
@@ -459,9 +454,6 @@ class _MatrixGroup(Group):
     def element_repr(self, index: int) -> str:
         (a, b), (c, d) = self.matrix(index)
         return f"[[{a},{b}],[{c},{d}]]"
-
-    def mul_vec(self, x, y) -> np.ndarray:
-        return self.lower(self.mul_lifted(self.lift(x), self.lift(y)))
 
     def lift(self, x) -> tuple:
         """The entry arrays (a, b, c, d) of the index array x."""
@@ -541,7 +533,7 @@ class CayleyGroup(Group):
     def inv(self, a: int) -> int:
         return int(self.inv_array()[a])
 
-    def mul_vec(self, a, b) -> np.ndarray:
+    def mul_lifted(self, a, b) -> np.ndarray:
         return self._table[np.asarray(a), np.asarray(b)]
 
     def inv_array(self) -> np.ndarray:
@@ -582,16 +574,7 @@ class DirectPowerGroup(Group):
         return x
 
     def mul(self, a: int, b: int) -> int:
-        m = self.base.order
-        mul = self.base.mul
-        out = 0
-        shift = self.order
-        for _ in range(self.copies):
-            shift //= m
-            ca, a = divmod(a, shift)
-            cb, b = divmod(b, shift)
-            out = out * m + mul(ca, cb)
-        return out
+        return self.join([self.base.mul(x, y) for x, y in zip(self.split(a), self.split(b))])
 
     def inv(self, a: int) -> int:
         return self.join([self.base.inv(c) for c in self.split(a)])
@@ -601,7 +584,7 @@ class DirectPowerGroup(Group):
         # |G|^N squared table entries would dwarf the carrier: multiply natively
         return False
 
-    def mul_vec(self, a, b) -> np.ndarray:
+    def mul_lifted(self, a, b) -> np.ndarray:
         m = self.base.order
         base_mul = vector_multiplier(self.base)
         a, b = np.broadcast_arrays(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
@@ -798,10 +781,10 @@ def vector_multiplier(group: Group):
     if group.has_table:
         table = group.mul_table()
 
-        def mul_vec(a, b):
+        def by_table(a, b):
             return table[a, b]
 
-        return mul_vec
+        return by_table
     return group.mul_vec
 
 
@@ -816,7 +799,7 @@ def word_multiplier(group: Group) -> tuple:
     takes a product back to indices, so a word of L letters is L - 1 calls
     of `mul` between one lift per column and one lower.  A group with a
     table multiplies indices by it; any other group uses its own form
-    (for SL(2,p) and PSL(2,p), the entry arrays of the matrices).
+    (the entry arrays of SL(2,p) and PSL(2,p), the one-line rows of S_n).
     """
     if group.has_table:
         return _same, vector_multiplier(group), _same

@@ -375,6 +375,8 @@ def run_density(config: ExperimentConfig) -> dict:
     model, d, n, r, group_text, gcd_cap = config.require(
         "model", "d", "n", "words", "groups", "gcd_cap"
     )
+    if r < 1:
+        raise ConfigError(f"words must be >= 1, got {r}")
     mode, samples = _mode_and_samples(config)
     tau = config.get("tau")
     specs = _group_specs(group_text)
@@ -659,7 +661,10 @@ def run_mixing(config: ExperimentConfig) -> dict:
             indices = [group.index_of_cycles(c) for c in _parse_cycles_text(cycles_text)]
         except (KeyError, ValueError, IndexError) as exc:
             raise ConfigError(f"bad cycles for {group.name}: {exc}") from exc
-    step_set = StepSet.uniform(group, indices)
+    try:
+        step_set = StepSet.uniform(group, indices)
+    except IndexError as exc:
+        raise ConfigError(f"bad steps for {group.name}: {exc}") from exc
     witness = cyclic_obstruction(group, step_set)
     profile = mixing_profile(group, step_set, n_max)
     floats = [float(v) for v in profile]

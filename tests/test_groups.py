@@ -18,6 +18,7 @@ from wordlab.groups import (
     CayleyGroup,
     DirectPowerGroup,
     GroupSpec,
+    _MatrixGroup,
     _validate_cayley_table,
     abelianization_invariants,
     center,
@@ -85,17 +86,26 @@ def test_axioms_on_random_triples(spec):
         assert g.mul(g.inv(x), x) == g.identity
 
 
-@pytest.mark.parametrize("spec", CATALOG)
+def reference_products(g, a, b) -> np.ndarray:
+    """a*b elementwise by a route that does not read the table: scalar
+    `mul`, except on matrix groups, whose scalar `mul` reads the table when
+    there is one; there, the product of the entry arrays."""
+    if isinstance(g, _MatrixGroup):
+        return g.lower(g.mul_lifted(g.lift(a), g.lift(b)))
+    products = [g.mul(x, y) for x, y in zip(a.ravel().tolist(), b.ravel().tolist())]
+    return np.array(products).reshape(a.shape)
+
+
+@pytest.mark.parametrize("spec", CATALOG + ("symmetric:7",))
 def test_vectorized_product_matches_scalar(spec):
+    # symmetric:7 is above TABLE_CAP: its one-line rows against tuples
     g = get_group(spec)
     fn = vector_multiplier(g)
     assert fn is not None
     rng = stream(12, hash(spec) % 1000)
     a = rng.integers(0, g.order, size=300)
     b = rng.integers(0, g.order, size=300)
-    out = fn(a, b)
-    for x, y, z in zip(a, b, out):
-        assert g.mul(int(x), int(y)) == int(z)
+    assert np.array_equal(fn(a, b), reference_products(g, a, b))
 
 
 @pytest.mark.parametrize("spec", ("cyclic:6", "dihedral:4", "symmetric:4", "sl2:5",
@@ -106,7 +116,20 @@ def test_multiplication_table_matches_scalar(spec):
     g = get_group(spec)
     table = g.mul_table()
     assert table.shape == (g.order, g.order)
-    assert table.tolist() == [[g.mul(x, y) for y in range(g.order)] for x in range(g.order)]
+    x, y = np.meshgrid(np.arange(g.order), np.arange(g.order), indexing="ij")
+    assert np.array_equal(table, reference_products(g, x, y))
+
+
+@pytest.mark.parametrize("spec", [s for s in CATALOG if s.startswith(("symmetric", "alternating"))]
+                         + ["symmetric:7"])
+def test_permutation_rows_lower_to_their_own_index(spec):
+    # the carrier is lexicographic, so the rows' base-n values ascend and
+    # `lower` ranks them by one searchsorted
+    g = get_group(spec)
+    everyone = np.arange(g.order)
+    rows = g.lift(everyone)
+    assert rows.tolist() == [list(perm) for perm in g.carrier]
+    assert np.array_equal(g.lower(rows), everyone)
 
 
 @pytest.mark.parametrize("spec", CATALOG + ("symmetric:6", "sl2:17"))

@@ -196,6 +196,15 @@ def test_density_sampled_mode_is_deterministic():
         run_density(density_config(mode="sampled"))
 
 
+def test_density_refuses_fewer_than_one_word(tmp_path):
+    for words in (0, -1):
+        with pytest.raises(ConfigError, match="words must be >= 1"):
+            run_density(density_config(words=words))
+        assert main(["density", "--seed", "1", "--words", str(words),
+                     "--out", str(tmp_path)]) == 1
+    assert not (tmp_path / "report.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # Trend
 # ---------------------------------------------------------------------------
@@ -421,6 +430,10 @@ def test_cli_exit_codes(tmp_path):
     assert main(["mixing", "--group", "cyclic:4", "--steps", "1",
                  "--n", "10", "--out", str(tmp_path)]) == 1  # no seed
     assert main(["audit", str(tmp_path / "nothing.json")]) == 1
+    # a step index outside the group
+    for steps in ("1,99", "-1"):
+        assert main(["mixing", "--seed", "1", "--group", "symmetric:3", "--n", "5",
+                     "--steps", steps, "--out", str(tmp_path)]) == 1
     # a bad flag is a config problem too, not argparse's exit 2
     for flags in (["--bogus", "1"], ["--d", "two"], ["--mode", "weird"], ["--workers", "2"]):
         assert main(["density", "--seed", "1", "--out", str(tmp_path)] + flags) == 1

@@ -1,9 +1,10 @@
-"""The word kernel on SL(2,p) and PSL(2,p), through public functions only.
+"""The word kernel on SL(2,p), PSL(2,p) and S_7, through public functions only.
 
-Above the table cap the kernel multiplies a word out on matrix entries and
+Above the table cap the kernel multiplies a word out in the group's lifted
+form (matrix entries, or one-line permutation rows on symmetric:7) and
 ranks the product once; the oracle here multiplies index arrays letter by
 letter with the group's own `mul_vec`, a left fold over the same columns.
-sl2:3 and psl2:3 run the table route, the others the entry route.
+sl2:3 and psl2:3 run the table route, the others the lifted route.
 """
 
 import numpy as np
@@ -16,7 +17,7 @@ from wordlab.words import parse_word
 
 from conftest import get_group
 
-KERNEL_GROUPS = ("sl2:3", "psl2:3", "sl2:17", "psl2:23", "sl2:97", "psl2:97")
+KERNEL_GROUPS = ("sl2:3", "psl2:3", "sl2:17", "psl2:23", "sl2:97", "psl2:97", "symmetric:7")
 
 
 def folded_counts(group, letters, columns):
