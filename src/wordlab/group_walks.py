@@ -30,13 +30,15 @@ from .errors import (
     WordlabError,
 )
 from .groups import (
+    DirectPowerGroup,
     Element,
     Group,
     _as_indices,
     _check_structure_cap,
     closure,
     commutator_subgroup,
-    quotient_group,
+    group_generators,
+    right_orbit,
     vector_multiplier,
 )
 from .measure import Distribution
@@ -114,14 +116,8 @@ def _source_columns(group: Group, support: Sequence[int]) -> list:
     """For each step g, the column y -> y*g^-1: the state that s -> s*g
     sends to y, since right multiplication by g is a permutation."""
     mul_vec = vector_multiplier(group)
-    n = group.order
-    everyone = np.arange(n, dtype=np.int64)
-    columns = []
-    for g in support:
-        src = np.empty(n, dtype=np.int64)
-        src[mul_vec(everyone, np.full(n, g, dtype=np.int64))] = everyone
-        columns.append(src)
-    return columns
+    everyone = np.arange(group.order, dtype=np.int64)
+    return [mul_vec(everyone, group.inv(g)) for g in support]
 
 
 def _convolve_step(counts: np.ndarray, sources: list, int_weights: Sequence[int]) -> np.ndarray:
@@ -218,47 +214,31 @@ class ObstructionWitness:
         """Uniform mass on the slices the n-step law can never touch."""
         return 2 * Fraction(self.modulus - 1, self.modulus)
 
-    def check_homomorphism(self, group: Group, trials: int, rng: Rng) -> bool:
-        """Spot-check label(x*y) = label(x) + label(y) on random pairs."""
+    def check_homomorphism(self, group: Group) -> bool:
+        """label(x*s) = label(x) + label(s) mod modulus for every x and every
+        s in `group_generators`.  Every element is a product of those s, so
+        by induction this makes the labels a homomorphism, exactly; a label
+        outside [0, modulus) fails at the product that lands on it."""
         if group.order != len(self.labels) or group.name != self.group_name:
             raise GroupMismatchError(
                 f"witness for {self.group_name}, got {group.name}"
             )
-        gen = as_rng(rng)
-        mul = group.mul
-        m = self.modulus
-        xs = gen.integers(0, group.order, size=trials)
-        ys = gen.integers(0, group.order, size=trials)
-        for x, y in zip(xs, ys):
-            if self.labels[mul(int(x), int(y))] != (self.labels[x] + self.labels[y]) % m:
-                return False
-        return True
-
-
-def _discrete_log_labels(quot: Group, generator: int) -> list:
-    """dlog table for a cyclic group given a generator, or None if not cyclic."""
-    order = quot.order
-    dlog = {quot.identity: 0}
-    x = generator
-    k = 1
-    while x != quot.identity:
-        dlog[x] = k
-        x = quot.mul(x, generator)
-        k += 1
-    if len(dlog) != order:
-        return None
-    return [dlog[i] for i in range(order)]
+        labels = np.asarray(self.labels, dtype=np.int64)
+        s = group_generators(group)
+        products = vector_multiplier(group)(np.arange(group.order)[:, None], s)
+        return bool((labels[products] == (labels[:, None] + labels[s]) % self.modulus).all())
 
 
 def cyclic_obstruction(group: Group, steps: StepSet) -> Optional[ObstructionWitness]:
     """Detect the parity-style obstruction for a generating step set.
 
-    Requires the steps to generate the group.  Passing to the largest
-    abelian quotient A and then quotienting by the subgroup generated by
-    the pairwise differences of the step images leaves a cyclic group on
-    which every step maps to the same generator.  If that cyclic group is
-    trivial the walk can mix; otherwise its order is returned together
-    with the label of every group element.
+    Requires the steps to generate the group.  With s1 the first step, let
+    H = [G,G]<s s1^-1 : s a step>: a subgroup since [G,G] is normal, and
+    normal since it contains [G,G].  Every step lies in the coset H s1, so
+    the steps generate G/H = <H s1>, a cyclic group of order |G|/|H| on
+    which every step maps to the same generator.  If that order is 1 the
+    walk can mix; otherwise it is returned with the label k of every
+    element of the coset H s1^k.
     """
     _check_walk(group, steps)
     generated = closure(group, steps.support)
@@ -266,29 +246,23 @@ def cyclic_obstruction(group: Group, steps: StepSet) -> Optional[ObstructionWitn
         raise NotGeneratingError(
             f"steps generate only {len(generated)} of {group.order} elements of {group.name}"
         )
-    comm = commutator_subgroup(group)
-    abelian = quotient_group(group, comm, name=f"{group.name}/commutator")
-    proj = abelian.projection
-    images = [proj[s] for s in steps.support]
-    first = images[0]
-    inv_first = abelian.inv(first)
-    diffs = {abelian.mul(img, inv_first) for img in images[1:]}
-    diffs.discard(abelian.identity)
-    if diffs:
-        drift = closure(abelian, diffs)
-    else:
-        drift = frozenset({abelian.identity})
-    modulus = abelian.order // len(drift)
+    mul_vec = vector_multiplier(group)
+    first = steps.support[0]
+    diffs = mul_vec(np.array(steps.support, dtype=np.int64), group.inv(first))
+    drift = right_orbit(mul_vec, group.order, sorted(commutator_subgroup(group)), diffs)
+    modulus = group.order // int(np.count_nonzero(drift))
     if modulus == 1:
         return None
-    quot = quotient_group(abelian, drift, name=f"{group.name}/walk-drift")
-    sigma = quot.projection[first]
-    labels_on_quot = _discrete_log_labels(quot, sigma)
-    if labels_on_quot is None:
+    labels = np.full(group.order, -1, dtype=np.int64)
+    coset = np.flatnonzero(drift)
+    for k in range(modulus):
+        labels[coset] = k
+        coset = mul_vec(coset, first)
+    if (labels < 0).any():
         raise WordlabError(
             f"{group.name}: step images do not generate the drift quotient"
         )
-    labels = tuple(labels_on_quot[quot.projection[proj[g]]] for g in range(group.order))
+    labels = tuple(labels.tolist())
     for s in steps.support:
         if labels[s] != 1 % modulus:
             raise WordlabError(f"{group.name}: step label is not 1 mod {modulus}")
@@ -336,23 +310,16 @@ def _tuple_matrix(group: Group, tuples: Sequence[Sequence[Union[Element, int]]])
     """Validate a list of equal-length tuples; return a (copies, d) index array."""
     if not tuples:
         raise DimensionMismatchError("need at least one tuple")
-    rows = []
-    d = None
-    for t in tuples:
-        idx = _step_indices(group, tuple(t))
-        if d is None:
-            d = len(idx)
-            if d == 0:
-                raise DimensionMismatchError("tuples must be nonempty")
-        elif len(idx) != d:
+    rows = [_step_indices(group, tuple(t)) for t in tuples]
+    d = len(rows[0])
+    if d == 0:
+        raise DimensionMismatchError("tuples must be nonempty")
+    for idx in rows:
+        if len(idx) != d:
             raise DimensionMismatchError(
                 f"tuple length {len(idx)} differs from first tuple length {d}"
             )
-        rows.append(idx)
-    gen = np.empty((len(rows), d), dtype=np.int64)
-    for j, idx in enumerate(rows):
-        gen[j, :] = idx
-    return gen
+    return np.array(rows, dtype=np.int64)
 
 
 def _two_streams(rng: Rng):
@@ -389,42 +356,34 @@ def power_walk_equivalence(
     gen_matrix = _tuple_matrix(group, tuples).T
     d, copies = gen_matrix.shape
     order = group.order
-    mul_vec = vector_multiplier(group)
-    track_joint = order**copies <= JOINT_STATE_CAP
+    coords = np.arange(copies)
+    # states are rows of coordinates: the lifted form of G^copies
+    power = DirectPowerGroup(group, copies)
+    joint_size = order**copies if order**copies <= JOINT_STATE_CAP else None
 
     word_marg = np.zeros((copies, order), dtype=np.int64)
     walk_marg = np.zeros((copies, order), dtype=np.int64)
-    if track_joint:
-        joint_size = order**copies
-        radix = np.array([order**e for e in range(copies - 1, -1, -1)], dtype=np.int64)
+    word_joint = walk_joint = None
+    if joint_size is not None:
         word_joint = np.zeros(joint_size, dtype=np.int64)
         walk_joint = np.zeros(joint_size, dtype=np.int64)
 
     rng_word, rng_walk = _two_streams(rng)
+    # Per tick the word route draws one letter per sample, shared by all
+    # coordinates; the walk route an independent letter per coordinate.
+    routes = ((rng_word, (), word_marg, word_joint), (rng_walk, (copies,), walk_marg, walk_joint))
     done = 0
     while done < samples:
         chunk = min(WALK_BATCH, samples - done)
-        # Word route: per tick, one letter per sample shared by all coordinates.
-        states = np.zeros((chunk, copies), dtype=np.int64)
-        for _ in range(n):
-            letters = rng_word.integers(0, d, size=chunk)
-            picked = gen_matrix[letters, :]  # (chunk, copies)
+        for gen, letter_shape, marg, joint in routes:
+            states = np.full((chunk, copies), group.identity, dtype=np.int64)
+            for _ in range(n):
+                letters = gen.integers(0, d, size=(chunk, *letter_shape))
+                states = power.mul_lifted(states, gen_matrix[letters.reshape(chunk, -1), coords])
             for j in range(copies):
-                states[:, j] = mul_vec(states[:, j], picked[:, j])
-        for j in range(copies):
-            word_marg[j] += np.bincount(states[:, j], minlength=order)
-        if track_joint:
-            word_joint += np.bincount(states @ radix, minlength=joint_size)
-        # Walk route: per tick, an independent letter per coordinate.
-        states = np.zeros((chunk, copies), dtype=np.int64)
-        for _ in range(n):
-            letters = rng_walk.integers(0, d, size=(chunk, copies))
-            for j in range(copies):
-                states[:, j] = mul_vec(states[:, j], gen_matrix[letters[:, j], j])
-        for j in range(copies):
-            walk_marg[j] += np.bincount(states[:, j], minlength=order)
-        if track_joint:
-            walk_joint += np.bincount(states @ radix, minlength=joint_size)
+                marg[j] += np.bincount(states[:, j], minlength=order)
+            if joint is not None:
+                joint += np.bincount(power.lower(states), minlength=joint_size)
         done += chunk
 
     def emp_l1(a: np.ndarray, b: np.ndarray) -> float:
@@ -447,11 +406,11 @@ def power_walk_equivalence(
         marginal_l1=marginal_l1,
         word_uniform_l1=word_uniform,
         walk_uniform_l1=walk_uniform,
+        joint_size=joint_size,
+        word_joint_counts=word_joint,
+        walk_joint_counts=walk_joint,
     )
-    if track_joint:
-        report.joint_size = joint_size
-        report.word_joint_counts = word_joint
-        report.walk_joint_counts = walk_joint
+    if joint_size is not None:
         report.joint_l1 = emp_l1(word_joint, walk_joint)
         report.word_joint_uniform_l1 = unif_l1(word_joint)
         report.walk_joint_uniform_l1 = unif_l1(walk_joint)

@@ -584,18 +584,24 @@ class DirectPowerGroup(Group):
         # |G|^N squared table entries would dwarf the carrier: multiply natively
         return False
 
-    def mul_lifted(self, a, b) -> np.ndarray:
+    # Arrays are multiplied as base-|G| coordinates on a new last axis; the
+    # scalar methods above stay on Python ints, so they work past int64 too.
+
+    @functools.cached_property
+    def _radix(self) -> np.ndarray:
+        if self.order - 1 > np.iinfo(np.int64).max:
+            raise TooLargeError(f"{self.name}: indices of order {self.order} exceed int64")
         m = self.base.order
-        base_mul = vector_multiplier(self.base)
-        a, b = np.broadcast_arrays(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
-        out = np.zeros(a.shape, dtype=np.int64)
-        shift = self.order
-        for _ in range(self.copies):
-            shift //= m
-            ca, a = np.divmod(a, shift)
-            cb, b = np.divmod(b, shift)
-            out = out * m + base_mul(ca, cb)
-        return out
+        return np.array([m**e for e in range(self.copies - 1, -1, -1)], dtype=np.int64)
+
+    def lift(self, x) -> np.ndarray:
+        return np.asarray(x, dtype=np.int64)[..., None] // self._radix % self.base.order
+
+    def mul_lifted(self, x, y) -> np.ndarray:
+        return vector_multiplier(self.base)(x, y)
+
+    def lower(self, x) -> np.ndarray:
+        return x @ self._radix
 
     def element_repr(self, index: int) -> str:
         return "(" + ",".join(self.base.element_repr(c) for c in self.split(index)) + ")"

@@ -749,6 +749,8 @@ def _summarize_mixing(report: dict) -> int:
 def run_generation(config: ExperimentConfig) -> dict:
     t0 = time.perf_counter()
     group_text, d = config.require("group", "d")
+    if d < 1:
+        raise ConfigError(f"d must be >= 1, got {d}")
     group = construct_group(group_text)
     body = {
         "group": group.name,

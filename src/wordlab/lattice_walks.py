@@ -286,6 +286,8 @@ def _torus_laws(sides: Sequence[int], d: int, n: int) -> list:
     axis; the terms left out are +0.0, so the floats are those of that
     roll from step 0.
     """
+    if not sides:
+        return []
     reaches = [(side - 1) // 2 for side in sides]
     boxes = _box_laws(d, {min(n, r) for r in reaches})
     laws = []

@@ -16,7 +16,15 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from wordlab.groups import PermutationGroup, construct_group, power_array, vector_multiplier
+from wordlab.groups import (
+    PermutationGroup,
+    closure,
+    commutator_subgroup,
+    construct_group,
+    power_array,
+    quotient_group,
+    vector_multiplier,
+)
 from wordlab.measure import ImageReport, _evaluate
 from wordlab.words import Word, abelianize, bezout_certificate, evaluate_indices, gcd_of_vector
 
@@ -287,3 +295,26 @@ def list_loop_mixing_profile(group, support, n_max: int) -> list:
             total *= len(support)
         profile.append(Fraction(sum(abs(c * order - total) for c in counts), total * order))
     return profile
+
+
+def quotient_obstruction(group, support):
+    """(modulus, labels) of the cyclic obstruction of a generating step set,
+    or None, through quotient tables: G/[G,G], then its quotient by the
+    subgroup generated by the step images over the first one's, labelled by
+    scalar discrete logs to the base of the first step's image."""
+    abelian = quotient_group(group, commutator_subgroup(group), name=f"{group.name}/commutator")
+    images = [abelian.projection[s] for s in support]
+    inv_first = abelian.inv(images[0])
+    diffs = {abelian.mul(img, inv_first) for img in images[1:]} - {abelian.identity}
+    drift = closure(abelian, diffs) if diffs else {abelian.identity}
+    modulus = abelian.order // len(drift)
+    if modulus == 1:
+        return None
+    quot = quotient_group(abelian, drift, name=f"{group.name}/walk-drift")
+    sigma = quot.projection[images[0]]
+    dlog, x = {quot.identity: 0}, sigma
+    while x != quot.identity:
+        dlog[x] = len(dlog)
+        x = quot.mul(x, sigma)
+    assert len(dlog) == quot.order
+    return modulus, tuple(dlog[quot.projection[abelian.projection[g]]] for g in range(group.order))

@@ -1,5 +1,6 @@
 """Walks on finite groups: exact laws, mixing, obstructions, power walks."""
 
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -22,11 +23,11 @@ from wordlab.group_walks import (
     mixing_profile,
     power_walk_equivalence,
 )
-from wordlab.groups import STRUCTURE_CAP, DirectPowerGroup
+from wordlab.groups import STRUCTURE_CAP, DirectPowerGroup, closure_mask
 from wordlab.measure import l1_uniform_distance
 from wordlab.rng import stream
 
-from conftest import get_group, list_loop_mixing_profile
+from conftest import CATALOG, get_group, list_loop_mixing_profile, quotient_obstruction
 
 
 def test_step_set_validation():
@@ -176,15 +177,58 @@ def test_sign_obstruction_on_s3():
             if perm[i] > perm[j]
         )
         assert w.residue(g) == inversions % 2
-    assert w.check_homomorphism(s3, 300, stream(5))
-    # a corrupted label table fails the spot check
+    assert w.check_homomorphism(s3)
+    # a corrupted label table fails the check
     bad = list(w.labels)
     bad[t1] ^= 1
     broken = ObstructionWitness(group_name=s3.name, modulus=2, labels=tuple(bad))
-    assert not broken.check_homomorphism(s3, 300, stream(5))
+    assert not broken.check_homomorphism(s3)
     # the floor is tight here: the profile never dips below 1
     profile = mixing_profile(s3, steps, 80)
     assert min(profile) == w.distance_floor() == 1
+
+
+def test_cyclic_obstruction_matches_the_quotient_table_route():
+    # seeded step sets of one to four distinct elements on every group; the
+    # witness from cosets must equal the one read off quotient tables
+    groups = [get_group(spec) for spec in CATALOG + ("cyclic:12", "dihedral:5", "dihedral:6",
+                                                     "symmetric:5")]
+    groups += [DirectPowerGroup(get_group(base), 2) for base in ("symmetric:3", "cyclic:4",
+                                                                 "dihedral:4")]
+    gen = np.random.default_rng(15)
+    compared = obstructed = 0
+    for group in groups:
+        for _ in range(40):
+            size = int(gen.integers(1, min(4, group.order) + 1))
+            support = gen.choice(group.order, size=size, replace=False).tolist()
+            steps = StepSet.uniform(group, support)
+            if not closure_mask(group, support).all():
+                with pytest.raises(NotGeneratingError):
+                    cyclic_obstruction(group, steps)
+                continue
+            w = cyclic_obstruction(group, steps)
+            expected = quotient_obstruction(group, support)
+            assert (None if w is None else (w.modulus, w.labels)) == expected, (group, support)
+            compared += 1
+            obstructed += w is not None
+    assert compared >= 500 and obstructed >= 70
+
+
+@pytest.mark.parametrize("spec, steps", [
+    ("symmetric:3", [[(1, 2)], [(1, 3)]]),
+    ("symmetric:5", [[(1, 2)], [(2, 3, 4, 5)]]),
+])
+def test_exact_witness_check_rejects_every_single_label_tamper(spec, steps):
+    group = get_group(spec)
+    w = cyclic_obstruction(group, StepSet.uniform(group, [group.index_of_cycles(c) for c in steps]))
+    assert w is not None and w.modulus == 2 and w.check_homomorphism(group)
+    for g in range(group.order):
+        for value in (1 - w.labels[g], w.labels[g] + 2, -1):
+            bad = w.labels[:g] + (value,) + w.labels[g + 1:]
+            tampered = ObstructionWitness(group_name=w.group_name, modulus=2, labels=bad)
+            assert not tampered.check_homomorphism(group), (g, value)
+    with pytest.raises(GroupMismatchError):
+        w.check_homomorphism(get_group("cyclic:6" if group.order != 6 else "cyclic:4"))
 
 
 def test_power_walk_input_validation():
@@ -258,3 +302,33 @@ def test_power_walk_parity_lock_despite_generation():
     # even number of steps only residue-0 states carry mass
     hot = np.flatnonzero(rep.word_joint_counts)
     assert all(w.residue(int(s)) == 0 for s in hot)
+
+
+def _counts_digest(rep) -> str:
+    h = hashlib.sha256()
+    for counts in (rep.word_marginal_counts, rep.walk_marginal_counts,
+                   rep.word_joint_counts, rep.walk_joint_counts):
+        if counts is not None:
+            h.update(np.asarray(counts, dtype="<i8").tobytes())
+    return h.hexdigest()
+
+
+# sha256 of the little-endian int64 marginal counts (word route, walk route)
+# followed by the joint counts when tabulated; the first case spans two
+# sample batches, sl2:17 and symmetric:7 have no table and no joint counts
+@pytest.mark.parametrize("spec, tuples, n, samples, seed, joint_size, digest", [
+    ("symmetric:3", [(1, 4)], 12, 20_000, 3, 6,
+     "b6da7021d493110a939d9915aa4e27bf80c36e1b6f79401916600b492179f01b"),
+    ("symmetric:3", [(1, 4, 2), (3, 5, 4)], 9, 5_000, 4, 36,
+     "d0b18f288846be69ad7de868f955a392d4e771b747d578a3335ad7ab6667199c"),
+    ("alternating:4", [(1, 5), (4, 7), (9, 2)], 8, 4_000, 5, 1728,
+     "163168f783f957abc650cb4d4a92f6a0614c1bd294abf816940e8dcccc70adb5"),
+    ("sl2:17", [(1, 100, 2000), (4000, 7, 33)], 6, 3_000, 6, None,
+     "1997aca2083d38252ac60d5e35833625f01bed89ebf57d149d602e6c2e044868"),
+    ("symmetric:7", [(1, 500), (2000, 4000)], 6, 3_000, 7, None,
+     "5315097d00f998f8bcd0f0efb0243dd5b867592495f17cbc06e633daa3d12c2e"),
+])
+def test_power_walk_counts_are_pinned(spec, tuples, n, samples, seed, joint_size, digest):
+    rep = power_walk_equivalence(get_group(spec), tuples, n, samples, seed)
+    assert rep.joint_size == joint_size
+    assert _counts_digest(rep) == digest

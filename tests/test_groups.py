@@ -449,6 +449,35 @@ def test_direct_power_round_trip():
     )
 
 
+@pytest.mark.parametrize("base, copies", [("alternating:5", 2), ("symmetric:3", 3),
+                                          ("sl2:17", 2)])
+def test_direct_power_lift_is_the_split_coordinates(base, copies):
+    # the whole carrier where it is small, else 300 seeded indices
+    power = DirectPowerGroup(get_group(base), copies)
+    if power.order <= 5000:
+        idx = np.arange(power.order)
+    else:
+        idx = stream(17).integers(0, power.order, size=300)
+    coords = power.lift(idx)
+    assert coords.shape == (idx.size, copies)
+    assert [tuple(row) for row in coords.tolist()] == [power.split(int(x)) for x in idx]
+    assert np.array_equal(power.lower(coords), idx)
+
+
+def test_direct_power_past_int64_refuses_arrays_only():
+    a5 = get_group("alternating:5")
+    power = DirectPowerGroup(a5, 11)
+    assert power.order - 1 > np.iinfo(np.int64).max
+    last = power.order - 1
+    assert power.split(last) == (59,) * 11
+    assert power.join(power.split(last)) == last
+    assert power.mul(last, 0) == last
+    with pytest.raises(TooLargeError):
+        power.lift(np.arange(3))
+    with pytest.raises(TooLargeError):
+        power.mul_vec(np.arange(3), np.arange(3))
+
+
 def test_quotient_group_cosets():
     s4 = get_group("symmetric:4")
     a4 = commutator_subgroup(s4)

@@ -270,6 +270,18 @@ def test_walk_gcd_run_and_audit(tmp_path):
     assert any("mc_fraction" in d for d in audit_report(path))
 
 
+def test_walk_gcd_with_gcd_cap_zero_has_no_moduli(tmp_path):
+    # Pr[gcd > 0] is well defined; no modulus divides into a cap of 0
+    assert lattice_walks.mod_zero_probabilities(2, 10, []) == []
+    assert main(["walk-gcd", "--seed", "1", "--d", "2", "--n", "10", "--samples", "10",
+                 "--gcd-cap", "0", "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["mod_laws"] == []
+    assert (tmp_path / "mod_laws.csv").read_text().splitlines() == [
+        "p,k,modulus,dp_prob_zero,mc_fraction,mc_count"]
+    assert audit_report(tmp_path / "report.json") == []
+
+
 # ---------------------------------------------------------------------------
 # Mixing
 # ---------------------------------------------------------------------------
@@ -437,6 +449,11 @@ def test_cli_exit_codes(tmp_path):
     # a bad flag is a config problem too, not argparse's exit 2
     for flags in (["--bogus", "1"], ["--d", "two"], ["--mode", "weird"], ["--workers", "2"]):
         assert main(["density", "--seed", "1", "--out", str(tmp_path)] + flags) == 1
+    # a generation count over no letters is refused, as density refuses no words
+    for d in ("0", "-1"):
+        assert main(["generation", "--group", "symmetric:3", "--d", d,
+                     "--seed", "1", "--out", str(tmp_path / "no-letters")]) == 1
+    assert not (tmp_path / "no-letters").exists()
     for argv in (["--help"], ["density", "--help"]):
         with pytest.raises(SystemExit) as help_exit:
             main(argv)
