@@ -50,14 +50,6 @@ JOINT_STATE_CAP = 10**6
 WALK_BATCH = 1 << 14
 
 
-def _step_indices(group: Group, steps: Sequence[Union[Element, int]]) -> tuple:
-    out = tuple(_as_indices(group, steps))
-    for idx in out:
-        if not 0 <= idx < group.order:
-            raise IndexError(f"step index {idx} out of range for {group.name}")
-    return out
-
-
 @dataclass(frozen=True)
 class StepSet:
     """A finite weighted step set: distinct element indices plus Fractions.
@@ -84,15 +76,11 @@ class StepSet:
                 raise UnsupportedParameterError("weights must be positive Fractions")
         if sum(self.weights) != 1:
             raise UnsupportedParameterError("weights must sum to 1")
-        for idx in self.support:
-            if not 0 <= idx < self.group.order:
-                raise IndexError(
-                    f"step index {idx} out of range for {self.group.name}"
-                )
+        _as_indices(self.group, self.support)  # IndexError for a step off the carrier
 
     @classmethod
     def uniform(cls, group: Group, steps: Sequence[Union[Element, int]]) -> "StepSet":
-        support = _step_indices(group, steps)
+        support = tuple(_as_indices(group, steps))
         # __post_init__ rejects an empty or repeated support
         weights = tuple(Fraction(1, len(support)) for _ in support)
         return cls(group=group, support=support, weights=weights)
@@ -310,7 +298,7 @@ def _tuple_matrix(group: Group, tuples: Sequence[Sequence[Union[Element, int]]])
     """Validate a list of equal-length tuples; return a (copies, d) index array."""
     if not tuples:
         raise DimensionMismatchError("need at least one tuple")
-    rows = [_step_indices(group, tuple(t)) for t in tuples]
+    rows = [_as_indices(group, t) for t in tuples]
     d = len(rows[0])
     if d == 0:
         raise DimensionMismatchError("tuples must be nonempty")

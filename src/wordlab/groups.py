@@ -356,11 +356,11 @@ class PermutationGroup(Group):
         """Look up a one-line permutation of 0..n-1 (raises KeyError if absent)."""
         return self._index[tuple(perm)]
 
-    def index_of_cycles(self, cycles: Sequence[Sequence[int]], one_based: bool = True) -> int:
-        """Look up a permutation given as disjoint cycles, e.g. [(1,2,3)]."""
+    def index_of_cycles(self, cycles: Sequence[Sequence[int]]) -> int:
+        """Look up a permutation given as disjoint cycles on 1..n, e.g. [(1,2,3)]."""
         perm = list(range(self.n))
         for cyc in cycles:
-            pts = [c - 1 for c in cyc] if one_based else list(cyc)
+            pts = [c - 1 for c in cyc]
             for i, pt in enumerate(pts):
                 perm[pt] = pts[(i + 1) % len(pts)]
         return self._index[tuple(perm)]
@@ -868,14 +868,14 @@ def class_labels(group: Group) -> np.ndarray:
 
 
 def _as_indices(group: Group, gens: Iterable[Element | int]) -> list:
+    """Carrier indices of elements or ints; IndexError names one outside [0, |G|)."""
     out = []
     for g in gens:
         if isinstance(g, Element):
             if g.group is not group and g.group.name != group.name:
                 raise GroupMismatchError(f"generator from {g.group.name}, expected {group.name}")
-            out.append(g.index)
-        else:
-            out.append(int(g))
+            g = g.index
+        out.append(group.element(int(g)).index)
     return out
 
 
@@ -952,15 +952,11 @@ def closure(group: Group, gens: Iterable[Element | int]) -> frozenset:
 
 
 def center(group: Group) -> frozenset:
-    """Elements commuting with every generator of a greedy generating set."""
+    """Elements alone in their conjugacy class: the labels that
+    `class_labels` gives to exactly one element."""
     _check_structure_cap(group)
-    n = group.order
-    mul_vec = vector_multiplier(group)
-    everyone = np.arange(n, dtype=np.int64)
-    central = np.ones(n, dtype=bool)
-    for s in group_generators(group).tolist():
-        central &= mul_vec(everyone, s) == mul_vec(s, everyone)
-    return frozenset(np.flatnonzero(central).tolist())
+    sizes = np.bincount(class_labels(group), minlength=group.order)
+    return frozenset(np.flatnonzero(sizes == 1).tolist())
 
 
 def commutator_subgroup(group: Group) -> frozenset:
@@ -1034,18 +1030,7 @@ def abelianization_invariants(group: Group) -> list:
     n = ab.order
     if n == 1:
         return []
-    # factor the group order
-    primes = []
-    m = n
-    q = 2
-    while q * q <= m:
-        if m % q == 0:
-            primes.append(q)
-            while m % q == 0:
-                m //= q
-        q += 1
-    if m > 1:
-        primes.append(m)
+    primes = [q for q in range(2, n + 1) if n % q == 0 and _is_prime(q)]
     # per prime: lambda_k = number of cyclic p-factors with exponent >= k,
     # read off log_p #{x : x^{p^k} = e} for k = 0, 1, 2, ...
     per_prime_exponents = {}

@@ -42,8 +42,8 @@ from .groups import (
     PermutationGroup,
     _is_prime,
     center,
-    commutator_subgroup,
     construct_group,
+    is_perfect,
     load_cayley_table,
 )
 from .lattice_walks import (
@@ -249,9 +249,8 @@ def _write_csv(out_dir: Union[str, Path], name: str, header: list, rows) -> Path
     return path
 
 
-def write_report(report: dict, out_dir: Union[str, Path],
-                 name: str = "report.json") -> Path:
-    path = _out_path(out_dir, name)
+def write_report(report: dict, out_dir: Union[str, Path]) -> Path:
+    path = _out_path(out_dir, "report.json")
     path.write_bytes(canonical_report_bytes(report))
     return path
 
@@ -289,6 +288,8 @@ def _mode_and_samples(config: ExperimentConfig) -> tuple:
     samples = config.get("samples")
     if mode == "sampled" and samples is None:
         raise ConfigError("sampled mode requires samples")
+    if mode == "sampled" and samples < 1:
+        raise ConfigError(f"samples must be >= 1, got {samples}")
     return mode, samples
 
 
@@ -402,8 +403,7 @@ def run_density(config: ExperimentConfig) -> dict:
     })
 
 
-def write_density_csv(report: dict, out_dir: Union[str, Path],
-                      name: str = "words.csv") -> Path:
+def write_density_csv(report: dict, out_dir: Union[str, Path]) -> Path:
     header = ["word_index", "word", "reduced_length", "gamma",
               "group", "l1", "l1_exact", "covers_powers", "error"]
     rows = ([rec["index"], rec["word"], rec["reduced_length"], rec["gamma"],
@@ -413,7 +413,7 @@ def write_density_csv(report: dict, out_dir: Union[str, Path],
              "" if cell["covers_powers"] is None else cell["covers_powers"],
              cell["error"] or ""]
             for rec in report["words"] for cell in rec["groups"])
-    return _write_csv(out_dir, name, header, rows)
+    return _write_csv(out_dir, "words.csv", header, rows)
 
 
 def _audit_density(report: dict, path: Path, diffs: list) -> None:
@@ -461,15 +461,14 @@ def run_trend(config: ExperimentConfig) -> dict:
     })
 
 
-def write_trend_csv(report: dict, out_dir: Union[str, Path],
-                    name: str = "trend.csv") -> Path:
+def write_trend_csv(report: dict, out_dir: Union[str, Path]) -> Path:
     rows = ([row["spec"],
              "" if row["order"] is None else row["order"],
              "" if row["l1"] is None else repr(row["l1"]),
              row["l1_exact"] or "",
              row["error"] or ""]
             for row in report["rows"])
-    return _write_csv(out_dir, name, ["spec", "order", "l1", "l1_exact", "error"], rows)
+    return _write_csv(out_dir, "trend.csv", ["spec", "order", "l1", "l1_exact", "error"], rows)
 
 
 def _audit_trend(report: dict, path: Path, diffs: list) -> None:
@@ -558,8 +557,7 @@ def run_walk_gcd(config: ExperimentConfig) -> dict:
     })
 
 
-def write_walk_gcd_csv(report: dict, out_dir: Union[str, Path],
-                       name: str = "gcd_law.csv") -> Path:
+def write_walk_gcd_csv(report: dict, out_dir: Union[str, Path]) -> Path:
     est = report["estimate"]
     pred = report["prediction"]["gcd_law_head"]
     samples = est["samples"]
@@ -567,16 +565,15 @@ def write_walk_gcd_csv(report: dict, out_dir: Union[str, Path],
     for v in range(est["gcd_cap"] + 1):
         c = est["gamma_counts"].get(str(v), 0)
         rows.append([v, c, repr(c / samples), repr(pred.get(str(v), 0.0))])
-    return _write_csv(out_dir, name, ["gamma", "mc_count", "mc_fraction", "dp_probability"],
-                      rows)
+    return _write_csv(out_dir, "gcd_law.csv",
+                      ["gamma", "mc_count", "mc_fraction", "dp_probability"], rows)
 
 
-def write_mod_law_csv(report: dict, out_dir: Union[str, Path],
-                      name: str = "mod_laws.csv") -> Path:
+def write_mod_law_csv(report: dict, out_dir: Union[str, Path]) -> Path:
     rows = ([row["p"], row["k"], row["modulus"],
              repr(row["dp_prob_zero"]), repr(row["mc_fraction"]), row["mc_count"]]
             for row in report["mod_laws"])
-    return _write_csv(out_dir, name,
+    return _write_csv(out_dir, "mod_laws.csv",
                       ["p", "k", "modulus", "dp_prob_zero", "mc_fraction", "mc_count"], rows)
 
 
@@ -938,7 +935,7 @@ def ingest_cayley_table(path: Union[str, Path],
         z = center(group)
         summary["center_size"] = len(z)
         summary["abelian"] = len(z) == group.order
-        summary["perfect"] = len(commutator_subgroup(group)) == group.order
+        summary["perfect"] = is_perfect(group)
     if out_dir is not None:
         _out_path(out_dir, "ingest.json").write_bytes(canonical_report_bytes(summary))
     return summary

@@ -120,13 +120,9 @@ class ModLaw:
         return self.modulus**self.d
 
     def state_index(self, coords: Sequence[int]) -> int:
-        q = self.modulus
         if len(coords) != self.d:
             raise UnsupportedParameterError(f"state needs {self.d} coordinates")
-        idx = 0
-        for c in coords:
-            idx = idx * q + (c % q)
-        return idx
+        return int(np.ravel_multi_index(coords, (self.modulus,) * self.d, mode="wrap"))
 
     def probability(self, coords: Sequence[int]) -> Union[Fraction, float]:
         idx = self.state_index(coords)
@@ -163,15 +159,8 @@ class ModLaw:
 
 def _projection_indices(d: int, q: int, q2: int) -> np.ndarray:
     """Flat index map (Z/q)^d -> (Z/q2)^d for q2 | q."""
-    rest = np.arange(q**d, dtype=np.int64)
-    digits = []
-    for _ in range(d):
-        rest, dig = np.divmod(rest, q)
-        digits.append(dig % q2)  # least significant first
-    out = np.zeros(q**d, dtype=np.int64)
-    for dig in reversed(digits):
-        out = out * q2 + dig
-    return out
+    digits = np.unravel_index(np.arange(q**d), (q,) * d)
+    return np.ravel_multi_index(digits, (q2,) * d, mode="wrap")
 
 
 def _neighbor_indices(d: int, q: int) -> np.ndarray:
@@ -401,8 +390,6 @@ def return_probability(d: int, n: int) -> Fraction:
 
 def _wilson_interval(successes: int, trials: int) -> Tuple[float, float]:
     """95% score interval for a binomial proportion."""
-    if trials == 0:
-        return 0.0, 1.0
     z = 1.959963984540054
     phat = successes / trials
     denom = 1.0 + z * z / trials
@@ -480,26 +467,24 @@ class TailPrediction:
 BOX_STATE_CAP = 4 * 10**6
 
 
-def predicted_tail_probability(d: int, n: int, gcd_cap: int,
-                               box_radius: Optional[int] = None) -> TailPrediction:
+def predicted_tail_probability(d: int, n: int, gcd_cap: int) -> TailPrediction:
     """Predict Pr[gcd of endpoint > M] by exact convolution, no sampling.
 
     The n-step law is computed on the torus of odd side Q = 2L + 1, which
     coincides with the law on Z^d up to wraparound mass below exp(-L^2/2n);
-    the default radius L = M + ceil(7.5 sqrt(n)) puts that under 1e-12.
+    the radius L = M + ceil(7.5 sqrt(n)) puts that under 1e-12.
     Each torus state is read back as the integer vector in [-L, L]^d and
     the gcd law is accumulated directly, with no independence assumptions.
     """
     _check_walk_params(d, n)
     if gcd_cap < 0:
         raise UnsupportedParameterError(f"gcd cap must be >= 0, got {gcd_cap}")
-    if box_radius is None:
-        box_radius = gcd_cap + math.ceil(7.5 * math.sqrt(max(n, 1)))
+    box_radius = gcd_cap + math.ceil(7.5 * math.sqrt(max(n, 1)))
     side = 2 * box_radius + 1
     if side**d > BOX_STATE_CAP:
         raise BudgetExceededError(
             f"boxed law needs {side**d} states, over the {BOX_STATE_CAP} cap; "
-            "reduce n or pass a smaller box_radius"
+            "reduce n or gcd_cap"
         )
     probs = _torus_laws([side], d, n)[0]
     # torus coordinate t in [0, side) represents the integer t or t - side

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from wordlab.cli import main
 from wordlab.errors import (
     BudgetExceededError,
     GroupMismatchError,
@@ -50,6 +51,20 @@ def test_is_generating():
     assert not is_generating(a4, [dd1, dd2])
     assert not is_generating(a4, [])
     assert is_generating(construct_group("cyclic:1"), [])
+
+
+def test_indices_outside_the_carrier_raise_index_error(tmp_path):
+    a5 = get_group("alternating:5")
+    assert is_generating(a5, [1, 15])
+    # -45 and 75 are 15 mod 60: neither may stand in for 15
+    for call, bad in ((lambda: is_generating(a5, [1, -45]), -45),
+                      (lambda: power_tuple_generates(a5, [(1, 75)]), 75),
+                      (lambda: is_generating(a5, [1, 75]), 75),
+                      (lambda: closure(a5, [60]), 60)):
+        with pytest.raises(IndexError, match=f"index {bad} out of range for alternating:5"):
+            call()
+    assert main(["mixing", "--seed", "1", "--group", "alternating:5", "--n", "5",
+                 "--steps", "1,75", "--out", str(tmp_path)]) == 1
 
 
 @pytest.mark.parametrize("spec", [s for s in CATALOG if get_group(s).order <= 60])

@@ -385,7 +385,7 @@ def test_abelianization_invariants():
     }
     groups = [(get_group(spec), want) for spec, want in cases.items()]
     groups += [(CayleyGroup(cyclic_product_rows(m, k), f"z{m}xz{k}"), [m, k])
-               for m, k in ((2, 4), (4, 4), (2, 64))]
+               for m, k in ((2, 4), (4, 4), (2, 64), (2, 6))]
     groups.append((DirectPowerGroup(get_group("symmetric:3"), 2), [2, 2]))
     for group, want in groups:
         got = abelianization_invariants(group)

@@ -232,15 +232,12 @@ def test_trend_run_and_audit(tmp_path):
 
 
 def test_sampled_trend_refuses_zero_samples():
-    # samples = 0 reaches the sampler, so each row carries the refusal
+    # refused with the config, before any row is sampled
     config = build_config("trend", {"seed": 2, "word": "x1 x2 X1 X2",
                                     "groups": "alternating:5,cyclic:3",
                                     "mode": "sampled", "samples": 0})
-    report = run_trend(config)
-    assert report["config"]["samples"] == "0"
-    for row in report["rows"]:
-        assert row["l1"] is None and row["l1_exact"] is None
-        assert row["error"] == "UnsupportedParameterError: samples must be >= 1, got 0"
+    with pytest.raises(ConfigError, match="samples must be >= 1, got 0"):
+        run_trend(config)
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +444,8 @@ def test_cli_exit_codes(tmp_path):
         assert main(["mixing", "--seed", "1", "--group", "symmetric:3", "--n", "5",
                      "--steps", steps, "--out", str(tmp_path)]) == 1
     # a bad flag is a config problem too, not argparse's exit 2
-    for flags in (["--bogus", "1"], ["--d", "two"], ["--mode", "weird"], ["--workers", "2"]):
+    for flags in (["--bogus", "1"], ["--d", "two"], ["--mode", "weird"], ["--workers", "2"],
+                  ["--mode", "sampled", "--samples", "0"]):
         assert main(["density", "--seed", "1", "--out", str(tmp_path)] + flags) == 1
     # a generation count over no letters is refused, as density refuses no words
     for d in ("0", "-1"):

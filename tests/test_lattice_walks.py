@@ -86,6 +86,8 @@ def test_mod_law_brute_force_small():
     for x in range(q):
         for y in range(q):
             assert law.probability((x, y)) == Fraction(counts.get((x, y), 0), total)
+            # coordinates are read mod q, negative ones too
+            assert law.probability((x - q, y - 2 * q)) == law.probability((x, y))
 
 
 def test_mod_law_parity_and_limits():
