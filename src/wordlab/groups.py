@@ -30,7 +30,8 @@ from .errors import (
 STRUCTURE_CAP = 20_000
 # Dense numpy multiplication tables are built lazily up to this order.
 TABLE_CAP = 4096
-# Products per mul_vec call while a table is built (small keeps peak memory low).
+# The first max(1, TABLE_BLOCK // n) rows of a table are native products, in
+# one mul_vec call; the other rows are mostly gathers (see Group._build_table).
 TABLE_BLOCK = 4096
 # sl2/psl2: odd prime p with p(p^2-1) <= 10^6.
 SL2_CARRIER_CAP = 10**6
@@ -130,6 +131,7 @@ class Group:
     _table: Optional[np.ndarray] = None
     _inv_array: Optional[np.ndarray] = None
     _class_labels: Optional[np.ndarray] = None
+    _generators: Optional[np.ndarray] = None
 
     # Every backend writes one bulk product, `mul_lifted`, on its own form
     # of index arrays: `lift` takes indices there and `lower` back.  Indices
@@ -161,14 +163,45 @@ class Group:
         return self._table
 
     def _build_table(self) -> np.ndarray:
-        """Fill the table in row blocks of about TABLE_BLOCK products each."""
+        """Fill the table mostly by composing rows: (x*s)*y = x*(s*y), so
+        row x*s is row x gathered at row s.
+
+        Rows 0 .. TABLE_BLOCK // n - 1 (at least one) are native products,
+        in one call.  The search then runs breadth-first from the known rows
+        under right multiplication by the known non-identity elements, one
+        step s at a time; x -> x*s is injective, so the rows one s reaches
+        need no deduplication.  When the search stalls, the known rows are
+        a subgroup, and the least unknown row is computed natively and
+        becomes one more step.  Each composed row is one gather straight
+        into the table, so beside it the build holds O(n) indices and one
+        native block.
+        """
         n = self.order
         table = np.empty((n, n), dtype=np.int32)
         cols = np.arange(n, dtype=np.int64)
-        step = max(1, TABLE_BLOCK // n)
-        for a in range(0, n, step):
-            rows = np.arange(a, min(a + step, n), dtype=np.int64)
-            table[a:a + step] = self.mul_vec(rows[:, None], cols)
+        block = max(1, TABLE_BLOCK // n)
+        table[:block] = self.mul_vec(cols[:block, None], cols)
+        known = cols < block
+        steps = list(range(1, block))
+        frontier = cols[:block]
+        while not known.all():
+            if not frontier.size:
+                z = int(np.argmin(known))
+                table[z] = self.mul_vec(z, cols)
+                known[z] = True
+                steps.append(z)
+                frontier = np.flatnonzero(known)
+            before = known.copy()
+            for s in steps:
+                y = table[frontier, s]
+                new = ~known[y]
+                known[y[new]] = True
+                row_s = table[s].astype(np.intp)
+                for x, xs in zip(frontier[new].tolist(), y[new].tolist()):
+                    # every index is in range; "clip" skips the buffered
+                    # copy that the default "raise" makes of `out`
+                    table[x].take(row_s, out=table[xs], mode="clip")
+            frontier = np.flatnonzero(known > before)
         return table
 
     def inv_array(self) -> np.ndarray:
@@ -923,14 +956,19 @@ def group_generators(group: Group) -> np.ndarray:
 
     Each subgroup on the way is closed over the generators and their
     inverses (fewer rounds) with the Lagrange stop of `closure_mask`.
+    Cached on the group, read-only.
     """
-    inv_arr = group.inv_array()
-    gens = []
-    reached = np.arange(group.order) == group.identity
-    while not reached.all():
-        gens.append(int(np.argmin(reached)))
-        reached = closure_mask(group, gens + inv_arr[gens].tolist())
-    return np.array(gens, dtype=np.int64)
+    if group._generators is None:
+        inv_arr = group.inv_array()
+        gens = []
+        reached = np.arange(group.order) == group.identity
+        while not reached.all():
+            gens.append(int(np.argmin(reached)))
+            reached = closure_mask(group, gens + inv_arr[gens].tolist())
+        gens = np.array(gens, dtype=np.int64)
+        gens.flags.writeable = False
+        group._generators = gens
+    return group._generators
 
 
 def closure_mask(group: Group, gens: Sequence[int]) -> np.ndarray:

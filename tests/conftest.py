@@ -17,6 +17,7 @@ import pytest
 from hypothesis import settings
 
 from wordlab.groups import (
+    TABLE_BLOCK,
     PermutationGroup,
     closure,
     commutator_subgroup,
@@ -101,6 +102,19 @@ def all_commutators_subgroup(group) -> frozenset:
             gens.append(c)
             sub = generated_subgroup(group, gens)
     return sub
+
+
+def blocked_native_table(group) -> np.ndarray:
+    """The whole int32 Cayley table from the backend's own `mul_vec`, in row
+    blocks of about TABLE_BLOCK products, with no row composed from another."""
+    n = group.order
+    table = np.empty((n, n), dtype=np.int32)
+    cols = np.arange(n, dtype=np.int64)
+    step = max(1, TABLE_BLOCK // n)
+    for a in range(0, n, step):
+        rows = np.arange(a, min(a + step, n), dtype=np.int64)
+        table[a:a + step] = group.mul_vec(rows[:, None], cols)
+    return table
 
 
 def sl2_matrices(p: int) -> np.ndarray:

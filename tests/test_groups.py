@@ -1,6 +1,7 @@
 """Group backends: axioms, structure helpers, and cross-route agreement."""
 
 import re
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -15,6 +16,7 @@ from wordlab.errors import (
 )
 from wordlab.groups import (
     CATALOG_SPECS,
+    TABLE_BLOCK,
     CayleyGroup,
     DirectPowerGroup,
     GroupSpec,
@@ -42,6 +44,7 @@ from wordlab.rng import stream
 from conftest import (
     CATALOG,
     all_commutators_subgroup,
+    blocked_native_table,
     generated_subgroup,
     get_group,
     orbit_class_labels,
@@ -111,13 +114,57 @@ def test_vectorized_product_matches_scalar(spec):
 @pytest.mark.parametrize("spec", ("cyclic:6", "dihedral:4", "symmetric:4", "sl2:5",
                                   "alternating:6"))
 def test_multiplication_table_matches_scalar(spec):
-    # sl2:5 and alternating:6 fill their tables in several row blocks, the
-    # last one partial
+    # the first three fit in one native block; sl2:5 and alternating:6
+    # compose most rows from their native first 34 and 11 rows
     g = get_group(spec)
     table = g.mul_table()
     assert table.shape == (g.order, g.order)
     x, y = np.meshgrid(np.arange(g.order), np.arange(g.order), indexing="ij")
     assert np.array_equal(table, reference_products(g, x, y))
+
+
+# symmetric:1 and cyclic:1 are one native row; sl2:13 (B = 1) reaches each of
+# its generators through a stalled search
+@pytest.mark.parametrize("spec", CATALOG + (
+    "symmetric:1", "symmetric:2", "cyclic:1", "dihedral:9", "symmetric:5", "sl2:11",
+    "sl2:13"))
+def test_table_is_the_blocked_native_table(spec):
+    group = construct_group(spec)
+    table = group.mul_table()
+    expected = blocked_native_table(group)
+    assert table.dtype == expected.dtype and table.shape == expected.shape
+    assert table.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("spec", ("psl2:13", "alternating:7"))
+def test_table_build_makes_few_native_products(spec):
+    # B native rows in one block, then one per stall, and a stall row is
+    # at the latest the next greedy generator
+    group = construct_group(spec)
+    native = group.mul_vec
+    entries = []
+
+    def counted(a, b):
+        entries.append(np.broadcast(a, b).size)
+        return native(a, b)
+
+    group.mul_vec = counted
+    group.mul_table()
+    n = group.order
+    block = max(1, TABLE_BLOCK // n)
+    assert entries[0] == block * n
+    assert sum(entries) <= (block + len(group_generators(group))) * n
+
+
+def test_table_build_peak_memory():
+    group = construct_group("psl2:19")
+    tracemalloc.start()
+    try:
+        table = group.mul_table()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= table.nbytes + 4 * 2**20
 
 
 @pytest.mark.parametrize("spec", [s for s in CATALOG if s.startswith(("symmetric", "alternating"))]
@@ -332,8 +379,9 @@ def test_class_labels_match_one_orbit_per_class(tmp_path):
     assert len(np.unique(class_labels(cases[-1]))) == 6  # the classes of PSL(2,7)
 
 
-@pytest.mark.parametrize("spec", ("alternating:4", "sl2:17"))
-def test_class_labels_are_computed_once_per_group(spec, monkeypatch):
+def assert_computed_once(fact, spec, monkeypatch):
+    """fact(group) makes products on its first call, none on the second,
+    and hands out one read-only array both times."""
     products = []
 
     def counting(group):
@@ -346,11 +394,21 @@ def test_class_labels_are_computed_once_per_group(spec, monkeypatch):
 
     monkeypatch.setattr("wordlab.groups.vector_multiplier", counting)
     group = construct_group(spec)
-    first = class_labels(group)
+    first = fact(group)
     assert products
     products.clear()
-    assert class_labels(group) is first and not products
+    assert fact(group) is first and not products
     assert not first.flags.writeable
+
+
+@pytest.mark.parametrize("spec", ("alternating:4", "sl2:17"))
+def test_class_labels_are_computed_once_per_group(spec, monkeypatch):
+    assert_computed_once(class_labels, spec, monkeypatch)
+
+
+@pytest.mark.parametrize("spec", ("alternating:4", "sl2:17"))
+def test_group_generators_are_computed_once_per_group(spec, monkeypatch):
+    assert_computed_once(group_generators, spec, monkeypatch)
 
 
 def test_commutator_subgroup_matches_all_commutators():
