@@ -47,11 +47,12 @@ from .groups import (
     load_cayley_table,
 )
 from .lattice_walks import (
+    divisible_counts,
     endpoint_gcds,
     mod_zero_probabilities,
     predicted_tail_probability,
     sample_endpoints,
-    tail_estimate_from_gcds,
+    tail_estimate_from_histogram,
 )
 from .measure import (
     exact_distribution,
@@ -519,16 +520,18 @@ def run_walk_gcd(config: ExperimentConfig) -> dict:
         raise UnsupportedParameterError(f"samples must be >= 1, got {samples}")
     pred = predicted_tail_probability(d, n, gcd_cap)
     moduli = _prime_powers_up_to(min(gcd_cap, 64))
-    dp_zero = mod_zero_probabilities(d, n, [q for _, _, q in moduli])
-    gammas = endpoint_gcds(sample_endpoints(d, n, samples, stream(config.seed, 3)))
-    est = tail_estimate_from_gcds(d, n, gcd_cap, gammas)
+    qs = [q for _, _, q in moduli]
+    dp_zero = mod_zero_probabilities(d, n, qs)
+    ends = sample_endpoints(d, n, samples, stream(config.seed, 3))
+    per_gamma = np.bincount(endpoint_gcds(ends))
+    est = tail_estimate_from_histogram(d, n, gcd_cap, per_gamma)
     se = math.sqrt(max(pred.probability * (1 - pred.probability), 1e-300) / samples)
     z = (est.tail_probability - pred.probability) / se
     mod_rows = []
-    for (p, k, q), prob_zero in zip(moduli, dp_zero):
-        # q divides the endpoint gcd exactly when the endpoint is 0 mod q
-        # (gamma = 0, the true origin, counts as divisible on both routes).
-        divisible = int(np.count_nonzero(gammas % q == 0))
+    # q divides the endpoint gcd exactly when the endpoint is 0 mod q
+    # (gamma = 0, the true origin, counts as divisible on both routes).
+    divisible_by = divisible_counts(per_gamma, qs)
+    for (p, k, q), prob_zero, divisible in zip(moduli, dp_zero, divisible_by):
         mod_rows.append({
             "p": p, "k": k, "modulus": q,
             "dp_prob_zero": prob_zero,

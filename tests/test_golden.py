@@ -10,9 +10,10 @@ boxed torus DP (d=3, and d=2 past the wrap step) and the exact group-walk
 convolution on psl2:13; their digests were recorded before the windowed DP
 and the gather convolution replaced the full-torus rolls and the list
 loops.  Three walk-gcd runs more (a long d = 1 walk, 16 moduli in d = 3,
-and two endpoint sampling batches) were recorded before the narrow
-endpoint draws, the compact box and the shared gather step of the small
-tori.  A refactor that changes any written byte fails here.
+and a draw of 2 * 10^7 steps, then two sampling batches) were recorded
+before the narrow endpoint draws, the compact box and the shared gather
+step of the small tori.  A refactor that changes any written byte fails
+here.
 """
 
 import hashlib
@@ -116,7 +117,8 @@ GOLDEN = {
             "mod_laws.csv": "851df2e7cfb4f7809844f342c5417892d79190ea89c38ca1b26fe37c8b2aaf93",
         },
     ),
-    # 2 * 10^7 step draws: two endpoint sampling batches
+    # 2 * 10^7 step draws in 77 sampling blocks of 655 rows (the last one
+    # short): the endpoints hold only if the draws run on across blocks
     "walk-gcd-two-batches": (
         ["walk-gcd", "--seed", "4", "--d", "2", "--n", "400", "--samples", "50000",
          "--gcd-cap", "8"],

@@ -3,6 +3,7 @@
 import itertools
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,10 +12,14 @@ import pytest
 from wordlab import lattice_walks
 from wordlab.cli import main
 from wordlab.errors import BudgetExceededError, UnsupportedParameterError
+from wordlab.harness import _prime_powers_up_to
 from wordlab.lattice_walks import (
     GATHER_STATES,
+    _box_laws,
     _closed_walk_count,
     _torus_laws,
+    divisible_counts,
+    endpoint_gcds,
     exact_mod_law,
     gcd_of_endpoint,
     gcd_tail_estimate,
@@ -22,6 +27,7 @@ from wordlab.lattice_walks import (
     return_probability,
     sample_endpoints,
     simulate_walk,
+    tail_estimate_from_histogram,
 )
 from wordlab.rng import stream
 
@@ -30,7 +36,9 @@ from conftest import (
     broadcast_gcd_tail,
     comb_closed_walk_count,
     list_mod_law_counts,
+    remainder_gcd_statistics,
     roll_torus_law,
+    slice_box_laws,
 )
 
 
@@ -55,6 +63,17 @@ def test_endpoints_match_int64_draws_counted_by_bincount(d):
         assert got.dtype == want.dtype and np.array_equal(got, want), (d, n)
 
 
+def test_sample_endpoints_peak_memory():
+    # 2 * 10^7 steps, drawn and counted in blocks of _BATCH_ELEMS steps
+    tracemalloc.start()
+    try:
+        ends = sample_endpoints(2, 400, 50_000, stream(8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= ends.nbytes + 8 * 2**20
+
+
 def test_endpoints_match_int64_draws_across_batches(monkeypatch):
     # 1000 elements per batch: 10 rows of 100 steps, so 95 rows take ten batches
     monkeypatch.setattr(lattice_walks, "_BATCH_ELEMS", 1000)
@@ -68,6 +87,9 @@ def test_gcd_of_endpoint():
     assert gcd_of_endpoint((0, 0)) == 0
     assert gcd_of_endpoint((0, -5)) == 5
     assert len(simulate_walk(3, 7, stream(2))) == 3
+    for d in (1, 3):
+        ends = sample_endpoints(d, 50, 300, stream(2, d))
+        assert endpoint_gcds(ends).tolist() == [gcd_of_endpoint(row) for row in ends.tolist()]
 
 
 def test_mod_law_brute_force_small():
@@ -196,9 +218,12 @@ def test_tail_prediction_internal_cross_check():
         assert abs(mass_le_cap + pred.probability - 1.0) < 1e-9
 
 
-@pytest.mark.parametrize("d, n, cap", [(1, 4, 10**5), (2, 30, 8), (3, 6, 4)])
+@pytest.mark.parametrize("d, n, cap", [(1, 4, 10**5), (2, 30, 8), (3, 6, 4), (2, 100, 8),
+                                      (3, 3, 8)])
 def test_tail_prediction_gcd_grid_matches_broadcast(d, n, cap):
-    # d = 1 with a huge cap: side 200031, so a side x side gcd table would not fit
+    # d = 1 with a huge cap: side 200031, so a side x side gcd table would not fit.
+    # The law bins only the box of radius min(n, box radius): n = 100 passes
+    # the box radius 83, and at n = 3 the box radius 3 is below the head's 16.
     pred = predicted_tail_probability(d, n, cap)
     tail, head = broadcast_gcd_tail(d, n, cap, pred.box_radius)
     assert pred.probability == tail
@@ -243,3 +268,29 @@ def test_torus_law_matches_full_roll_bytes(side, d):
         want = roll_torus_law(side, d, n)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes(), (side, d, n)
+
+
+@pytest.mark.parametrize("d, radii", [(1, {5, 1000}), (2, {0}), (2, {1, 2, 3, 83}), (3, {1}),
+                                      (3, {1, 2, 3, 20}), (3, {42}), (4, {2, 6})])
+def test_box_laws_match_slice_dp_bytes(d, radii):
+    got, want = _box_laws(d, radii), slice_box_laws(d, radii)
+    assert got.keys() == want.keys()
+    for r, law in want.items():
+        assert got[r].shape == law.shape and got[r].tobytes() == law.tobytes(), (d, radii, r)
+
+
+@pytest.mark.parametrize("case", ["zeros", "below-cap", "past-64"])
+def test_gcd_histogram_matches_remainder_counts(case):
+    gcd_cap, rng = 8, stream(9)
+    gammas = {
+        "zeros": np.zeros(500, dtype=np.int64),
+        "below-cap": rng.integers(0, gcd_cap, size=5000),
+        "past-64": rng.integers(0, 200, size=5000),
+    }[case]
+    moduli = [q for _, _, q in _prime_powers_up_to(64)]
+    tail, zero, counts, divisible = remainder_gcd_statistics(gammas, gcd_cap, moduli)
+    per_gamma = np.bincount(gammas)
+    est = tail_estimate_from_histogram(2, 10, gcd_cap, per_gamma)
+    assert est.samples == len(gammas)
+    assert (est.tail_count, est.zero_count, est.gamma_counts) == (tail, zero, counts)
+    assert divisible_counts(per_gamma, moduli) == divisible
