@@ -138,6 +138,11 @@ class Group:
     # are that form unless a backend overrides both.  A word is lifted once,
     # multiplied there and lowered once (see `word_multiplier`).
 
+    # A backend that knows its conjugacy classes in closed form defines
+    # `class_key()`: one integer per element, equal exactly on each class.
+    # `class_labels` then reads the labels from it (see `_MatrixGroup`).
+    class_key = None
+
     def lift(self, x):
         return x
 
@@ -511,6 +516,32 @@ class _MatrixGroup(Group):
             self._inv_array = self._index_of_rank[self._rank(d, -b % p, -c % p, a)].astype(np.int32)
         return self._inv_array
 
+    def class_key(self) -> np.ndarray:
+        """3t + s for every element: t the trace, s a square class.
+
+        In SL(2,p) the trace alone fixes the class (the classical table,
+        e.g. Fulton-Harris 5.2), except for the non-central elements of
+        trace +-2, +-I + N with N nilpotent: those split by whether c is a
+        square, or -b when c = 0 ([[1,b],[0,1]] is conjugate to
+        [[1,0],[-b,1]]).  There s is 1 for a square and 2 for a non-square;
+        on every other element s is 0.  PSL(2,p) first takes the sign of M
+        that brings the trace into [0, (p-1)/2], and reads b and c after it.
+        """
+        p = self.p
+        a, b, c, d = self.entries  # int16: every value below stays under 3p
+        t = (a + d) % p
+        if self.modulo_sign:
+            flip = t > p // 2
+            t = np.where(flip, p - t, t)
+            b = np.where(flip, p - b, b) % p
+            c = np.where(flip, p - c, c) % p
+        # 0 at x = 0 (at trace +-2, that is +-I), 1 at a square, 2 elsewhere
+        square_class = np.full(p, 2, dtype=np.int16)
+        square_class[np.arange(1, p) ** 2 % p] = 1
+        square_class[0] = 0
+        s = square_class[np.where(c != 0, c, -b % p)]
+        return 3 * t + s * ((t == 2) | (t == p - 2))
+
 
 def _sl2_entries(p: int) -> list:
     """Entry arrays a, b, c, d of every det-1 matrix mod p, in packed (lex) order."""
@@ -873,28 +904,35 @@ def power_array(group: Group, k: int, indices: Optional[np.ndarray] = None) -> n
 def class_labels(group: Group) -> np.ndarray:
     """label[x] = the least index in the conjugacy class of x.
 
-    The classes are the orbits of the maps x -> s^-1 x s for s in a
-    generating set S, built with 2|S||G| products.  Every label starts at
-    its own index; each round lowers it to the least label among its images
-    under the maps, then to the label of that label, until a round changes
+    A group with a `class_key` gives each element the least index of its
+    key value, in one pass.  Any other group takes the orbit route: the
+    classes are the orbits of the maps x -> s^-1 x s for s in a generating
+    set S, built with 2|S||G| products.  Every label starts at its own
+    index; each round lowers it to the least label among its images under
+    the maps, then to the label of that label, until a round changes
     nothing.  A label only falls and stays inside its class, and a fixed
     point is constant on every orbit, so it is the least index.  Cached on
     the group, read-only.
     """
     if group._class_labels is None:
-        carrier = np.arange(group.order, dtype=np.int64)
-        s = group_generators(group)
-        mul_vec = vector_multiplier(group)
-        maps = mul_vec(mul_vec(group.inv_array()[s][:, None], carrier), s[:, None])
-        labels = carrier
-        while True:
-            fallen = labels
-            for conj in maps:
-                fallen = np.minimum(fallen, fallen[conj])
-            fallen = fallen[fallen]
-            if np.array_equal(fallen, labels):
-                break
-            labels = fallen
+        if group.class_key is not None:
+            _, first, key = np.unique(group.class_key(), return_index=True,
+                                      return_inverse=True)
+            labels = first[key]
+        else:
+            carrier = np.arange(group.order, dtype=np.int64)
+            s = group_generators(group)
+            mul_vec = vector_multiplier(group)
+            maps = mul_vec(mul_vec(group.inv_array()[s][:, None], carrier), s[:, None])
+            labels = carrier
+            while True:
+                fallen = labels
+                for conj in maps:
+                    fallen = np.minimum(fallen, fallen[conj])
+                fallen = fallen[fallen]
+                if np.array_equal(fallen, labels):
+                    break
+                labels = fallen
         labels.flags.writeable = False
         group._class_labels = labels
     return group._class_labels

@@ -34,9 +34,9 @@ from .words import Word, abelianize, bezout_certificate, gcd_of_vector
 TUPLE_BUDGET = 10**8
 # Samples processed per vectorized batch.
 BATCH = 1 << 16
-# Kernel products per element that `class_labels` costs, about (59-77
-# measured in `power_array` on SL(2,17), PSL(2,97) and SL(2,97)); see
-# `image_and_power_coverage`.
+# Kernel products per element that `class_labels` costs by its orbit route,
+# on a group without a `class_key` (49-63, timed against `power_array` on
+# S7, A8 and S8); see `image_and_power_coverage`.
 LABEL_PRODUCTS = 64
 
 
@@ -291,9 +291,12 @@ def image_and_power_coverage(word: Word, group: Group, mode: str = "exact",
     Since (h r h^-1)^m = h r^m h^-1, the m-th powers and the certificate
     values may be computed on class representatives r only, each set then
     being the union of the classes they hit.  That route is taken when the
-    group's class labels exist already (an exact enumeration over two or
-    more generators builds them), or when the whole carrier would take more
-    than LABEL_PRODUCTS products per element, about what the labels cost.
+    labels cost less than the work they save: when the group holds them
+    already (an exact enumeration over two or more generators builds them),
+    when it has a `class_key` (SL(2,p) and PSL(2,p) read them from the
+    matrix entries in one pass), or when the whole carrier would take more
+    than LABEL_PRODUCTS products per element, about what the orbit route
+    costs.  Otherwise every element is its own class.
     """
     vec = abelianize(word)
     gamma = gcd_of_vector(vec)
@@ -320,7 +323,8 @@ def image_and_power_coverage(word: Word, group: Group, mode: str = "exact",
     if coeffs is not None:
         products += len(word.letters) - 1 + sum(
             _power_products(coeffs[g - 1]) for g in {abs(v) for v in word.letters})
-    if group._class_labels is not None or products > LABEL_PRODUCTS:
+    if (group._class_labels is not None or group.class_key is not None
+            or products > LABEL_PRODUCTS):
         labels = class_labels(group)
     else:
         labels = np.arange(group.order)  # each element its own class

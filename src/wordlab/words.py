@@ -9,6 +9,7 @@ draws uniformly from the 2d generators and inverses and then reduces.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
@@ -85,12 +86,23 @@ class Word:
             out = out * base
         return out
 
+    # A word is frozen, so its text and exponent sums are computed once and
+    # kept on it: one density cell reads each of them several times.
+
+    @functools.cached_property
+    def _text(self) -> str:
+        return " ".join(f"x{v}" if v > 0 else f"X{-v}" for v in self.letters)
+
+    @functools.cached_property
+    def _exponent_sums(self) -> Tuple[int, ...]:
+        out = [0] * self.rank
+        for v in self.letters:
+            out[abs(v) - 1] += 1 if v > 0 else -1
+        return tuple(out)
+
     def to_text(self) -> str:
         """Serialize as e.g. 'x1 x2 X1' (capital = inverse)."""
-        parts = []
-        for v in self.letters:
-            parts.append(f"x{v}" if v > 0 else f"X{-v}")
-        return " ".join(parts)
+        return self._text
 
     def __str__(self) -> str:
         return self.to_text() if self.letters else "(empty)"
@@ -147,10 +159,7 @@ def sample_word(model: str, rank: int, length: int, rng: Rng) -> Word:
 
 def abelianize(word: Word) -> Tuple[int, ...]:
     """Exponent-sum vector, one entry per generator."""
-    out = [0] * word.rank
-    for v in word.letters:
-        out[abs(v) - 1] += 1 if v > 0 else -1
-    return tuple(out)
+    return word._exponent_sums
 
 
 def gcd_of_vector(vec: Sequence[int]) -> int:

@@ -16,6 +16,7 @@ from wordlab.errors import (
 )
 from wordlab.groups import (
     CATALOG_SPECS,
+    STRUCTURE_CAP,
     TABLE_BLOCK,
     CayleyGroup,
     DirectPowerGroup,
@@ -379,25 +380,60 @@ def test_class_labels_match_one_orbit_per_class(tmp_path):
     assert len(np.unique(class_labels(cases[-1]))) == 6  # the classes of PSL(2,7)
 
 
+# sl2:p and psl2:p for every odd prime p <= 31, and psl2:97 near the carrier cap
+KEYED_SPECS = [f"{kind}:{p}" for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+               for kind in ("sl2", "psl2")] + ["psl2:97"]
+
+
+@pytest.mark.parametrize("spec", KEYED_SPECS)
+def test_class_key_labels_match_the_orbit_route(spec):
+    # the labels read from the trace and square class, against the orbit
+    # route on the same group with its key switched off
+    group = construct_group(spec)
+    plain = construct_group(spec)
+    plain.class_key = None
+    labels = class_labels(group)
+    assert labels.tolist() == class_labels(plain).tolist()
+    assert group._generators is None and plain._generators is not None
+    # k(SL(2,p)) = p + 4 and k(PSL(2,p)) = (p + 5) / 2
+    p = group.p
+    assert np.unique(labels).size == ((p + 5) // 2 if group.modulo_sign else p + 4)
+    # the elements alone in their class: I and -I on SL, I alone on PSL
+    a, b, c, d = group.entries
+    minus_one = np.flatnonzero((a == p - 1) & (b == 0) & (c == 0) & (d == p - 1))
+    expected = {0} if group.modulo_sign else {0, int(minus_one[0])}
+    assert set(np.flatnonzero(np.bincount(labels) == 1).tolist()) == expected
+    if group.order <= STRUCTURE_CAP:
+        assert center(group) == expected
+
+
 def assert_computed_once(fact, spec, monkeypatch):
-    """fact(group) makes products on its first call, none on the second,
-    and hands out one read-only array both times."""
-    products = []
+    """fact(group) does work on its first call (products, or a pass of the
+    group's class key), none on the second, and hands out one read-only
+    array both times."""
+    work = []
 
     def counting(group):
         mul_vec = vector_multiplier(group)
 
         def counted(a, b):
-            products.append(1)
+            work.append(1)
             return mul_vec(a, b)
         return counted
 
     monkeypatch.setattr("wordlab.groups.vector_multiplier", counting)
     group = construct_group(spec)
+    if group.class_key is not None:
+        class_key = group.class_key
+
+        def counted_key():
+            work.append(1)
+            return class_key()
+        group.class_key = counted_key
     first = fact(group)
-    assert products
-    products.clear()
-    assert fact(group) is first and not products
+    assert work
+    work.clear()
+    assert fact(group) is first and not work
     assert not first.flags.writeable
 
 

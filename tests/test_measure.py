@@ -157,16 +157,22 @@ COVERAGE_WORDS = [(parse_word("x1 x1"), None), (parse_word("x1 x2 X1 X2"), 1),
                   (parse_word("x2 x3 X2 x3"), None)]
 COVERAGE_WORDS += [(w, None if gcd_of_vector(abelianize(w)) else 1)
                    for w in (sample_word("symmetric", 2, 9, stream(21, i)) for i in range(5))]
-COVERAGE_GROUPS = tuple(s for s in CATALOG if get_group(s).order <= 168) + ("sl2:17", "psl2:23")
+# the small catalog groups, and every matrix group of the catalog (whose
+# labels come from its class key) with sl2:17 and psl2:23 above the table cap
+COVERAGE_GROUPS = tuple(s for s in CATALOG if get_group(s).order <= 168
+                        or s.startswith(("sl2:", "psl2:"))) + ("sl2:17", "psl2:23")
 
 
 @pytest.mark.parametrize("reduce", (False, True))
 @pytest.mark.parametrize("mode", ("exact", "sampled"))
 @pytest.mark.parametrize("spec", COVERAGE_GROUPS)
 def test_class_reduced_coverage_matches_full_carrier(spec, mode, reduce, monkeypatch):
-    # force the route: class representatives always, or the whole carrier
+    # force the route: class representatives always, or the whole carrier,
+    # which a group with a class key takes only without it
     monkeypatch.setattr(measure, "LABEL_PRODUCTS", -1 if reduce else 10**9)
     group = construct_group(spec)
+    if not reduce:
+        monkeypatch.setattr(group, "class_key", None)
     checked = 0
     for i, (word, m) in enumerate(COVERAGE_WORDS):
         if mode == "exact":
@@ -184,13 +190,15 @@ def test_class_reduced_coverage_matches_full_carrier(spec, mode, reduce, monkeyp
 
 
 def test_coverage_builds_class_labels_only_when_they_pay():
-    # on a fresh group, a short sampled word is cheaper on the whole
-    # carrier; a long one needs more than LABEL_PRODUCTS products per
-    # element there, and builds the labels
+    # on a fresh group without a class key, a short sampled word is cheaper
+    # on the whole carrier; a long one needs more than LABEL_PRODUCTS
+    # products per element there, and builds the labels.  symmetric:7 is
+    # above the table cap, so no enumeration shares the labels' cost.
     short = parse_word("x1 x1")
     # its certificate evaluation alone takes LABEL_PRODUCTS + 1 products
     long_ = parse_word("x1 x2 " * (measure.LABEL_PRODUCTS // 2 + 1))
-    group = construct_group("sl2:17")
+    group = construct_group("symmetric:7")
+    assert group.class_key is None
     image_and_power_coverage(short, group, "sampled", samples=50, rng=1)
     assert group._class_labels is None
     image_and_power_coverage(long_, group, "sampled", samples=50, rng=1)
@@ -199,6 +207,19 @@ def test_coverage_builds_class_labels_only_when_they_pay():
     built = group._class_labels
     image_and_power_coverage(short, group, "sampled", samples=50, rng=1)
     assert group._class_labels is built
+
+
+@pytest.mark.parametrize("spec", ("sl2:17", "psl2:23"))
+def test_coverage_takes_the_class_route_on_a_class_key(spec):
+    # the key's labels cost one pass over the entries, so even a short
+    # sampled word on a fresh matrix group reads them, with no generating
+    # set (the orbit route's first step)
+    group = construct_group(spec)
+    word = parse_word("x1 x1")
+    rep = image_and_power_coverage(word, group, "sampled", samples=50, rng=1)
+    assert group._class_labels is not None and group._generators is None
+    dist = monte_carlo_distribution(word, group, 50, 1)
+    assert rep == full_carrier_coverage(word, group, dist)
 
 
 def test_image_coverage_needs_m_for_balanced_words():

@@ -40,6 +40,9 @@ def test_reduction_basics():
 def test_word_construction_and_text():
     w = make_word([1, 2, -1, -2], 2)
     assert w.to_text() == "x1 x2 X1 X2"
+    # computed once and kept on the word; equality and hashing ignore it
+    assert w.to_text() is w.to_text() and abelianize(w) is abelianize(w)
+    assert w == make_word([1, 2, -1, -2], 2) and hash(w) == hash(make_word([1, 2, -1, -2], 2))
     assert parse_word("x1 x2 X1 X2").letters == w.letters
     assert parse_word("x3", rank=5).rank == 5
     assert parse_word("x3").rank == 3
