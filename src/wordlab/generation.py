@@ -43,6 +43,7 @@ from .groups import (
     Element,
     Group,
     _as_indices,
+    _tuple_matrix,
     center,
     class_labels,
     closure_mask,
@@ -206,17 +207,7 @@ def power_tuple_generates(
     (tuples[0][i], ..., tuples[N-1][i]) for i < d, and generation is
     decided by explicit closure on the direct power.
     """
-    if not tuples:
-        raise UnsupportedParameterError("need at least one tuple")
-    rows = [_as_indices(group, t) for t in tuples]
-    d = len(rows[0])
-    if d == 0:
-        raise UnsupportedParameterError("tuples must be nonempty")
-    for r in rows:
-        if len(r) != d:
-            raise UnsupportedParameterError(
-                f"tuple length {len(r)} differs from first tuple length {d}"
-            )
+    rows = _tuple_matrix(group, tuples)
     copies = len(rows)
     if group.order**copies > POWER_CLOSURE_CAP:
         raise BudgetExceededError(
@@ -224,7 +215,7 @@ def power_tuple_generates(
             f"cap {POWER_CLOSURE_CAP}"
         )
     power = DirectPowerGroup(group, copies)
-    steps = [power.join(tuple(r[i] for r in rows)) for i in range(d)]
+    steps = [power.join(column) for column in rows.T.tolist()]
     return bool(closure_mask(power, steps).all())
 
 

@@ -35,6 +35,7 @@ from .groups import (
     Group,
     _as_indices,
     _check_structure_cap,
+    _tuple_matrix,
     closure,
     commutator_subgroup,
     group_generators,
@@ -158,7 +159,7 @@ def exact_walk_law(group: Group, steps: StepSet, n: int) -> Distribution:
         pass
     return Distribution(
         group=group,
-        counts=counts.tolist(),
+        counts=counts,
         total=total,
         mode="exact",
         d=1,
@@ -292,22 +293,6 @@ class PowerWalkReport:
 
     def max_marginal_l1(self) -> float:
         return max(self.marginal_l1)
-
-
-def _tuple_matrix(group: Group, tuples: Sequence[Sequence[Union[Element, int]]]):
-    """Validate a list of equal-length tuples; return a (copies, d) index array."""
-    if not tuples:
-        raise DimensionMismatchError("need at least one tuple")
-    rows = [_as_indices(group, t) for t in tuples]
-    d = len(rows[0])
-    if d == 0:
-        raise DimensionMismatchError("tuples must be nonempty")
-    for idx in rows:
-        if len(idx) != d:
-            raise DimensionMismatchError(
-                f"tuple length {len(idx)} differs from first tuple length {d}"
-            )
-    return np.array(rows, dtype=np.int64)
 
 
 def _two_streams(rng: Rng):

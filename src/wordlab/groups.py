@@ -20,6 +20,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import (
+    DimensionMismatchError,
     GroupMismatchError,
     MalformedCayleyTableError,
     TooLargeError,
@@ -950,6 +951,22 @@ def _as_indices(group: Group, gens: Iterable[Element | int]) -> list:
     return out
 
 
+def _tuple_matrix(group: Group, tuples: Sequence[Sequence[Element | int]]) -> np.ndarray:
+    """Validate a list of equal-length tuples; return a (copies, d) index array."""
+    if not tuples:
+        raise DimensionMismatchError("need at least one tuple")
+    rows = [_as_indices(group, t) for t in tuples]
+    d = len(rows[0])
+    if d == 0:
+        raise DimensionMismatchError("tuples must be nonempty")
+    for idx in rows:
+        if len(idx) != d:
+            raise DimensionMismatchError(
+                f"tuple length {len(idx)} differs from first tuple length {d}"
+            )
+    return np.array(rows, dtype=np.int64)
+
+
 def right_orbit(mul_vec, n: int, start, gens, stop: Optional[int] = None) -> np.ndarray:
     """Mask of the elements reached from `start` by right multiplication by `gens`.
 
@@ -1061,22 +1078,32 @@ def commutator_subgroup(group: Group) -> frozenset:
     return frozenset(np.flatnonzero(sub).tolist())
 
 
-def quotient_group(group: Group, normal: Iterable[int], name: str) -> CayleyGroup:
+def quotient_group(group: Group, normal: Iterable[Element | int], name: str) -> CayleyGroup:
     """Quotient by a normal subgroup, as a Cayley-table group.
 
-    Normality is checked on a greedy generating set S: s^-1 k s must lie
-    in the subgroup for every s in S and every k in it.  Coset ids are
-    assigned in order of each coset's minimal element index, so the
-    identity coset gets id 0.  The result carries `.projection` (element
-    index -> coset id) and `.parent`.
+    The set must be a subgroup: generators are grown greedily inside it,
+    the least element not yet reached each time, and the subgroup they
+    generate (`closure_mask`) must never leave it.  Normality is checked
+    on a greedy generating set S: s^-1 k s must lie in the subgroup for
+    every s in S and every k in it.  Coset ids are assigned in order of
+    each coset's minimal element index, so the identity coset gets id 0.
+    The result carries `.projection` (element index -> coset id) and
+    `.parent`.
     """
-    sub = np.array(sorted(set(normal)), dtype=np.int64)
     n = group.order
-    if n % sub.size != 0:
-        raise MalformedCayleyTableError(f"{name}: subgroup size {sub.size} does not divide {n}")
-    mul_vec = vector_multiplier(group)
     in_sub = np.zeros(n, dtype=bool)
-    in_sub[sub] = True
+    in_sub[_as_indices(group, normal)] = True
+    if not in_sub[group.identity]:
+        raise MalformedCayleyTableError(f"{name}: the set lacks the identity")
+    gens = []
+    reached = np.arange(n) == group.identity
+    while (reached <= in_sub).all() and not np.array_equal(reached, in_sub):
+        gens.append(int(np.argmin(reached | ~in_sub)))
+        reached = closure_mask(group, gens)
+    if not np.array_equal(reached, in_sub):
+        raise MalformedCayleyTableError(f"{name}: the set is not closed under products")
+    sub = np.flatnonzero(in_sub)
+    mul_vec = vector_multiplier(group)
     s = group_generators(group)
     conj = mul_vec(mul_vec(group.inv_array()[s][:, None], sub), s[:, None])
     if not in_sub[conj].all():

@@ -324,7 +324,7 @@ def _density_cell(word: Word, gamma: int, group, spec: str, mode: str,
         if gamma != 0:
             # in sampled mode the certificate pins every m-th power, so the
             # cell's own sample serves the coverage check as well
-            cov = image_and_power_coverage(word, group, mode, dist=dist)
+            cov = image_and_power_coverage(word, dist)
             record["covers_powers"] = bool(cov.covers_powers)
             record["m"] = int(cov.m)
     except BudgetExceededError as exc:

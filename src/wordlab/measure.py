@@ -34,10 +34,6 @@ from .words import Word, abelianize, bezout_certificate, gcd_of_vector
 TUPLE_BUDGET = 10**8
 # Samples processed per vectorized batch.
 BATCH = 1 << 16
-# Kernel products per element that `class_labels` costs by its orbit route,
-# on a group without a `class_key` (49-63, timed against `power_array` on
-# S7, A8 and S8); see `image_and_power_coverage`.
-LABEL_PRODUCTS = 64
 
 
 @dataclass
@@ -45,12 +41,12 @@ class Distribution:
     """Integer counts over a group carrier; total = |G|^d or the sample count.
 
     Word-map counts fit numpy int64 (bounded by the tuple budget); exact
-    walk laws carry python big integers in a plain list.  Both shapes are
-    accepted everywhere distances are computed.
+    walk laws carry python big integers in an object array.  Both dtypes
+    are accepted everywhere distances are computed.
     """
 
     group: Group
-    counts: Union[np.ndarray, list]
+    counts: np.ndarray
     total: int
     mode: str  # "exact" | "sampled"
     d: int
@@ -60,9 +56,7 @@ class Distribution:
         return Fraction(int(self.counts[index]), self.total)
 
     def support(self) -> list:
-        if isinstance(self.counts, np.ndarray):
-            return [int(i) for i in np.flatnonzero(self.counts)]
-        return [i for i, c in enumerate(self.counts) if c]
+        return [int(i) for i in np.flatnonzero(self.counts)]
 
     def __post_init__(self):
         if self.mode not in ("exact", "sampled"):
@@ -199,30 +193,18 @@ def monte_carlo_distribution(word: Word, group: Group, samples: int,
 def l1_uniform_distance(dist: Distribution) -> Union[Fraction, float]:
     """sum_g |P(g) - 1/|G||; Fraction in exact mode, float in sampled mode."""
     n = dist.group.order
-    if isinstance(dist.counts, np.ndarray):
-        s = int(np.abs(dist.counts.astype(np.int64) * n - dist.total).sum())
-    else:
-        s = sum(abs(c * n - dist.total) for c in dist.counts)
+    s = int(np.abs(dist.counts * n - dist.total).sum())
     if dist.mode == "exact":
         return Fraction(s, dist.total * n)
     return s / (dist.total * n)
-
-
-def _count_list(dist: Distribution) -> list:
-    if isinstance(dist.counts, np.ndarray):
-        return [int(c) for c in dist.counts]
-    return dist.counts
 
 
 def l1_distance(a: Distribution, b: Distribution) -> Union[Fraction, float]:
     """sum_g |P_a(g) - P_b(g)| between two laws on the same carrier."""
     if a.group.order != b.group.order:
         raise UnsupportedParameterError("distributions live on different carriers")
-    if isinstance(a.counts, np.ndarray) and isinstance(b.counts, np.ndarray):
-        prod = a.counts.astype(object) * b.total - b.counts.astype(object) * a.total
-        s = int(sum(abs(v) for v in prod))
-    else:
-        s = sum(abs(ca * b.total - cb * a.total) for ca, cb in zip(_count_list(a), _count_list(b)))
+    prod = a.counts.astype(object) * b.total - b.counts.astype(object) * a.total
+    s = int(np.abs(prod).sum())
     if a.mode == "exact" and b.mode == "exact":
         return Fraction(s, a.total * b.total)
     return s / (a.total * b.total)
@@ -233,19 +215,17 @@ def l1_distance(a: Distribution, b: Distribution) -> Union[Fraction, float]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class ImageReport:
-    """Word-map image versus the set of m-th powers."""
+    """Word-map image versus the m-th powers, as read-only boolean masks
+    over the carrier."""
 
-    group_name: str
-    word_text: str
-    mode: str
     m: int
-    image: frozenset
-    power_values: frozenset
+    image: np.ndarray
+    powers: np.ndarray
     covers_powers: bool
-    witness: Optional[int]  # image element that is not an m-th power
-    certificate_values: Optional[frozenset]  # sampled mode: {g^m} hit by evaluation
+    witness: Optional[int]  # least image element that is not an m-th power
+    certificate: Optional[np.ndarray]  # sampled mode: every value w(g^b1, ..., g^bd)
 
 
 def _class_union(labels: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -253,12 +233,6 @@ def _class_union(labels: np.ndarray, values: np.ndarray) -> np.ndarray:
     hit = np.zeros(labels.size, dtype=bool)
     hit[labels[values]] = True
     return hit[labels]
-
-
-def _power_products(k: int) -> int:
-    """Products `power_array` spends on the exponent k."""
-    k = abs(k)
-    return k.bit_length() + bin(k).count("1") - 1 if k else 0
 
 
 def _certified_powers(word: Word, group: Group, coeffs: Sequence[int],
@@ -275,29 +249,21 @@ def _certified_powers(word: Word, group: Group, coeffs: Sequence[int],
     return _evaluate(word.letters, columns, group)
 
 
-def image_and_power_coverage(word: Word, group: Group, mode: str = "exact",
-                             m: Optional[int] = None, samples: Optional[int] = None,
-                             rng: Optional[Union[Rng, int]] = None,
-                             dist: Optional[Distribution] = None) -> ImageReport:
-    """Compare the word-map image with the set of m-th powers.
+def image_and_power_coverage(word: Word, dist: Distribution,
+                             m: Optional[int] = None) -> ImageReport:
+    """Compare the word-map image seen by `dist` with the set of m-th powers.
 
     m defaults to the gcd of the exponent-sum vector and must be passed
-    explicitly when that gcd is zero.  In sampled mode the image is the
-    union of sampled values and the certificate values, so it is always a
-    subset of the true image.  A caller that already holds the word's
-    distribution in `mode` passes it as `dist`, and nothing is evaluated
-    twice; `samples` and `rng` are then not needed.
+    explicitly when that gcd is zero.  The image is the support of `dist`;
+    in sampled mode the certificate values join it, so it is always a
+    subset of the true image.
 
     Since (h r h^-1)^m = h r^m h^-1, the m-th powers and the certificate
-    values may be computed on class representatives r only, each set then
-    being the union of the classes they hit.  That route is taken when the
-    labels cost less than the work they save: when the group holds them
-    already (an exact enumeration over two or more generators builds them),
-    when it has a `class_key` (SL(2,p) and PSL(2,p) read them from the
-    matrix entries in one pass), or when the whole carrier would take more
-    than LABEL_PRODUCTS products per element, about what the orbit route
-    costs.  Otherwise every element is its own class.
+    values are computed on class representatives r only (`class_labels`,
+    cached on the group), each set then being the union of the classes
+    they hit.
     """
+    group = dist.group
     vec = abelianize(word)
     gamma = gcd_of_vector(vec)
     if m is None:
@@ -306,43 +272,23 @@ def image_and_power_coverage(word: Word, group: Group, mode: str = "exact",
                 "exponent-sum vector is zero; pass the target power m explicitly"
             )
         m = gamma
-    if mode not in ("exact", "sampled"):
-        raise UnsupportedParameterError(f"bad mode {mode!r}")
-    if dist is None:
-        if mode == "exact":
-            dist = exact_distribution(word, group)
-        else:
-            if samples is None or rng is None:
-                raise UnsupportedParameterError("sampled mode needs samples and rng")
-            dist = monte_carlo_distribution(word, group, samples, rng)
-    elif dist.mode != mode:
-        raise UnsupportedParameterError(f"a {dist.mode} distribution passed in {mode} mode")
-    image = np.asarray(dist.counts) != 0
-    coeffs = bezout_certificate(vec)[1] if mode == "sampled" and gamma > 0 else None
-    products = _power_products(m)
-    if coeffs is not None:
-        products += len(word.letters) - 1 + sum(
-            _power_products(coeffs[g - 1]) for g in {abs(v) for v in word.letters})
-    if (group._class_labels is not None or group.class_key is not None
-            or products > LABEL_PRODUCTS):
-        labels = class_labels(group)
-    else:
-        labels = np.arange(group.order)  # each element its own class
+    labels = class_labels(group)
     reps = np.flatnonzero(labels == np.arange(group.order))
+    image = dist.counts != 0
     certificate = None
-    if coeffs is not None:
-        certified = _class_union(labels, _certified_powers(word, group, coeffs, reps))
-        image |= certified
-        certificate = frozenset(np.flatnonzero(certified).tolist())
+    if dist.mode == "sampled" and gamma > 0:
+        coeffs = bezout_certificate(vec)[1]
+        certificate = _class_union(labels, _certified_powers(word, group, coeffs, reps))
+        image |= certificate
     powers = _class_union(labels, power_array(group, m, reps))
     beyond = np.flatnonzero(image & ~powers)
-    covers = not (powers & ~image).any()
-    witness = int(beyond[0]) if beyond.size else None
-    image = frozenset(np.flatnonzero(image).tolist())
-    powers = frozenset(np.flatnonzero(powers).tolist())
-    return ImageReport(group_name=group.name, word_text=word.to_text(), mode=mode,
-                       m=m, image=image, power_values=powers, covers_powers=covers,
-                       witness=witness, certificate_values=certificate)
+    for mask in (image, powers, certificate):
+        if mask is not None:
+            mask.flags.writeable = False
+    return ImageReport(m=m, image=image, powers=powers,
+                       covers_powers=not (powers & ~image).any(),
+                       witness=int(beyond[0]) if beyond.size else None,
+                       certificate=certificate)
 
 
 # ---------------------------------------------------------------------------

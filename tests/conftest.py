@@ -8,6 +8,7 @@ They exist so the fast implementations always have a slow, obviously-correct
 counterpart to be compared against.
 """
 
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -168,10 +169,11 @@ def orbit_class_labels(group) -> np.ndarray:
     return labels
 
 
-def full_carrier_coverage(word: Word, group, dist, m=None) -> ImageReport:
+def full_carrier_coverage(word: Word, dist, m=None) -> ImageReport:
     """The coverage report of `dist` with no class reduction: the m-th
     powers are g^m for every g, and in sampled mode the certificate is the
     word evaluated at (g^b1, ..., g^bd) for every g."""
+    group = dist.group
     vec = abelianize(word)
     gamma = gcd_of_vector(vec)
     m = gamma if m is None else m
@@ -180,15 +182,30 @@ def full_carrier_coverage(word: Word, group, dist, m=None) -> ImageReport:
     if dist.mode == "sampled" and gamma > 0:
         _, coeffs = bezout_certificate(vec)
         columns = {g: power_array(group, coeffs[g - 1]) for g in {abs(v) for v in word.letters}}
-        values = _evaluate(word.letters, columns, group)
-        certificate = frozenset(np.unique(values).tolist())
+        certificate = set(_evaluate(word.letters, columns, group).tolist())
         image |= certificate
-    powers = frozenset(np.unique(power_array(group, m)).tolist())
-    image = frozenset(image)
-    return ImageReport(group_name=group.name, word_text=word.to_text(), mode=dist.mode, m=m,
-                       image=image, power_values=powers, covers_powers=powers <= image,
-                       witness=min((x for x in image if x not in powers), default=None),
-                       certificate_values=certificate)
+    powers = set(power_array(group, m).tolist())
+
+    def mask(values):
+        out = np.zeros(group.order, dtype=bool)
+        out[list(values)] = True
+        return out
+
+    return ImageReport(m=m, image=mask(image), powers=mask(powers),
+                       covers_powers=powers <= image,
+                       witness=min(image - powers, default=None),
+                       certificate=None if certificate is None else mask(certificate))
+
+
+def assert_same_coverage(got: ImageReport, want: ImageReport) -> None:
+    """Field by field: the same m, verdict and witness, and equal masks."""
+    for f in dataclasses.fields(ImageReport):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert isinstance(a, np.ndarray) and a.dtype == bool, f.name
+            assert np.array_equal(a, b), f.name
+        else:
+            assert a == b and type(a) is type(b), f.name
 
 
 def comb_closed_walk_count(d: int, n: int) -> int:

@@ -8,6 +8,7 @@ import pytest
 from wordlab.cli import main
 from wordlab.errors import (
     BudgetExceededError,
+    DimensionMismatchError,
     GroupMismatchError,
     NotInCatalogError,
     NotPerfectError,
@@ -173,11 +174,11 @@ def test_power_tuple_generation():
 def test_power_tuple_guards():
     a5 = get_group("alternating:5")
     t = (a5.index_of_cycles([(1, 2, 3, 4, 5)]), a5.index_of_cycles([(1, 2, 3)]))
-    with pytest.raises(UnsupportedParameterError):
+    with pytest.raises(DimensionMismatchError):
         power_tuple_generates(a5, [])
-    with pytest.raises(UnsupportedParameterError):
+    with pytest.raises(DimensionMismatchError):
         power_tuple_generates(a5, [()])
-    with pytest.raises(UnsupportedParameterError):
+    with pytest.raises(DimensionMismatchError):
         power_tuple_generates(a5, [t, t[:1]])
     with pytest.raises(BudgetExceededError):
         power_tuple_generates(a5, [t, t, t, t])  # 60^4 states

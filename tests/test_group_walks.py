@@ -117,7 +117,7 @@ def test_mixing_profile_matches_list_loop_on_psl2_13():
     steps = StepSet.uniform(group, [1, 2])
     assert mixing_profile(group, steps, 12) == list_loop_mixing_profile(group, [1, 2], 12)
     law = exact_walk_law(group, steps, 3)
-    assert type(law.counts) is list and all(type(c) is int for c in law.counts)
+    assert law.counts.dtype == object and all(type(c) is int for c in law.counts)
 
 
 def test_a5_walk_mixes():

@@ -595,6 +595,18 @@ def test_quotient_by_a_subgroup_that_is_not_normal_is_rejected():
         assert np.array_equal(proj[table], q.mul_vec(proj[:, None], proj))
 
 
+def test_quotient_by_a_set_that_is_not_a_subgroup_is_rejected():
+    c6 = get_group("cyclic:6")
+    # {0, 1} is closed under conjugation (c6 is abelian) but not a subgroup
+    with pytest.raises(MalformedCayleyTableError, match="not closed under products"):
+        quotient_group(c6, {0, 1}, name="c6-mod-pair")
+    with pytest.raises(MalformedCayleyTableError, match="lacks the identity"):
+        quotient_group(c6, set(), name="c6-mod-empty")
+    with pytest.raises(IndexError, match="index 7 out of range for cyclic:6"):
+        quotient_group(c6, {0, 7}, name="c6-mod-off-carrier")
+    assert quotient_group(c6, {0, 2, 4}, name="c6-mod-evens").order == 2
+
+
 def test_group_spec_parsing():
     spec = GroupSpec.parse("psl2:11")
     assert spec.kind == "psl2" and spec.parameter == 11

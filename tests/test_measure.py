@@ -1,5 +1,6 @@
 """Pushforward distributions: exact vs brute force, sampling, image coverage."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -22,8 +23,8 @@ from wordlab.measure import (
 from wordlab.rng import stream
 from wordlab.words import Word, abelianize, gcd_of_vector, parse_word, sample_word
 
-from conftest import (CATALOG, brute_pushforward, conjugacy_classes, full_carrier_coverage,
-                      get_group)
+from conftest import (CATALOG, assert_same_coverage, brute_pushforward, conjugacy_classes,
+                      full_carrier_coverage, get_group)
 
 
 # Non-abelian groups, where the reduction to class representatives is not
@@ -127,28 +128,32 @@ def test_budget_enforced_on_full_tuple_space():
 
 def test_image_coverage_exact_mode():
     c4 = get_group("cyclic:4")
-    rep = image_and_power_coverage(parse_word("x1 x1"), c4)
+    word = parse_word("x1 x1")
+    rep = image_and_power_coverage(word, exact_distribution(word, c4))
     assert rep.m == 2
-    assert rep.image == frozenset({0, 2})
-    assert rep.power_values == frozenset({0, 2})
+    assert np.flatnonzero(rep.image).tolist() == [0, 2]
+    assert np.array_equal(rep.powers, rep.image)
     assert rep.covers_powers
     assert rep.witness is None
+    assert rep.certificate is None
+    with pytest.raises(ValueError):
+        rep.image[1] = True  # the masks are read-only
 
     s3 = get_group("symmetric:3")
-    rep = image_and_power_coverage(parse_word("x1 x1"), s3)
+    rep = image_and_power_coverage(word, exact_distribution(word, s3))
     assert rep.covers_powers  # squares of S3 form the rotation subgroup
-    assert rep.image == rep.power_values
+    assert np.array_equal(rep.image, rep.powers)
 
 
 def test_image_coverage_sampled_mode_certifies_powers():
     g = get_group("psl2:7")
     word = parse_word("x1 x1 x2 x2")  # gamma = 2
-    rep = image_and_power_coverage(word, g, mode="sampled", samples=500, rng=stream(9))
+    rep = image_and_power_coverage(word, monte_carlo_distribution(word, g, 500, stream(9)))
     assert rep.m == 2
     assert rep.covers_powers  # certificate values fill in all m-th powers
-    assert rep.certificate_values is not None
-    assert rep.certificate_values <= rep.image
-    assert rep.power_values <= rep.image
+    assert rep.certificate is not None
+    assert not (rep.certificate & ~rep.image).any()
+    assert not (rep.powers & ~rep.image).any()
 
 
 # (word, m): a square; a commutator with m = 1; a d = 3 word with x1 unused;
@@ -163,16 +168,16 @@ COVERAGE_GROUPS = tuple(s for s in CATALOG if get_group(s).order <= 168
                         or s.startswith(("sl2:", "psl2:"))) + ("sl2:17", "psl2:23")
 
 
-@pytest.mark.parametrize("reduce", (False, True))
+@pytest.mark.parametrize("keyed", (False, True))
 @pytest.mark.parametrize("mode", ("exact", "sampled"))
 @pytest.mark.parametrize("spec", COVERAGE_GROUPS)
-def test_class_reduced_coverage_matches_full_carrier(spec, mode, reduce, monkeypatch):
-    # force the route: class representatives always, or the whole carrier,
-    # which a group with a class key takes only without it
-    monkeypatch.setattr(measure, "LABEL_PRODUCTS", -1 if reduce else 10**9)
+def test_class_reduced_coverage_matches_full_carrier(spec, mode, keyed, monkeypatch):
+    # the labels come from the class key of a matrix group when keyed, and
+    # from the orbit route otherwise (the only route of the other groups)
     group = construct_group(spec)
-    if not reduce:
+    if not keyed:
         monkeypatch.setattr(group, "class_key", None)
+    assert (group.class_key is not None) == (keyed and spec.startswith(("sl2:", "psl2:")))
     checked = 0
     for i, (word, m) in enumerate(COVERAGE_WORDS):
         if mode == "exact":
@@ -181,52 +186,52 @@ def test_class_reduced_coverage_matches_full_carrier(spec, mode, reduce, monkeyp
             dist = exact_distribution(word, group)
         else:
             dist = monte_carlo_distribution(word, group, 200, stream(5, i))
-        group._class_labels = None  # as built by a two-generator enumeration
-        got = image_and_power_coverage(word, group, mode, m=m, dist=dist)
-        assert (group._class_labels is not None) == reduce
-        assert got == full_carrier_coverage(word, group, dist, m), (spec, word.to_text())
+        got = image_and_power_coverage(word, dist, m=m)
+        assert_same_coverage(got, full_carrier_coverage(word, dist, m))
         checked += 1
     assert checked >= len(COVERAGE_WORDS) - 1
-
-
-def test_coverage_builds_class_labels_only_when_they_pay():
-    # on a fresh group without a class key, a short sampled word is cheaper
-    # on the whole carrier; a long one needs more than LABEL_PRODUCTS
-    # products per element there, and builds the labels.  symmetric:7 is
-    # above the table cap, so no enumeration shares the labels' cost.
-    short = parse_word("x1 x1")
-    # its certificate evaluation alone takes LABEL_PRODUCTS + 1 products
-    long_ = parse_word("x1 x2 " * (measure.LABEL_PRODUCTS // 2 + 1))
-    group = construct_group("symmetric:7")
-    assert group.class_key is None
-    image_and_power_coverage(short, group, "sampled", samples=50, rng=1)
-    assert group._class_labels is None
-    image_and_power_coverage(long_, group, "sampled", samples=50, rng=1)
-    assert group._class_labels is not None
-    # once built, every later call takes the class route
-    built = group._class_labels
-    image_and_power_coverage(short, group, "sampled", samples=50, rng=1)
-    assert group._class_labels is built
+    # only the orbit route builds a generating set
+    assert (group._generators is None) == (group.class_key is not None)
 
 
 @pytest.mark.parametrize("spec", ("sl2:17", "psl2:23"))
 def test_coverage_takes_the_class_route_on_a_class_key(spec):
-    # the key's labels cost one pass over the entries, so even a short
-    # sampled word on a fresh matrix group reads them, with no generating
-    # set (the orbit route's first step)
+    # the key's labels cost one pass over the entries, so a fresh matrix
+    # group reads them with no generating set (the orbit route's first step)
     group = construct_group(spec)
     word = parse_word("x1 x1")
-    rep = image_and_power_coverage(word, group, "sampled", samples=50, rng=1)
-    assert group._class_labels is not None and group._generators is None
     dist = monte_carlo_distribution(word, group, 50, 1)
-    assert rep == full_carrier_coverage(word, group, dist)
+    rep = image_and_power_coverage(word, dist)
+    assert group._class_labels is not None and group._generators is None
+    assert_same_coverage(rep, full_carrier_coverage(word, dist))
+
+
+def test_coverage_holds_only_its_masks_at_the_carrier_cap():
+    # "x1 x1 X2" has gcd 1 and certificate w(g, g) = g, so the certificate
+    # classes cover all 912,576 elements of sl2:97; the call keeps three
+    # boolean masks of the carrier and nothing else once it returns
+    group = construct_group("sl2:97")
+    word = parse_word("x1 x1 X2")
+    dist = monte_carlo_distribution(word, group, 200, stream(3))
+    class_labels(group)  # cached on the group, so not the call's own
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rep = image_and_power_coverage(word, dist)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert rep.certificate.all() and rep.covers_powers
+    assert held <= 3 * group.order + 4 * 2**20
 
 
 def test_image_coverage_needs_m_for_balanced_words():
     s3 = get_group("symmetric:3")
+    word = parse_word("x1 x2 X1 X2")
+    dist = exact_distribution(word, s3)
     with pytest.raises(EmptyWordError):
-        image_and_power_coverage(parse_word("x1 x2 X1 X2"), s3)
-    rep = image_and_power_coverage(parse_word("x1 x2 X1 X2"), s3, m=1)
+        image_and_power_coverage(word, dist)
+    rep = image_and_power_coverage(word, dist, m=1)
     assert rep.m == 1
 
 
@@ -276,18 +281,6 @@ def test_class_totals_are_divisible_by_class_sizes(spec):
 # ---------------------------------------------------------------------------
 # Each cell evaluated once
 # ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("spec,word_text", [
-    ("psl2:7", "x1 x1 x2 x2"),
-    ("symmetric:4", "x1 x1 x1 x2 X1"),
-    ("alternating:5", "x1 x2 x1 x2 x1 x2"),
-])
-def test_coverage_from_a_given_distribution_matches_fresh_call(spec, word_text):
-    group = get_group(spec)
-    word = parse_word(word_text)
-    dist = exact_distribution(word, group)
-    assert image_and_power_coverage(word, group, dist=dist) == image_and_power_coverage(word, group)
 
 
 def _count_calls(monkeypatch, name):
