@@ -70,7 +70,7 @@ POWER_CLOSURE_CAP = 10**7
 def is_generating(group: Group, elements: Sequence[Union[Element, int]]) -> bool:
     """True when the given elements generate the whole group."""
     idx = _as_indices(group, elements)
-    if not idx:
+    if not idx.size:
         return group.order == 1
     return bool(closure_mask(group, idx).all())
 

@@ -81,7 +81,7 @@ class StepSet:
 
     @classmethod
     def uniform(cls, group: Group, steps: Sequence[Union[Element, int]]) -> "StepSet":
-        support = tuple(_as_indices(group, steps))
+        support = tuple(_as_indices(group, steps).tolist())
         # __post_init__ rejects an empty or repeated support
         weights = tuple(Fraction(1, len(support)) for _ in support)
         return cls(group=group, support=support, weights=weights)

@@ -3,8 +3,8 @@
 Every group enumerates its carrier deterministically with the identity at
 index 0, so an element is just an index and a distribution over the group
 is a flat integer array.  Multiplication is computed on a canonical form
-per backend (residue, permutation tuple, matrix) and resolved back to an
-index; groups of modest order additionally expose a dense numpy
+per backend (residue, one-line permutation row, matrix) and resolved back
+to an index; groups of modest order additionally expose a dense numpy
 multiplication table for vectorized consumers.
 """
 
@@ -99,10 +99,13 @@ class Group:
     identity: int = 0
 
     def mul(self, a: int, b: int) -> int:
-        raise NotImplementedError
+        # reads (on first use, builds) the table when the group has one
+        return int(vector_multiplier(self)(a, b))
 
     def inv(self, a: int) -> int:
-        raise NotImplementedError
+        # `inv_array` below loops over `inv`, so a backend that keeps this
+        # `inv` overrides `inv_array`
+        return int(self.inv_array()[a])
 
     def pow(self, a: int, k: int) -> int:
         """Square-and-multiply power; negative exponents via inverse."""
@@ -311,25 +314,12 @@ class DihedralGroup(Group):
         return f"r{r}" + ("s" if f else "")
 
 
-def _perm_sign(perm: Sequence[int]) -> int:
-    seen = [False] * len(perm)
-    sign = 1
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
 class PermutationGroup(Group):
-    """S_n or A_n on points 0..n-1, carrier in lexicographic order."""
+    """S_n or A_n on points 0..n-1, carrier in lexicographic order.
+
+    The carrier is held once, as int8 one-line rows (`_rows`).  Their
+    base-n values (`_values`) ascend, so one searchsorted ranks a row.
+    """
 
     def __init__(self, kind: str, n: int):
         if not 1 <= n <= PERM_DEGREE_CAP:
@@ -339,37 +329,21 @@ class PermutationGroup(Group):
         self.spec = GroupSpec(kind, n)
         self.name = str(self.spec)
         self.n = n
-        even_only = kind == "alternating"
-        carrier = [
-            p for p in itertools.permutations(range(n)) if not even_only or _perm_sign(p) == 1
-        ]
         # lexicographic order puts the identity first
-        self.carrier = carrier
-        self.order = len(carrier)
-        self._index = {p: i for i, p in enumerate(carrier)}
+        rows = np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(n))),
+                           np.int8, count=math.factorial(n) * n).reshape(-1, n)
+        if kind == "alternating":
+            # a row is odd when it has an odd number of inversions, pairs
+            # i < j with row[i] > row[j]: one compare of two columns each
+            cols = np.ascontiguousarray(rows.T)
+            odd = np.zeros(len(rows), dtype=bool)
+            for i, j in itertools.combinations(range(n), 2):
+                odd ^= cols[i] > cols[j]
+            rows = rows[~odd]
+        self._rows = rows
+        self.order = len(rows)
         self._radix = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
-
-    def mul(self, a: int, b: int) -> int:
-        pa, pb = self.carrier[a], self.carrier[b]
-        return self._index[tuple(pa[x] for x in pb)]
-
-    def inv(self, a: int) -> int:
-        pa = self.carrier[a]
-        out = [0] * self.n
-        for i, x in enumerate(pa):
-            out[x] = i
-        return self._index[tuple(out)]
-
-    # Arrays are multiplied on one-line rows.  The carrier is lexicographic,
-    # so the rows' base-n values ascend and one searchsorted ranks a row.
-
-    @functools.cached_property
-    def _rows(self) -> np.ndarray:
-        return np.array(self.carrier, dtype=np.int8)
-
-    @functools.cached_property
-    def _values(self) -> np.ndarray:
-        return self._rows @ self._radix
+        self._values = rows @ self._radix
 
     def lift(self, x) -> np.ndarray:
         """One-line rows of the index array x, on a new last axis."""
@@ -389,20 +363,40 @@ class PermutationGroup(Group):
         return self._inv_array
 
     def element_repr(self, index: int) -> str:
-        return _cycle_notation(self.carrier[index])
+        return _cycle_notation(self._rows[index].tolist())
 
     def index_of_perm(self, perm: Sequence[int]) -> int:
-        """Look up a one-line permutation of 0..n-1 (raises KeyError if absent)."""
-        return self._index[tuple(perm)]
+        """Look up a one-line permutation of 0..n-1 (raises KeyError if absent).
+
+        One searchsorted ranks its base-n value, and the row found must
+        equal `perm`: entries off 0..n-1 can share a row's value.
+        """
+        perm = tuple(perm)
+        if len(perm) == self.n:
+            index = int(np.searchsorted(self._values, np.dot(perm, self._radix)))
+            if index < self.order and self._rows[index].tolist() == list(perm):
+                return index
+        raise KeyError(perm)
 
     def index_of_cycles(self, cycles: Sequence[Sequence[int]]) -> int:
-        """Look up a permutation given as disjoint cycles on 1..n, e.g. [(1,2,3)]."""
+        """Look up a permutation given as disjoint cycles on 1..n, e.g. [(1,2,3)].
+
+        ValueError for a point outside 1..n or named twice; KeyError for a
+        permutation outside the group.
+        """
         perm = list(range(self.n))
+        named = set()
         for cyc in cycles:
+            for c in cyc:
+                if not 1 <= c <= self.n:
+                    raise ValueError(f"cycle point {c} outside 1..{self.n}")
+                if c in named:
+                    raise ValueError(f"cycle point {c} named twice")
+                named.add(c)
             pts = [c - 1 for c in cyc]
             for i, pt in enumerate(pts):
                 perm[pt] = pts[(i + 1) % len(pts)]
-        return self._index[tuple(perm)]
+        return self.index_of_perm(perm)
 
 
 def _cycle_notation(perm: Sequence[int]) -> str:
@@ -477,13 +471,6 @@ class _MatrixGroup(Group):
         p = self.p
         a = a.astype(np.int32)  # ranks reach p^3: past int16
         return (((a - 1) * p + b) * p + c + (d - c) * (a == 0)) % (p * (p * p - 1))
-
-    def mul(self, x: int, y: int) -> int:
-        # reads (on first use, builds) the table when the group has one
-        return int(vector_multiplier(self)(x, y))
-
-    def inv(self, x: int) -> int:
-        return int(self.inv_array()[x])
 
     def matrix(self, index: int) -> tuple:
         """Canonical representative as ((a, b), (c, d)) with entries mod p."""
@@ -591,12 +578,6 @@ class CayleyGroup(Group):
         # attributes set by quotient constructions
         self.projection: Optional[list] = None
         self.parent: Optional[Group] = None
-
-    def mul(self, a: int, b: int) -> int:
-        return int(self._table[a, b])
-
-    def inv(self, a: int) -> int:
-        return int(self.inv_array()[a])
 
     def mul_lifted(self, a, b) -> np.ndarray:
         return self._table[np.asarray(a), np.asarray(b)]
@@ -921,11 +902,11 @@ def class_labels(group: Group) -> np.ndarray:
                                       return_inverse=True)
             labels = first[key]
         else:
-            carrier = np.arange(group.order, dtype=np.int64)
+            everyone = np.arange(group.order, dtype=np.int64)
             s = group_generators(group)
             mul_vec = vector_multiplier(group)
-            maps = mul_vec(mul_vec(group.inv_array()[s][:, None], carrier), s[:, None])
-            labels = carrier
+            maps = mul_vec(mul_vec(group.inv_array()[s][:, None], everyone), s[:, None])
+            labels = everyone
             while True:
                 fallen = labels
                 for conj in maps:
@@ -939,16 +920,21 @@ def class_labels(group: Group) -> np.ndarray:
     return group._class_labels
 
 
-def _as_indices(group: Group, gens: Iterable[Element | int]) -> list:
-    """Carrier indices of elements or ints; IndexError names one outside [0, |G|)."""
+def _as_indices(group: Group, gens: Iterable[Element | int]) -> np.ndarray:
+    """Carrier indices of elements or ints, as an int64 array; IndexError
+    names the first outside [0, |G|)."""
     out = []
     for g in gens:
         if isinstance(g, Element):
             if g.group is not group and g.group.name != group.name:
                 raise GroupMismatchError(f"generator from {g.group.name}, expected {group.name}")
             g = g.index
-        out.append(group.element(int(g)).index)
-    return out
+        out.append(g)
+    idx = np.array(out, dtype=np.int64)
+    off = np.flatnonzero((idx < 0) | (idx >= group.order))
+    if off.size:
+        raise IndexError(f"element index {idx[off[0]]} out of range for {group.name}")
+    return idx
 
 
 def _tuple_matrix(group: Group, tuples: Sequence[Sequence[Element | int]]) -> np.ndarray:
@@ -1039,7 +1025,7 @@ def closure_mask(group: Group, gens: Sequence[int]) -> np.ndarray:
 def closure(group: Group, gens: Iterable[Element | int]) -> frozenset:
     """Subgroup generated by gens (see `closure_mask`)."""
     gen_idx = _as_indices(group, gens)
-    if not gen_idx:
+    if not gen_idx.size:
         raise GroupMismatchError("closure needs at least one generator")
     return frozenset(np.flatnonzero(closure_mask(group, gen_idx)).tolist())
 

@@ -234,7 +234,7 @@ def s5_conjugation_maps(alt5: PermutationGroup) -> list:
             s_inv[v] = i
         table = []
         for idx in range(alt5.order):
-            x = alt5.carrier[idx]
+            x = alt5.lift(idx).tolist()
             conj = tuple(s[x[s_inv[i]]] for i in range(5))
             table.append(alt5.index_of_perm(conj))
         maps.append(tuple(table))

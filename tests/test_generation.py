@@ -66,6 +66,10 @@ def test_indices_outside_the_carrier_raise_index_error(tmp_path):
             call()
     assert main(["mixing", "--seed", "1", "--group", "alternating:5", "--n", "5",
                  "--steps", "1,75", "--out", str(tmp_path)]) == 1
+    # elements and ints mix; an element of another group is refused
+    assert closure(a5, [a5.element(1), 15]) == closure(a5, [1, 15])
+    with pytest.raises(GroupMismatchError, match="generator from symmetric:3"):
+        closure(a5, [a5.element(1), get_group("symmetric:3").element(1)])
 
 
 @pytest.mark.parametrize("spec", [s for s in CATALOG if get_group(s).order <= 60])

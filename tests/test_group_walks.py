@@ -169,7 +169,7 @@ def test_sign_obstruction_on_s3():
     assert w is not None and w.modulus == 2
     # the witness is the parity of the permutation
     for g in range(s3.order):
-        perm = s3.carrier[g]
+        perm = s3.lift(g).tolist()
         inversions = sum(
             1
             for i in range(len(perm))

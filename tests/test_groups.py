@@ -1,5 +1,6 @@
 """Group backends: axioms, structure helpers, and cross-route agreement."""
 
+import itertools
 import re
 import tracemalloc
 import zlib
@@ -168,16 +169,50 @@ def test_table_build_peak_memory():
     assert peak <= table.nbytes + 4 * 2**20
 
 
-@pytest.mark.parametrize("spec", [s for s in CATALOG if s.startswith(("symmetric", "alternating"))]
-                         + ["symmetric:7"])
+def cycle_sign(perm) -> int:
+    """+1 or -1: the sign of a one-line permutation from its cycle lengths."""
+    seen = [False] * len(perm)
+    sign = 1
+    for start in range(len(perm)):
+        length = 0
+        j = start
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        if length and length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+@pytest.mark.parametrize("spec", [f"{kind}:{n}" for kind in ("symmetric", "alternating")
+                                  for n in range(1, 9)])
 def test_permutation_rows_lower_to_their_own_index(spec):
-    # the carrier is lexicographic, so the rows' base-n values ascend and
-    # `lower` ranks them by one searchsorted
-    g = get_group(spec)
+    # the carrier is lexicographic (A_n keeps the even rows), so the rows'
+    # base-n values ascend and `lower` ranks them by one searchsorted
+    g = construct_group(spec)
+    kind, _, n = spec.partition(":")
+    expected = [list(perm) for perm in itertools.permutations(range(int(n)))
+                if kind == "symmetric" or cycle_sign(perm) == 1]
     everyone = np.arange(g.order)
     rows = g.lift(everyone)
-    assert rows.tolist() == [list(perm) for perm in g.carrier]
+    assert rows.tolist() == expected
     assert np.array_equal(g.lower(rows), everyone)
+
+
+def test_permutation_lookup_is_exact():
+    s3, a4 = get_group("symmetric:3"), get_group("alternating:4")
+    assert s3.index_of_perm((1, 0, 2)) == s3.index_of_cycles([(1, 2)])
+    assert s3.index_of_perm([2, 1, 0]) == s3.order - 1
+    # entries off 0..2 whose base-3 value is a row's: (0, 3, 2) and (1, 0, 2)
+    # are both 11, (0, 0, 5) and (0, 1, 2) both 5
+    assert np.dot((0, 3, 2), [9, 3, 1]) == np.dot((1, 0, 2), [9, 3, 1])
+    for bad in [(0, 3, 2), (0, 0, 5), (-1, 2, 2), (2, 2, 2), (0, 1), (0, 1, 2, 3), ()]:
+        with pytest.raises(KeyError):
+            s3.index_of_perm(bad)
+    with pytest.raises(KeyError):
+        a4.index_of_perm((1, 0, 2, 3))  # odd
+    assert a4.index_of_perm((1, 0, 3, 2)) == a4.index_of_cycles([(1, 2), (3, 4)])
 
 
 @pytest.mark.parametrize("spec", CATALOG + ("symmetric:6", "sl2:17"))
@@ -287,12 +322,19 @@ def test_matrix_groups_match_independent_arithmetic(spec):
 def test_permutation_group_cycle_lookup():
     s4 = get_group("symmetric:4")
     idx = s4.index_of_cycles([(1, 2)])
-    assert s4.carrier[idx] == (1, 0, 2, 3)
+    assert s4.lift(idx).tolist() == [1, 0, 2, 3]
     idx = s4.index_of_cycles([(1, 2, 3, 4)])
-    assert s4.carrier[idx] == (1, 2, 3, 0)
+    assert s4.lift(idx).tolist() == [1, 2, 3, 0]
     a4 = get_group("alternating:4")
     with pytest.raises(KeyError):
         a4.index_of_cycles([(1, 2)])  # odd permutation is not in A4
+    for cycles in ([(1, 2), (1, 2)], [(1, 1)], [(2, 3), (3, 4)]):
+        with pytest.raises(ValueError, match="named twice"):
+            s4.index_of_cycles(cycles)
+    for cycles in ([(0, 1)], [(1, 5)], [(-1, 2)]):
+        with pytest.raises(ValueError, match="outside 1..4"):
+            s4.index_of_cycles(cycles)
+    assert s4.index_of_cycles([]) == s4.index_of_cycles([(2,)]) == 0
 
 
 def test_center_and_quotient_of_double_cover():

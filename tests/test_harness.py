@@ -341,6 +341,21 @@ def test_mixing_config_errors():
         run_mixing(cfg(cycles="(1 2 9)"))
 
 
+@pytest.mark.parametrize("cycles, problem", [
+    ("(1 2)(1 2);(1 1);(1 2 3)", "named twice"),
+    ("(0 1)", "outside 1..3"),
+])
+def test_mixing_refuses_malformed_cycles(tmp_path, capsys, cycles, problem):
+    # a point in two cycles, a repeated point or one outside 1..n is a
+    # config error, not a silently different step
+    argv = ["mixing", "--seed", "1", "--group", "symmetric:3", "--cycles", cycles,
+            "--n", "4", "--out", str(tmp_path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: bad cycles for symmetric:3: ") and problem in err
+    assert not (tmp_path / "report.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # Generation
 # ---------------------------------------------------------------------------
