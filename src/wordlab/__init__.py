@@ -79,9 +79,7 @@ from .words import (
 from .measure import (
     Distribution,
     ImageReport,
-    TrendRow,
     exact_distribution,
-    family_trend,
     image_and_power_coverage,
     l1_distance,
     l1_uniform_distance,

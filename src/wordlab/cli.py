@@ -2,8 +2,9 @@
 
 Every experiment subcommand accepts an optional flat config file plus
 flags that override it; the merged configuration is validated as a whole
-(unknown keys rejected, seed mandatory).  Reports and tables are written
-to the output directory with deterministic bytes.
+(unknown keys and keys the experiment does not take rejected, seed
+mandatory).  Reports and tables are written to the output directory with
+deterministic bytes.
 
 Exit codes: 0 success, 1 configuration or I/O problem (including a bad
 flag and audit discrepancies), 2 enumeration budget exceeded.
@@ -30,17 +31,19 @@ from .harness import (
 
 # Config keys every experiment subcommand takes as flags.
 _COMMON_KEYS = ("seed", "out")
-_TYPES = {"int": int, "float": float}  # str values need no conversion
 
 
 def _add_flags(parser: argparse.ArgumentParser, keys: Sequence[str]) -> None:
     parser.add_argument("--config", help="flat key=value config file")
+    # values stay strings: `build_config` types and checks them, as it
+    # does those of a config file
     for key in keys:
-        kind, text = KNOWN_KEYS[key]
+        text = KNOWN_KEYS[key][1]
+        if key in CHOICES:
+            text += ": " + " or ".join(CHOICES[key])
         if key in DEFAULTS:
             text += f" (default {DEFAULTS[key]})"
-        parser.add_argument("--" + key.replace("_", "-"), dest=key, type=_TYPES.get(kind),
-                            choices=CHOICES.get(key), help=text)
+        parser.add_argument("--" + key.replace("_", "-"), dest=key, help=text)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -319,6 +319,8 @@ class PermutationGroup(Group):
 
     The carrier is held once, as int8 one-line rows (`_rows`).  Their
     base-n values (`_values`) ascend, so one searchsorted ranks a row.
+    Values and inverses are built one column at a time, so no int64 copy
+    of the rows is ever made.
     """
 
     def __init__(self, kind: str, n: int):
@@ -342,8 +344,16 @@ class PermutationGroup(Group):
             rows = rows[~odd]
         self._rows = rows
         self.order = len(rows)
-        self._radix = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
-        self._values = rows @ self._radix
+        self._values = self._base_n(rows)
+
+    def _base_n(self, rows) -> np.ndarray:
+        """Base-n value of each one-line row (the last axis), by Horner's rule."""
+        rows = np.asarray(rows)
+        value = rows[..., 0].astype(np.int64)
+        for i in range(1, self.n):
+            value *= self.n
+            value += rows[..., i]
+        return value
 
     def lift(self, x) -> np.ndarray:
         """One-line rows of the index array x, on a new last axis."""
@@ -354,12 +364,16 @@ class PermutationGroup(Group):
         return np.take_along_axis(x, y.astype(np.intp), axis=-1)
 
     def lower(self, x) -> np.ndarray:
-        return np.searchsorted(self._values, x @ self._radix)
+        return np.searchsorted(self._values, self._base_n(x))
 
     def inv_array(self) -> np.ndarray:
-        # the inverse of a one-line permutation is its argsort
+        # row r sends i to rows[r, i], so its inverse sends rows[r, i] to i
         if self._inv_array is None:
-            self._inv_array = self.lower(np.argsort(self._rows, axis=1)).astype(np.int32)
+            inv = np.empty_like(self._rows)
+            carrier = np.arange(self.order)
+            for i in range(self.n):
+                inv[carrier, self._rows[:, i]] = i
+            self._inv_array = self.lower(inv).astype(np.int32)
         return self._inv_array
 
     def element_repr(self, index: int) -> str:
@@ -373,7 +387,7 @@ class PermutationGroup(Group):
         """
         perm = tuple(perm)
         if len(perm) == self.n:
-            index = int(np.searchsorted(self._values, np.dot(perm, self._radix)))
+            index = int(np.searchsorted(self._values, self._base_n(perm)))
             if index < self.order and self._rows[index].tolist() == list(perm):
                 return index
         raise KeyError(perm)

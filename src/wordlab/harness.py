@@ -1,10 +1,10 @@
 """Experiment harness: flat-file configs, deterministic runs, auditable reports.
 
 A config is a flat text file of `key = value` lines (comments with `#`).
-Unknown keys are rejected and `seed` is always required: every random
-draw in a run is derived from the seed through named substreams, so a
-report is a pure function of its config and rerunning it reproduces the
-same bytes.
+Unknown keys, and keys the experiment does not take, are rejected, and
+`seed` is always required: every random draw in a run is derived from the
+seed through named substreams, so a report is a pure function of its
+config and rerunning it reproduces the same bytes.
 
 Reports are JSON with sorted keys.  Every aggregate is recomputable from
 the per-record data in the same file; `audit_report` does exactly that
@@ -56,7 +56,6 @@ from .lattice_walks import (
 )
 from .measure import (
     exact_distribution,
-    family_trend,
     image_and_power_coverage,
     l1_uniform_distance,
     monte_carlo_distribution,
@@ -64,7 +63,7 @@ from .measure import (
 from .rng import stream
 from .words import Word, abelianize, gcd_of_vector, parse_word, sample_word
 
-# key -> (type tag, short description); flag types and help come from here
+# key -> (type tag, short description); value types and flag help come from here
 KNOWN_KEYS = {
     "experiment": ("str", "experiment name; must match the subcommand"),
     "seed": ("int", "root seed; mandatory everywhere"),
@@ -82,7 +81,6 @@ KNOWN_KEYS = {
     "steps": ("str", "comma-separated element indices (mixing)"),
     "cycles": ("str", "semicolon-separated cycles, e.g. (1 2 3);(1 2) (mixing)"),
     "out": ("str", "output directory"),
-    "table": ("str", "Cayley-table file path (ingest)"),
 }
 
 DEFAULTS = {
@@ -170,7 +168,9 @@ def build_config(experiment: str, *sources: dict) -> ExperimentConfig:
     """Merge raw mappings (later sources win), validate keys and types.
 
     `experiment` comes from the caller (the CLI subcommand); a conflicting
-    `experiment` key inside a source is an error.
+    `experiment` key inside a source is an error, and so is a key the
+    experiment does not take.  Values from a file and from flags alike
+    arrive here as given and are typed and checked here only.
     """
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {experiment!r}")
@@ -186,6 +186,10 @@ def build_config(experiment: str, *sources: dict) -> ExperimentConfig:
             "unknown config key(s): " + ", ".join(unknown)
             + "; known keys: " + ", ".join(sorted(KNOWN_KEYS))
         )
+    taken = {"experiment", "seed", "out", *EXPERIMENTS[experiment].keys}
+    foreign = sorted(set(merged) - taken)
+    if foreign:
+        raise ConfigError(f"{experiment} does not take key(s): {', '.join(foreign)}")
     values = {}
     for key, value in merged.items():
         values[key] = _convert(key, str(value))
@@ -301,6 +305,15 @@ def _group_specs(text: str) -> list:
     return specs
 
 
+def _cell_law(word: Word, group, mode: str, samples: Optional[int], seed: int,
+              *path: int):
+    """The word's law on one group: enumerated, or sampled from substream
+    (seed, *path).  The stream is built only when it is used."""
+    if mode == "exact":
+        return exact_distribution(word, group)
+    return monte_carlo_distribution(word, group, samples, stream(seed, *path))
+
+
 def _density_cell(word: Word, gamma: int, group, spec: str, mode: str,
                   samples: Optional[int], seed: int, word_index: int,
                   group_index: int) -> dict:
@@ -314,12 +327,7 @@ def _density_cell(word: Word, gamma: int, group, spec: str, mode: str,
         "error": None,
     }
     try:
-        if mode == "exact":
-            dist = exact_distribution(word, group)
-        else:
-            dist = monte_carlo_distribution(
-                word, group, samples, stream(seed, 11, word_index, group_index)
-            )
+        dist = _cell_law(word, group, mode, samples, seed, 11, word_index, group_index)
         record.update(_fraction_fields(l1_uniform_distance(dist)))
         if gamma != 0:
             # in sampled mode the certificate pins every m-th power, so the
@@ -448,17 +456,34 @@ def _summarize_density(report: dict) -> int:
 
 
 def run_trend(config: ExperimentConfig) -> dict:
+    """One word's distance to uniform across several groups.
+
+    In sampled mode row j (the j-th spec as given) draws from substream
+    (j).  A group that cannot be built or measured is recorded in its row
+    instead of aborting the sweep; rows are ordered by group order, those
+    without one last.
+    """
     t0 = time.perf_counter()
     word_text, group_text = config.require("word", "groups")
     mode, samples = _mode_and_samples(config)
     word = parse_word(word_text)
-    specs = _group_specs(group_text)
-    rows = family_trend(word, specs, mode=mode, samples=samples, seed=config.seed)
+    rows = []
+    for j, spec in enumerate(_group_specs(group_text)):
+        row = {"spec": spec, "order": None, "mode": mode, "error": None,
+               "l1": None, "l1_exact": None}
+        try:
+            group = construct_group(spec)
+            row["order"] = group.order
+            row.update(_fraction_fields(l1_uniform_distance(
+                _cell_law(word, group, mode, samples, config.seed, j))))
+        except WordlabError as exc:
+            row["error"] = f"{type(exc).__name__}: {exc}"
+        rows.append(row)
+    rows.sort(key=lambda r: (r["order"] is None, r["order"] or 0, r["spec"]))
     return _report("trend", config, t0, {
         "word": word.to_text(),
         "gamma": gcd_of_vector(abelianize(word)),
-        "rows": [{"spec": row.spec, "order": row.order, "mode": row.mode,
-                  "error": row.error, **_fraction_fields(row.distance)} for row in rows],
+        "rows": rows,
     })
 
 

@@ -12,22 +12,16 @@ The L1 distance used everywhere is sum_g |P(g) - 1/|G||, which ranges over
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import (
-    BudgetExceededError,
-    EmptyWordError,
-    UnsupportedParameterError,
-    WordlabError,
-)
-from .groups import (Group, GroupSpec, class_labels, construct_group, power_array,
-                     word_multiplier)
-from .rng import Rng, as_rng, stream
+from .errors import BudgetExceededError, EmptyWordError, UnsupportedParameterError
+from .groups import Group, class_labels, power_array, word_multiplier
+from .rng import Rng, as_rng
 from .words import Word, abelianize, bezout_certificate, gcd_of_vector
 
 # Total tuple count |G|^d an exact enumeration may cover.
@@ -289,52 +283,6 @@ def image_and_power_coverage(word: Word, dist: Distribution,
                        covers_powers=not (powers & ~image).any(),
                        witness=int(beyond[0]) if beyond.size else None,
                        certificate=certificate)
-
-
-# ---------------------------------------------------------------------------
-# Trends across a family of groups
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class TrendRow:
-    spec: str
-    order: Optional[int]
-    distance: Optional[Union[Fraction, float]]
-    mode: str
-    error: Optional[str] = None
-
-
-def family_trend(word: Word, specs: Sequence[Union[GroupSpec, str]], mode: str = "exact",
-                 samples: int = 10_000, seed: int = 0) -> list:
-    """Distance to uniform for one word across several groups.
-
-    Rows come back ordered by group order; per-group failures are recorded
-    in the row instead of aborting the sweep.
-    """
-    rows = []
-    for idx, spec in enumerate(specs):
-        spec_text = str(spec)
-        try:
-            group = construct_group(spec)
-        except WordlabError as exc:
-            rows.append(TrendRow(spec=spec_text, order=None, distance=None,
-                                 mode=mode, error=f"{type(exc).__name__}: {exc}"))
-            continue
-        try:
-            if mode == "exact":
-                dist = exact_distribution(word, group)
-            elif mode == "sampled":
-                dist = monte_carlo_distribution(word, group, samples, stream(seed, idx))
-            else:
-                raise UnsupportedParameterError(f"bad mode {mode!r}")
-            rows.append(TrendRow(spec=spec_text, order=group.order,
-                                 distance=l1_uniform_distance(dist), mode=mode))
-        except WordlabError as exc:
-            rows.append(TrendRow(spec=spec_text, order=group.order, distance=None,
-                                 mode=mode, error=f"{type(exc).__name__}: {exc}"))
-    rows.sort(key=lambda r: (r.order is None, r.order or 0, r.spec))
-    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,10 @@ and the gather convolution replaced the full-torus rolls and the list
 loops.  Three walk-gcd runs more (a long d = 1 walk, 16 moduli in d = 3,
 and a draw of 2 * 10^7 steps, then two sampling batches) were recorded
 before the narrow endpoint draws, the compact box and the shared gather
-step of the small tori.  A refactor that changes any written byte fails
-here.
+step of the small tori.  Two trend runs (sampled rows with an unbuildable
+group, and exact rows with a budget error) were recorded before the trend
+rows moved from `measure` into the harness's shared cell routine.  A
+refactor that changes any written byte fails here.
 """
 
 import hashlib
@@ -64,6 +66,26 @@ GOLDEN = {
         {
             "report.json": "3b133a0237c29410da820e208367b87f9b8d9a8d7d27dd43dfde8bc4986adf2c",
             "trend.csv": "b568f77b78c9e1d0f6d5844be7fdc016b0b1fac03f599be0a12075e50ce31de1",
+        },
+    ),
+    # sampled rows on substreams (j) of their input index j (sl2:17 is
+    # input 0 but row 1), and a row whose group cannot be built
+    "trend-sampled": (
+        ["trend", "--seed", "6", "--word", "x1 x2 X1 X2",
+         "--groups", "sl2:17,nosuch:3,cyclic:4", "--mode", "sampled", "--samples", "500"],
+        {
+            "report.json": "4452151130eddb403841e0392db0f473ebd650bd28a103ec3e9a12feb63f1a2a",
+            "trend.csv": "baf660c1615c5bdd7c07b175e356e644b26c6eacaaa395634a59ca1b7c4eac15",
+        },
+    ),
+    # an exact row over the tuple budget and an unbuildable group, both
+    # sorted after the rows by order
+    "trend-errors": (
+        ["trend", "--seed", "2", "--word", "x1 x2 X1 X2",
+         "--groups", "symmetric:9,cyclic:4,nosuch:3"],
+        {
+            "report.json": "a11b4b7e4671f35c18b819e73e5bf42419f00c5b47467c51148c7aab2a8c19cd",
+            "trend.csv": "d805bee11d448d89fff449d0339ffed30093edfc944f8caa06cc56e699f9df60",
         },
     ),
     "walk-gcd": (

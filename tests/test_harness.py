@@ -102,6 +102,18 @@ def test_workers_key_is_refused(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_config_file_keys_the_experiment_does_not_take_are_refused(tmp_path, capsys):
+    # as the flag --words is refused for walk-gcd, so is a file's words key
+    cfg = tmp_path / "walk.cfg"
+    cfg.write_text("seed = 4\nd = 2\nn = 30\nsamples = 200\ngcd_cap = 5\n"
+                   "words = 7\ngroups = psl2:7\n")
+    assert main(["walk-gcd", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert "walk-gcd does not take key(s): groups, words" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(ConfigError, match="trend does not take key\\(s\\): tau"):
+        build_config("trend", {"seed": 1, "tau": 0.2})
+
+
 def test_config_echo_hides_execution_keys():
     config = build_config("density", {"seed": 1, "d": 2, "out": "/tmp/x"})
     echo = config.echo()
@@ -229,6 +241,21 @@ def test_trend_run_and_audit(tmp_path):
     loaded["rows"] = loaded["rows"][::-1]
     path.write_text(json.dumps(loaded))
     assert any("sorted" in d for d in audit_report(path))
+
+
+def test_trend_sorts_rows_and_captures_errors():
+    # x2 X2 cancels but makes the word rank 2, so the budget is |G|^2
+    config = build_config("trend", {"seed": 0, "word": "x2 X2 x1 x1",
+                                    "groups": "symmetric:4,cyclic:2,symmetric:9,nosuch:3"})
+    report = run_trend(config)
+    assert report["word"] == "x1 x1"
+    rows = report["rows"]
+    # sorted by order, errors (no order) last
+    assert [r["spec"] for r in rows] == ["cyclic:2", "symmetric:4", "symmetric:9", "nosuch:3"]
+    assert rows[2]["order"] == 362880 and rows[2]["l1"] is None
+    assert rows[2]["error"].startswith("BudgetExceededError: ")  # symmetric:9 at d = 2
+    assert rows[3]["order"] is None and rows[3]["error"] is not None
+    assert rows[0]["error"] is None and rows[0]["l1_exact"] == "1/1"
 
 
 def test_sampled_trend_refuses_zero_samples():

@@ -13,7 +13,6 @@ from wordlab.measure import (
     TUPLE_BUDGET,
     _class_totals,
     exact_distribution,
-    family_trend,
     image_and_power_coverage,
     l1_distance,
     l1_uniform_distance,
@@ -233,18 +232,6 @@ def test_image_coverage_needs_m_for_balanced_words():
         image_and_power_coverage(word, dist)
     rep = image_and_power_coverage(word, dist, m=1)
     assert rep.m == 1
-
-
-def test_family_trend_sorts_and_captures_errors():
-    word = parse_word("x1 x1", rank=2)  # rank 2: budget is |G|^2
-    rows = family_trend(word, ("symmetric:4", "cyclic:2", "symmetric:9", "nosuch:3"))
-    specs = [r.spec for r in rows]
-    # sorted by order, errors (no order) last
-    assert specs[0] == "cyclic:2"
-    assert specs[1] == "symmetric:4"
-    assert rows[2].error is not None  # symmetric:9 blows the budget at d = 2
-    assert rows[3].order is None and rows[3].error is not None
-    assert rows[0].distance == Fraction(1)
 
 
 def test_distribution_csv_output(tmp_path):
