@@ -8,9 +8,11 @@ obstruction that keeps some generating step sets from ever mixing, and
 compares the two natural ways of randomizing a power of a group (one
 shared letter sequence across coordinates versus independent walks).
 
-Exact laws are kept as python big integers over the common denominator
-D**n, where D is the lcm of the step-weight denominators, so distances
-to uniform come out as exact Fractions.
+Exact laws are kept as integer counts over the common denominator D**n,
+where D is the lcm of the step-weight denominators, so distances to
+uniform come out as exact Fractions.  The counts are int64 while every
+value a step can form stays below 2**62, and python big integers from
+then on.
 """
 
 from __future__ import annotations
@@ -110,7 +112,8 @@ def _source_columns(group: Group, support: Sequence[int]) -> list:
 
 
 def _convolve_step(counts: np.ndarray, sources: list, int_weights: Sequence[int]) -> np.ndarray:
-    """One tick on an object array of python ints: new[y] = sum_g w_g counts[y*g^-1]."""
+    """One tick, in the dtype of `counts` (int64 or python ints):
+    new[y] = sum_g w_g counts[y*g^-1]."""
     new = None
     for src, w in zip(sources, int_weights):
         term = counts[src] if w == 1 else counts[src] * w
@@ -128,10 +131,14 @@ def _check_walk(group: Group, steps: StepSet) -> None:
 
 def _walk_laws(group: Group, steps: StepSet, n: int):
     """Yield (counts, total) after 0, 1, ..., n steps: the law is counts/total,
-    with counts an object array of python ints.
+    with total a python int.
 
     Each round right-multiplies by one step draw; the total grows by D,
-    the lcm of the weight denominators.
+    the lcm of the weight denominators.  No count or partial sum of a
+    round exceeds its new total, so the counts stay int64 while the new
+    total times |G| is below 2**62, a margin that also keeps every
+    c*|G| - total exact in int64; before the first round that could reach
+    it they become an object array of python ints.
     """
     _check_walk(group, steps)
     if n < 0:
@@ -139,11 +146,13 @@ def _walk_laws(group: Group, steps: StepSet, n: int):
     D = steps.denominator()
     int_weights = [int(w * D) for w in steps.weights]
     sources = _source_columns(group, steps.support)
-    counts = np.zeros(group.order, dtype=object)
+    counts = np.zeros(group.order, dtype=np.int64)
     counts[group.identity] = 1
     total = 1
     yield counts, total
     for _ in range(n):
+        if counts.dtype != object and total * D * group.order >= 1 << 62:
+            counts = counts.astype(object)
         counts = _convolve_step(counts, sources, int_weights)
         total *= D
         yield counts, total
@@ -153,13 +162,14 @@ def exact_walk_law(group: Group, steps: StepSet, n: int) -> Distribution:
     """Exact law of the n-step walk, as integer counts over D**n.
 
     The walk is the product s_1 s_2 ... s_n of independent draws, built by
-    n rounds of right-multiplication convolution.
+    n rounds of right-multiplication convolution.  The counts come back
+    as python ints.
     """
     for counts, total in _walk_laws(group, steps, n):
         pass
     return Distribution(
         group=group,
-        counts=counts,
+        counts=counts.astype(object, copy=False),
         total=total,
         mode="exact",
         d=1,
@@ -168,11 +178,17 @@ def exact_walk_law(group: Group, steps: StepSet, n: int) -> Distribution:
 
 
 def mixing_profile(group: Group, steps: StepSet, n_max: int) -> list:
-    """Exact L1 distances to uniform after 0, 1, ..., n_max steps."""
+    """Exact L1 distances to uniform after 0, 1, ..., n_max steps.
+
+    The terms c*|G| - total sum to 0, so sum |c*|G| - total| is twice the
+    sum of the positive ones, those with c > floor(total/|G|).
+    """
     order = group.order
     profile = []
     for counts, total in _walk_laws(group, steps, n_max):
-        profile.append(Fraction(np.abs(counts * order - total).sum(), total * order))
+        above = counts > total // order
+        excess = order * int(counts[above].sum()) - total * int(np.count_nonzero(above))
+        profile.append(Fraction(2 * excess, total * order))
     return profile
 
 

@@ -971,22 +971,30 @@ def right_orbit(mul_vec, n: int, start, gens, stop: Optional[int] = None) -> np.
     """Mask of the elements reached from `start` by right multiplication by `gens`.
 
     Frontier expansion on index arrays: every element found is multiplied
-    by every generator once.  Once more than `stop` elements are reached,
-    the expansion ends and the mask comes back all True.  Nothing here
-    assumes associativity, so it also runs on an unvalidated table.
+    by every generator once.  Each round's products are scattered into a
+    boolean mask, so the new frontier holds each element not yet seen once,
+    in index order.  Once more than `stop` elements are reached, the
+    expansion ends and the mask comes back all True.  Nothing here assumes
+    associativity, so it also runs on an unvalidated table.
     """
     gens = np.asarray(gens, dtype=np.int64)
-    frontier = np.unique(np.asarray(start, dtype=np.int64))
     seen = np.zeros(n, dtype=bool)
-    seen[frontier] = True
+
+    def fresh(candidates: np.ndarray) -> np.ndarray:
+        """The candidates not yet seen, one of each, now marked seen."""
+        new = np.zeros(n, dtype=bool)
+        new[candidates] = True
+        np.greater(new, seen, out=new)  # new and not seen
+        np.logical_or(seen, new, out=seen)
+        return np.flatnonzero(new)
+
+    frontier = fresh(np.asarray(start, dtype=np.int64).ravel())
     size = frontier.size
     while frontier.size:
         if stop is not None and size > stop:
             seen[:] = True
             break
-        reached = mul_vec(frontier[:, None], gens).ravel()
-        frontier = np.unique(reached[~seen[reached]])
-        seen[frontier] = True
+        frontier = fresh(mul_vec(frontier[:, None], gens).ravel())
         size += frontier.size
     return seen
 

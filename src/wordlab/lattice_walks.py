@@ -520,11 +520,12 @@ def predicted_tail_probability(d: int, n: int, gcd_cap: int) -> TailPrediction:
     signed = np.arange(side, dtype=np.int64)
     signed[signed > box_radius] -= side
     mags = np.abs(signed)
-    gamma = mags
+    # every gcd lies in [0, L]: the grid is held in the least dtype for L
+    gamma = mags.astype(np.min_scalar_type(box_radius))
     if d > 1:
         # gcd_with[g, i] = gcd(g, mags[i]); each pass appends one coordinate
         # axis. Its (L + 1) * side entries stay under side^2 <= BOX_STATE_CAP.
-        gcd_with = np.gcd.outer(np.arange(box_radius + 1), mags)
+        gcd_with = np.gcd.outer(np.arange(box_radius + 1), mags).astype(gamma.dtype)
         for _ in range(d - 1):
             gamma = gcd_with[gamma]
     # numpy's pairwise sum depends on the layout of what it adds, zeros

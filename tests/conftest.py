@@ -346,9 +346,15 @@ def broadcast_gcd_tail(d: int, n: int, gcd_cap: int, box_radius: int):
     return tail, {str(v): float(law[v]) for v in range(head_cap + 1)}
 
 
-def list_loop_mixing_profile(group, support, n_max: int) -> list:
-    """Exact L1 distances to uniform of the uniform walk on `support` after
-    0..n_max steps, pushing python-int counts along scalar products."""
+def list_loop_mixing_profile(group, support, n_max: int, weights=None) -> list:
+    """Exact L1 distances to uniform of the walk on `support` after 0..n_max
+    steps, pushing python-int counts along scalar products.  `weights` are
+    the steps' Fractions (uniform when None); counts are kept over the lcm
+    of their denominators to the power of the step count."""
+    if weights is None:
+        weights = [Fraction(1, len(support))] * len(support)
+    denom = math.lcm(*(w.denominator for w in weights))
+    int_weights = [int(w * denom) for w in weights]
     order = group.order
     counts = [0] * order
     counts[group.identity] = 1
@@ -357,12 +363,12 @@ def list_loop_mixing_profile(group, support, n_max: int) -> list:
     for step in range(n_max + 1):
         if step:
             new = [0] * order
-            for g in support:
+            for g, w in zip(support, int_weights):
                 for src, c in enumerate(counts):
                     if c:
-                        new[group.mul(src, g)] += c
+                        new[group.mul(src, g)] += w * c
             counts = new
-            total *= len(support)
+            total *= denom
         profile.append(Fraction(sum(abs(c * order - total) for c in counts), total * order))
     return profile
 

@@ -15,7 +15,9 @@ before the narrow endpoint draws, the compact box and the shared gather
 step of the small tori.  Two trend runs (sampled rows with an unbuildable
 group, and exact rows with a budget error) were recorded before the trend
 rows moved from `measure` into the harness's shared cell routine.  A
-refactor that changes any written byte fails here.
+150-step mixing run on psl2:13, past the step where the walk counts turn
+from int64 to python ints, was recorded before that switch.  A refactor
+that changes any written byte fails here.
 """
 
 import hashlib
@@ -164,6 +166,14 @@ GOLDEN = {
         {
             "report.json": "695477f3cf546f47b6f08c080096efcba5914423227c8f78faf27ef166435a96",
             "profile.csv": "c762f1a0939c2da2b825327d96481a46fb72a79b182f818620dadc9e952d34ea",
+        },
+    ),
+    # counts held in int64 for steps 1-51 and as python ints from step 52
+    "mixing-psl-long": (
+        ["mixing", "--seed", "9", "--group", "psl2:13", "--steps", "1,2", "--n", "150"],
+        {
+            "report.json": "ac8a104cb5c99e923ae12958e355530bb37f6c166f3b9ae949f6330727371faa",
+            "profile.csv": "65ef7161f4418347e7a07df709ddbe0fe0e049497b7c1618dcae97fdaaafd564",
         },
     ),
     "generation": (

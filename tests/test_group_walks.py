@@ -113,11 +113,21 @@ def test_mixing_profile_matches_fresh_laws():
 
 
 def test_mixing_profile_matches_list_loop_on_psl2_13():
+    # counts turn from int64 to python ints after step 51 here (D = 2,
+    # |G| = 1092) and after step 36 on the weighted A4 walk (D = 3, |G| = 12);
+    # numpy int64 arithmetic wraps silently, so only steps past the switch
+    # can show an overflow
     group = get_group("psl2:13")
     steps = StepSet.uniform(group, [1, 2])
-    assert mixing_profile(group, steps, 12) == list_loop_mixing_profile(group, [1, 2], 12)
-    law = exact_walk_law(group, steps, 3)
-    assert law.counts.dtype == object and all(type(c) is int for c in law.counts)
+    assert mixing_profile(group, steps, 60) == list_loop_mixing_profile(group, [1, 2], 60)
+    for n in (3, 60):
+        law = exact_walk_law(group, steps, n)
+        assert law.counts.dtype == object and all(type(c) is int for c in law.counts)
+    a4 = get_group("alternating:4")
+    support = [a4.index_of_cycles([(1, 2, 3)]), a4.index_of_cycles([(1, 2), (3, 4)])]
+    weights = (Fraction(1, 3), Fraction(2, 3))
+    weighted = StepSet(group=a4, support=tuple(support), weights=weights)
+    assert mixing_profile(a4, weighted, 45) == list_loop_mixing_profile(a4, support, 45, weights)
 
 
 def test_a5_walk_mixes():
