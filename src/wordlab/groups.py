@@ -314,6 +314,17 @@ class DihedralGroup(Group):
         return f"r{r}" + ("s" if f else "")
 
 
+def _horner(radix: int, digits) -> np.ndarray:
+    """int64 value of the base-`radix` digits on the last axis, most
+    significant first, by Horner's rule."""
+    digits = np.asarray(digits)
+    value = digits[..., 0].astype(np.int64)
+    for i in range(1, digits.shape[-1]):
+        value *= radix
+        value += digits[..., i]
+    return value
+
+
 class PermutationGroup(Group):
     """S_n or A_n on points 0..n-1, carrier in lexicographic order.
 
@@ -344,16 +355,7 @@ class PermutationGroup(Group):
             rows = rows[~odd]
         self._rows = rows
         self.order = len(rows)
-        self._values = self._base_n(rows)
-
-    def _base_n(self, rows) -> np.ndarray:
-        """Base-n value of each one-line row (the last axis), by Horner's rule."""
-        rows = np.asarray(rows)
-        value = rows[..., 0].astype(np.int64)
-        for i in range(1, self.n):
-            value *= self.n
-            value += rows[..., i]
-        return value
+        self._values = _horner(self.n, rows)
 
     def lift(self, x) -> np.ndarray:
         """One-line rows of the index array x, on a new last axis."""
@@ -364,7 +366,7 @@ class PermutationGroup(Group):
         return np.take_along_axis(x, y.astype(np.intp), axis=-1)
 
     def lower(self, x) -> np.ndarray:
-        return np.searchsorted(self._values, self._base_n(x))
+        return np.searchsorted(self._values, _horner(self.n, x))
 
     def inv_array(self) -> np.ndarray:
         # row r sends i to rows[r, i], so its inverse sends rows[r, i] to i
@@ -387,7 +389,7 @@ class PermutationGroup(Group):
         """
         perm = tuple(perm)
         if len(perm) == self.n:
-            index = int(np.searchsorted(self._values, self._base_n(perm)))
+            index = int(np.searchsorted(self._values, _horner(self.n, perm)))
             if index < self.order and self._rows[index].tolist() == list(perm):
                 return index
         raise KeyError(perm)
@@ -661,7 +663,7 @@ class DirectPowerGroup(Group):
         return vector_multiplier(self.base)(x, y)
 
     def lower(self, x) -> np.ndarray:
-        return x @ self._radix
+        return _horner(self.base.order, x)
 
     def element_repr(self, index: int) -> str:
         return "(" + ",".join(self.base.element_repr(c) for c in self.split(index)) + ")"
@@ -877,24 +879,29 @@ def power_array(group: Group, k: int, indices: Optional[np.ndarray] = None) -> n
     square-and-multiply in the form of `word_multiplier`.
 
     Agrees with `Group.pow` elementwise; negative exponents power the
-    inverses.  The result has the shape of `indices`.
+    inverses.  k = 0 gives the identity with no product; otherwise the
+    accumulator starts at the power of k's lowest set bit, so |k| costs
+    bit_length - 1 squarings and popcount - 1 products.  The result has the
+    shape of `indices` and never shares its memory.
     """
     lift, mul, lower = word_multiplier(group)
     if indices is None:
         base = np.arange(group.order, dtype=np.int64)
     else:
-        base = np.asarray(indices, dtype=np.int64)
+        base = np.array(indices, dtype=np.int64)
+    if k == 0:
+        return np.full(base.shape, group.identity, dtype=np.int64)
     if k < 0:
         base, k = group.inv_array()[base].astype(np.int64), -k
-    acc = lift(np.full(base.shape, group.identity, dtype=np.int64))
     base = lift(base)
-    while k:
+    acc = None
+    while True:
         if k & 1:
-            acc = mul(acc, base)
+            acc = base if acc is None else mul(acc, base)
         k >>= 1
-        if k:
-            base = mul(base, base)
-    return lower(acc)
+        if not k:
+            return lower(acc)
+        base = mul(base, base)
 
 
 def class_labels(group: Group) -> np.ndarray:
@@ -903,12 +910,12 @@ def class_labels(group: Group) -> np.ndarray:
     A group with a `class_key` gives each element the least index of its
     key value, in one pass.  Any other group takes the orbit route: the
     classes are the orbits of the maps x -> s^-1 x s for s in a generating
-    set S, built with 2|S||G| products.  Every label starts at its own
-    index; each round lowers it to the least label among its images under
-    the maps, then to the label of that label, until a round changes
-    nothing.  A label only falls and stays inside its class, and a fixed
-    point is constant on every orbit, so it is the least index.  Cached on
-    the group, read-only.
+    set S, built one generator at a time with 2|S||G| products.  Every
+    label starts at its own index; each round lowers it to the least label
+    among its images under the maps, then to the label of that label, until
+    a round changes nothing.  A label only falls and stays inside its
+    class, and a fixed point is constant on every orbit, so it is the least
+    index.  Cached on the group, read-only.
     """
     if group._class_labels is None:
         if group.class_key is not None:
@@ -917,9 +924,9 @@ def class_labels(group: Group) -> np.ndarray:
             labels = first[key]
         else:
             everyone = np.arange(group.order, dtype=np.int64)
-            s = group_generators(group)
+            inv = group.inv_array()
             mul_vec = vector_multiplier(group)
-            maps = mul_vec(mul_vec(group.inv_array()[s][:, None], everyone), s[:, None])
+            maps = [mul_vec(mul_vec(inv[s], everyone), s) for s in group_generators(group)]
             labels = everyone
             while True:
                 fallen = labels

@@ -274,10 +274,7 @@ def _report(name: str, config: ExperimentConfig, t0: float, body: dict) -> dict:
 
 
 def _fraction_fields(value) -> dict:
-    """A distance as a float plus, when exact, the full rational; None for
-    no distance."""
-    if value is None:
-        return {"l1": None, "l1_exact": None}
+    """A distance as a float plus, when exact, the full rational."""
     if isinstance(value, Fraction):
         return {"l1": float(value), "l1_exact": f"{value.numerator}/{value.denominator}"}
     return {"l1": float(value), "l1_exact": None}

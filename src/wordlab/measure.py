@@ -69,22 +69,27 @@ def _check_budget(group: Group, d: int) -> int:
 def exact_distribution(word: Word, group: Group) -> Distribution:
     """Full pushforward of the uniform measure on G^d under the word map.
 
-    Only the generators that actually occur in the word are enumerated;
-    the remaining coordinates contribute an exact multiplicity factor.
-    The budget is checked on the full |G|^d.
+    Only the k generators that occur in the word are enumerated; the other
+    d - k coordinates, or d - 1 when k = 0, contribute the exact factor
+    |G|^(d - max(k, 1)).  A word in at most one generator is the power map
+    x -> x^a, with a its exponent sum, counted over the carrier by
+    `power_array`; two or more generators are class-reduced
+    (`_class_totals`).  The budget is checked on the full |G|^d.
     """
     d = word.rank
     total = _check_budget(group, d)
     n = group.order
-    support = sorted({abs(v) for v in word.letters})
-    k = len(support)
-    if k == 0:
+    used = sorted({abs(v) for v in word.letters})
+    if len(used) <= 1:
+        a = sum(abelianize(word))
         counts = np.zeros(n, dtype=np.int64)
-        counts[group.identity] = total
+        for start in range(0, n, BATCH):
+            chunk = np.arange(start, min(start + BATCH, n), dtype=np.int64)
+            counts += np.bincount(power_array(group, a, chunk), minlength=n)
     else:
-        remap = {g: i + 1 for i, g in enumerate(support)}
-        letters = [remap[abs(v)] * (1 if v > 0 else -1) for v in word.letters]
-        counts = _enumerate_pushforward(letters, k, group) * (n ** (d - k))
+        labels, totals = _class_totals(word.letters, used, group)
+        counts = totals[labels] // np.bincount(labels, minlength=n)[labels]
+    counts *= n ** (d - max(len(used), 1))
     return Distribution(group=group, counts=counts, total=total, mode="exact",
                         d=d, label=word.to_text())
 
@@ -107,53 +112,38 @@ def _evaluate(letters: Sequence[int], columns: dict, group: Group) -> np.ndarray
     return lower(state)
 
 
-def _class_totals(letters: Sequence[int], k: int, group: Group) -> tuple:
-    """(labels, totals) for a word using exactly generators 1..k, k >= 2.
+def _class_totals(letters: Sequence[int], used: Sequence[int], group: Group) -> tuple:
+    """(labels, totals) for a word whose letters use exactly the generators
+    `used` (ascending, at least two).
 
     Since w(x^g) = w(x)^g, conjugating a tuple by g conjugates its value by
-    g, so generator 1 need only run over class representatives, each weighted
-    by its class size.  totals[r] is the number of tuples in G^k whose
-    value lies in the class of representative r (0 off representatives).
+    g, so the first generator used need only run over class
+    representatives, each weighted by its class size.  totals[r] is the
+    number of tuples in G^len(used) whose value lies in the class of
+    representative r (0 off representatives); a class total divided by the
+    class size is the exact count of each of its elements.
     """
     n = group.order
     labels = class_labels(group)
     reps = np.flatnonzero(labels == np.arange(n))
     sizes = np.bincount(labels, minlength=n)[reps]
-    inner = n ** (k - 1)
+    inner = n ** (len(used) - 1)
     space = len(reps) * inner
     weighted = np.zeros(n, dtype=np.int64)
     for start in range(0, space, BATCH):
         first, rest = np.divmod(np.arange(start, min(start + BATCH, space), dtype=np.int64),
                                 inner)
-        columns = {1: reps[first]}
-        for g in range(k, 1, -1):
+        columns = {used[0]: reps[first]}
+        for g in reversed(used[1:]):
             rest, columns[g] = np.divmod(rest, n)
         values = _evaluate(letters, columns, group)
-        # generator 1 is the leading digit: the chunk spans reps lo..hi-1
+        # the first generator is the leading digit: the chunk spans reps lo..hi-1
         lo, hi = int(first[0]), int(first[-1]) + 1
         per_rep = np.bincount((first - lo) * n + values, minlength=(hi - lo) * n)
         weighted += sizes[lo:hi] @ per_rep.reshape(hi - lo, n)
     totals = np.zeros(n, dtype=np.int64)
     np.add.at(totals, labels, weighted)
     return labels, totals
-
-
-def _enumerate_pushforward(letters: Sequence[int], k: int, group: Group) -> np.ndarray:
-    """Counts over G for a word using exactly generators 1..k, total |G|^k.
-
-    One generator enumerates the carrier directly; more are class-reduced,
-    and a class total divided by the class size is the exact count of each
-    of its elements.
-    """
-    n = group.order
-    if k == 1:
-        counts = np.zeros(n, dtype=np.int64)
-        for start in range(0, n, BATCH):
-            column = np.arange(start, min(start + BATCH, n), dtype=np.int64)
-            counts += np.bincount(_evaluate(letters, {1: column}, group), minlength=n)
-        return counts
-    labels, totals = _class_totals(letters, k, group)
-    return totals[labels] // np.bincount(labels, minlength=n)[labels]
 
 
 def monte_carlo_distribution(word: Word, group: Group, samples: int,

@@ -16,8 +16,11 @@ step of the small tori.  Two trend runs (sampled rows with an unbuildable
 group, and exact rows with a budget error) were recorded before the trend
 rows moved from `measure` into the harness's shared cell routine.  A
 150-step mixing run on psl2:13, past the step where the walk counts turn
-from int64 to python ints, was recorded before that switch.  A refactor
-that changes any written byte fails here.
+from int64 to python ints, was recorded before that switch.  Three runs
+of words in at most one generator (exact and sampled density at d = 1,
+with empty words among them, and a rank-2 trend word in x2 only) were
+recorded before exact laws of such words were counted as power maps.  A
+refactor that changes any written byte fails here.
 """
 
 import hashlib
@@ -54,6 +57,24 @@ GOLDEN = {
             "trend.csv": "c990958f1006eaebf5fa503d2d178606683a22db38f6a06928e32d924581188a",
         },
     ),
+    # d = 1: the words X1^4, x1^6, X1^2, x1^2 and two empty words
+    "density-powers": (
+        ["density", "--seed", "7", "--d", "1", "--n", "6", "--words", "6",
+         "--groups", "symmetric:7,sl2:17,alternating:5", "--gcd-cap", "6"],
+        {
+            "report.json": "08b45fdc66dbdb30af91386904aef620da75e290ab96a580bbff3e3a58f7053b",
+            "words.csv": "7b57444d698c2c741ef8f33646031798190dd4e0f566a7ad3e7495dd4e21e1b0",
+        },
+    ),
+    "density-powers-sampled": (
+        ["density", "--seed", "7", "--d", "1", "--n", "6", "--words", "6",
+         "--groups", "symmetric:7,sl2:17,alternating:5", "--gcd-cap", "6",
+         "--mode", "sampled", "--samples", "400"],
+        {
+            "report.json": "706565e61387647beff3e4ea151fab23fd7c6f020585128d52274c1bd3d28c1d",
+            "words.csv": "07961d3d702e4340fb98432f6594f90cebaf4dcfd97b8487f796e2320fc85536",
+        },
+    ),
     "density-matrix": (
         ["density", "--seed", "7", "--d", "2", "--n", "12", "--words", "4",
          "--groups", "sl2:17,psl2:23", "--mode", "sampled", "--samples", "300",
@@ -61,6 +82,14 @@ GOLDEN = {
         {
             "report.json": "82353c03e05bb1e64d837186877d089c21bc98a95f9e16f39eb1b568799ceb34",
             "words.csv": "eef0e1f8d7e9b6d0ff485f3a32b35e00badf7512ac6cb56779731b80bc01a003",
+        },
+    ),
+    # rank 2 but only x2 occurs: the counts carry the factor |G|^(d - 1)
+    "trend-one-generator": (
+        ["trend", "--seed", "4", "--word", "X2 X2 X2", "--groups", "symmetric:7,sl2:17,cyclic:5"],
+        {
+            "report.json": "b6a46d4129596903a6f22a49269631e5b9c37e7fa2d63ffcbc919fd464516cf6",
+            "trend.csv": "97965e6a38f02e00d1a7095b1c8baa264777dad1d952295ea03a36c2201caae2",
         },
     ),
     "trend-matrix": (

@@ -258,6 +258,24 @@ def test_trend_sorts_rows_and_captures_errors():
     assert rows[0]["error"] is None and rows[0]["l1_exact"] == "1/1"
 
 
+def test_trend_reads_cayley_file_rows(tmp_path):
+    # dihedral:4's own table with its non-identity labels reversed: an
+    # isomorphic group, so the same law up to relabelling
+    table = get_group("dihedral:4").mul_table()
+    relabel = np.array([0, 7, 6, 5, 4, 3, 2, 1])
+    relabelled = np.empty_like(table)
+    relabelled[np.ix_(relabel, relabel)] = relabel[table]
+    path = tmp_path / "d4.txt"
+    path.write_text("8\n" + "\n".join(" ".join(map(str, row)) for row in relabelled) + "\n")
+    config = build_config("trend", {"seed": 1, "word": "x1 x2 X1 X2",
+                                    "groups": f"cayley-file:{path},dihedral:4,cayley-file:"})
+    rows = {r["spec"]: r for r in run_trend(config)["rows"]}
+    file_row, native_row = rows[f"cayley-file:{path}"], rows["dihedral:4"]
+    assert file_row["error"] is None and file_row["order"] == 8
+    assert file_row["l1_exact"] == native_row["l1_exact"] != "0/1"
+    assert rows["cayley-file:"]["error"] == "UnsupportedParameterError: cayley-file spec needs a path"
+
+
 def test_sampled_trend_refuses_zero_samples():
     # refused with the config, before any row is sampled
     config = build_config("trend", {"seed": 2, "word": "x1 x2 X1 X2",

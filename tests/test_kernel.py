@@ -40,7 +40,8 @@ def test_kernel_groups_cover_both_routes():
 def test_exact_one_generator_matches_fold(spec):
     g = get_group(spec)
     carrier = np.arange(g.order)
-    for text in ("X1 X1 X1", "x1 x1 x1 x1 x1"):
+    # x1^37 and X1^22 run several squarings; 37 = 100101b, 22 = 10110b
+    for text in ("X1 X1 X1", "x1 x1 x1 x1 x1", " ".join(["x1"] * 37), " ".join(["X1"] * 22)):
         word = parse_word(text)
         expected = folded_counts(g, word.letters, {1: carrier})
         assert np.array_equal(exact_distribution(word, g).counts, expected), text

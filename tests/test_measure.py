@@ -257,7 +257,7 @@ def test_class_labels_match_orbit_partition(spec):
 def test_class_totals_are_divisible_by_class_sizes(spec):
     group = group_for(spec)
     n = group.order
-    labels, totals = _class_totals([1, 2, 2, -1, 2], 2, group)
+    labels, totals = _class_totals([1, 2, 2, -1, 2], [1, 2], group)
     reps = labels == np.arange(n)
     sizes = np.bincount(labels, minlength=n)[reps]
     assert np.all(totals[~reps] == 0)
