@@ -119,9 +119,6 @@ class Group:
             k >>= 1
         return acc
 
-    def elements(self) -> range:
-        return range(self.order)
-
     def element(self, index: int) -> "Element":
         if not 0 <= index < self.order:
             raise IndexError(f"element index {index} out of range for {self.name}")

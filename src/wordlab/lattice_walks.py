@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence, Tuple, Union
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
@@ -22,11 +22,9 @@ from .groups import _is_prime
 from .rng import Rng, as_rng
 from .words import gcd_of_vector
 
-# Torus DP state count p^(k*d) cap, and the cap for exact big-integer DP.
+# State caps: q^d per float torus DP, and p^(k*d) for an exact big-integer law.
 STATE_CAP = 10**6
 EXACT_STATE_CAP = 10**4
-# Default policy: exact rational DP only when the state space is this small.
-EXACT_DEFAULT_CAP = 1024
 
 # Steps drawn per sampling block (rows per block = max(1, this // n)): 1 MiB
 # of int32 draws and at most 2 MiB of packed words, counted while still in cache.
@@ -104,65 +102,49 @@ gcd_of_endpoint = gcd_of_vector
 
 @dataclass
 class ModLaw:
-    """n-step law of the walk reduced modulo p^k, flat mixed-radix states.
+    """Exact n-step law of the walk reduced modulo p^k, flat mixed-radix states.
 
     State index: coordinate 0 is the most significant digit base p^k.
-    Exact laws carry big-integer counts with total (2d)^n; float laws carry
-    a float64 probability vector.
+    `counts` holds the big-integer number of walks ending in each state;
+    they sum to (2d)^n.
     """
 
     d: int
     p: int
     k: int
     n: int
-    exact: bool
-    counts: Optional[list]  # python ints, present iff exact
-    probs: Optional[np.ndarray]  # float64, present iff not exact
+    counts: list  # python ints
 
     @property
     def modulus(self) -> int:
         return self.p**self.k
-
-    @property
-    def size(self) -> int:
-        return self.modulus**self.d
 
     def state_index(self, coords: Sequence[int]) -> int:
         if len(coords) != self.d:
             raise UnsupportedParameterError(f"state needs {self.d} coordinates")
         return int(np.ravel_multi_index(coords, (self.modulus,) * self.d, mode="wrap"))
 
-    def probability(self, coords: Sequence[int]) -> Union[Fraction, float]:
-        idx = self.state_index(coords)
-        if self.exact:
-            return Fraction(self.counts[idx], (2 * self.d) ** self.n)
-        return float(self.probs[idx])
+    def probability(self, coords: Sequence[int]) -> Fraction:
+        return Fraction(self.counts[self.state_index(coords)], (2 * self.d) ** self.n)
 
-    def prob_zero(self) -> Union[Fraction, float]:
+    def prob_zero(self) -> Fraction:
         return self.probability((0,) * self.d)
 
     def probability_vector(self) -> np.ndarray:
         """Float probabilities for all states, in state-index order."""
-        if self.exact:
-            total = (2 * self.d) ** self.n
-            return np.array([c / total for c in self.counts], dtype=np.float64)
-        return self.probs.copy()
+        total = (2 * self.d) ** self.n
+        return np.array([c / total for c in self.counts], dtype=np.float64)
 
     def marginal(self, k2: int) -> "ModLaw":
         """Reduce the law to modulus p^k2 for k2 <= k."""
         if not 0 < k2 <= self.k:
             raise UnsupportedParameterError(f"need 0 < k2 <= {self.k}, got {k2}")
-        q, q2 = self.modulus, self.p**k2
-        size2 = q2**self.d
-        proj = _projection_indices(self.d, q, q2)
-        if self.exact:
-            counts = [0] * size2
-            for s, c in enumerate(self.counts):
-                counts[proj[s]] += c
-            return ModLaw(self.d, self.p, k2, self.n, True, counts, None)
-        probs = np.zeros(size2, dtype=np.float64)
-        np.add.at(probs, proj, self.probs)
-        return ModLaw(self.d, self.p, k2, self.n, False, None, probs)
+        q2 = self.p**k2
+        proj = _projection_indices(self.d, self.modulus, q2)
+        counts = [0] * q2**self.d
+        for s, c in enumerate(self.counts):
+            counts[proj[s]] += c
+        return ModLaw(self.d, self.p, k2, self.n, counts)
 
 
 def _projection_indices(d: int, q: int, q2: int) -> np.ndarray:
@@ -318,28 +300,24 @@ def _torus_laws(sides: Sequence[int], d: int, n: int) -> list:
     return laws
 
 
-def _check_torus_states(size: int) -> None:
-    if size > STATE_CAP:
-        raise BudgetExceededError(f"state space {size} exceeds cap {STATE_CAP}")
-
-
 def mod_zero_probabilities(d: int, n: int, moduli: Sequence[int]) -> list:
-    """Float Pr[endpoint = 0 mod q] after n steps, for each modulus q, from
-    one `_torus_laws` call: the `prob_zero` of each float `exact_mod_law`."""
+    """Float Pr[endpoint = 0 mod q] after n steps, for each modulus q, read
+    at the origin of one `_torus_laws` call.  `exact_mod_law` counts the
+    same laws exactly, for prime-power moduli on small tori."""
     _check_walk_params(d, n)
     for q in moduli:
         if q < 1:
             raise UnsupportedParameterError(f"modulus must be >= 1, got {q}")
-        _check_torus_states(q**d)
+        if q**d > STATE_CAP:
+            raise BudgetExceededError(f"state space {q**d} exceeds cap {STATE_CAP}")
     return [float(law[(0,) * d]) for law in _torus_laws(moduli, d, n)]
 
 
-def exact_mod_law(d: int, p: int, k: int, n: int, exact: Optional[bool] = None) -> ModLaw:
-    """n-fold convolution of the uniform step law on the torus (Z/p^k)^d.
-
-    `exact=None` picks big-integer counts for small state spaces and
-    float64 otherwise; forcing exact=True is allowed up to the exact cap.
-    """
+def exact_mod_law(d: int, p: int, k: int, n: int) -> ModLaw:
+    """n-fold convolution of the uniform step law on the torus (Z/p^k)^d,
+    as big-integer counts, for at most EXACT_STATE_CAP states.  The float
+    laws of tori live in `_torus_laws`, read through `mod_zero_probabilities`
+    and `predicted_tail_probability`."""
     _check_walk_params(d, n)
     if k < 1:
         raise UnsupportedParameterError(f"need k >= 1, got k={k}")
@@ -347,25 +325,18 @@ def exact_mod_law(d: int, p: int, k: int, n: int, exact: Optional[bool] = None) 
         raise UnsupportedParameterError(f"modulus base must be prime, got {p}")
     q = p**k
     size = q**d
-    _check_torus_states(size)
-    if exact is None:
-        exact = size <= EXACT_DEFAULT_CAP
-    if exact and size > EXACT_STATE_CAP:
-        raise BudgetExceededError(
-            f"exact DP over {size} states exceeds cap {EXACT_STATE_CAP}"
-        )
-    if exact:
-        # gathers on an object array of python ints
-        nbr = _neighbor_indices(d, q)
-        counts = np.zeros(size, dtype=object)
-        counts[0] = 1
-        for _ in range(n):
-            nxt = counts[nbr[0]]
-            for col in nbr[1:]:
-                nxt += counts[col]
-            counts = nxt
-        return ModLaw(d, p, k, n, True, counts.tolist(), None)
-    return ModLaw(d, p, k, n, False, None, _torus_laws([q], d, n)[0].reshape(-1))
+    if size > EXACT_STATE_CAP:
+        raise BudgetExceededError(f"exact DP over {size} states exceeds cap {EXACT_STATE_CAP}")
+    # gathers on an object array of python ints
+    nbr = _neighbor_indices(d, q)
+    counts = np.zeros(size, dtype=object)
+    counts[0] = 1
+    for _ in range(n):
+        nxt = counts[nbr[0]]
+        for col in nbr[1:]:
+            nxt += counts[col]
+        counts = nxt
+    return ModLaw(d, p, k, n, counts.tolist())
 
 
 # ---------------------------------------------------------------------------

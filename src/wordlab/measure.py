@@ -46,12 +46,6 @@ class Distribution:
     d: int
     label: str = ""
 
-    def probability(self, index: int) -> Fraction:
-        return Fraction(int(self.counts[index]), self.total)
-
-    def support(self) -> list:
-        return [int(i) for i in np.flatnonzero(self.counts)]
-
     def __post_init__(self):
         if self.mode not in ("exact", "sampled"):
             raise UnsupportedParameterError(f"bad distribution mode {self.mode!r}")

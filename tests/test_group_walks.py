@@ -275,6 +275,16 @@ def test_power_walk_single_copy_routes_agree():
     assert np.array_equal(rep.walk_joint_counts, again.walk_joint_counts)
 
 
+def test_power_walk_reports_repeat_from_equal_generators():
+    s3 = get_group("symmetric:3")
+    t = (s3.index_of_cycles([(1, 2)]), s3.index_of_cycles([(1, 2, 3)]))
+    rep = power_walk_equivalence(s3, [t, t], 10, 2_000, stream(5))
+    again = power_walk_equivalence(s3, [t, t], 10, 2_000, stream(5))
+    assert np.array_equal(rep.word_marginal_counts, again.word_marginal_counts)
+    assert np.array_equal(rep.walk_marginal_counts, again.walk_marginal_counts)
+    assert np.array_equal(rep.walk_joint_counts, again.walk_joint_counts)
+
+
 def test_power_walk_identical_tuples_lock_the_diagonal():
     s3 = get_group("symmetric:3")
     t = (s3.index_of_cycles([(1, 2)]), s3.index_of_cycles([(1, 2, 3)]))

@@ -324,6 +324,14 @@ def test_walk_gcd_with_gcd_cap_zero_has_no_moduli(tmp_path):
     assert audit_report(tmp_path / "report.json") == []
 
 
+def test_an_out_path_that_is_a_file_is_an_io_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["walk-gcd", "--seed", "1", "--d", "2", "--n", "10", "--samples", "10",
+                 "--gcd-cap", "3", "--out", str(taken)]) == 1
+    assert "io error:" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # Mixing
 # ---------------------------------------------------------------------------
@@ -568,6 +576,10 @@ def test_audit_of_a_malformed_report_is_a_config_error(tmp_path):
     density = json.loads(canonical_report_bytes(run_density(density_config(words=2))))
     del density["words"]
     check(density, "'words'")
+    check({"config": {"seed": "1"}}, "no experiment field")
+    check({"experiment": "nosuch"}, "unknown experiment")
+    density["words"] = 5
+    check(density, "malformed density report")
 
 
 def test_walk_gcd_draws_its_endpoints_once(monkeypatch):

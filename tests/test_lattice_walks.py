@@ -103,7 +103,6 @@ def test_mod_law_brute_force_small():
         y = sum(m[1] for m in seq) % q
         counts[(x, y)] = counts.get((x, y), 0) + 1
     law = exact_mod_law(d, p, k, n)
-    assert law.exact
     total = (2 * d) ** n
     for x in range(q):
         for y in range(q):
@@ -126,17 +125,14 @@ def test_mod_law_parity_and_limits():
 
 
 def test_mod_law_exact_and_float_paths_agree():
-    exact = exact_mod_law(2, 3, 2, 40, exact=True)
-    fast = exact_mod_law(2, 3, 2, 40, exact=False)
-    assert exact.exact and not fast.exact
-    ev = exact.probability_vector()
-    fv = fast.probability_vector()
+    ev = exact_mod_law(2, 3, 2, 40).probability_vector()
+    fv = _torus_laws([9], 2, 40)[0].ravel()
     assert float(np.max(np.abs(ev - fv))) < 1e-12
 
 
-@pytest.mark.parametrize("d, p, k, n", [(2, 3, 2, 40), (1, 2, 3, 500)])
+@pytest.mark.parametrize("d, p, k, n", [(2, 3, 2, 40), (1, 2, 3, 500), (2, 37, 1, 20)])
 def test_exact_mod_law_matches_list_counts(d, p, k, n):
-    law = exact_mod_law(d, p, k, n, exact=True)
+    law = exact_mod_law(d, p, k, n)
     assert law.counts == list_mod_law_counts(d, p**k, n)
     assert all(type(c) is int for c in law.counts)
 
@@ -150,7 +146,6 @@ def test_mod_law_marginal_consistency():
     v2 = law3.probability_vector()
     assert float(np.max(np.abs(v1 - v2))) < 1e-15
     # exact marginal of an exact law stays exact
-    assert marg.exact
     assert marg.prob_zero() == law3.prob_zero()
 
 
@@ -158,7 +153,7 @@ def test_mod_law_guards():
     with pytest.raises(BudgetExceededError):
         exact_mod_law(3, 101, 1, 10)  # 101^3 states, over the overall cap
     with pytest.raises(BudgetExceededError):
-        exact_mod_law(2, 11, 2, 5, exact=True)  # 121^2 over the exact cap
+        exact_mod_law(2, 11, 2, 5)  # 121^2 over the exact cap
     with pytest.raises(UnsupportedParameterError):
         exact_mod_law(0, 3, 1, 10)
     with pytest.raises(UnsupportedParameterError):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from wordlab import harness, measure
-from wordlab.errors import BudgetExceededError, EmptyWordError
+from wordlab.errors import BudgetExceededError, EmptyWordError, UnsupportedParameterError
 from wordlab.groups import CayleyGroup, class_labels, construct_group
 from wordlab.measure import (
     TUPLE_BUDGET,
@@ -116,6 +116,18 @@ def test_monte_carlo_matches_exact():
     assert gap < 4 * np.sqrt(2 * group.order / (np.pi * 200_000))
     again = monte_carlo_distribution(word, group, 200_000, stream(7))
     assert np.array_equal(np.asarray(sampled.counts), np.asarray(again.counts))
+
+
+def test_l1_distance_between_exact_laws_is_a_fraction():
+    s3 = get_group("symmetric:3")
+    square = exact_distribution(parse_word("x1 x1"), s3)
+    uniform = exact_distribution(parse_word("x1 x2"), s3)
+    # 4/6 - 1/6 at e, plus 1/6 on each of the three transpositions
+    gap = l1_distance(square, uniform)
+    assert type(gap) is Fraction and gap == 1
+    assert l1_distance(square, square) == 0
+    with pytest.raises(UnsupportedParameterError):
+        l1_distance(square, exact_distribution(parse_word("x1"), get_group("alternating:4")))
 
 
 def test_budget_enforced_on_full_tuple_space():
