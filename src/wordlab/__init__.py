@@ -7,7 +7,7 @@ The package is organized around a small set of building blocks:
   direct powers) plus structural helpers (center, commutator subgroup,
   quotients, abelian invariants).
 - `words`: reduced words in d generators, sampling models, exponent-sum
-  vectors, gcd certificates, proper-power detection, evaluation.
+  vectors, gcd certificates, evaluation.
 - `measure`: exact and sampled pushforward distributions of word maps,
   L1 distance to uniform, image versus m-th powers.
 - `lattice_walks`: simple random walks on Z^d, exact mod-q endpoint laws,
@@ -70,7 +70,6 @@ from .words import (
     evaluate,
     evaluate_indices,
     gcd_of_vector,
-    is_power_word,
     make_word,
     parse_word,
     reduce_letters,
@@ -81,10 +80,8 @@ from .measure import (
     ImageReport,
     exact_distribution,
     image_and_power_coverage,
-    l1_distance,
     l1_uniform_distance,
     monte_carlo_distribution,
-    write_distribution_csv,
 )
 from .lattice_walks import (
     ModLaw,

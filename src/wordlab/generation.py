@@ -5,10 +5,13 @@ counted exactly by a prefix walk over the subgroup lattice: the count of
 extensions of a prefix depends only on the subgroup the prefix generates,
 so the recursion memoizes on (depth, subgroup), and each step tries one
 element per double coset of that subgroup (one per conjugacy class while
-the subgroup is trivial).  For the simple groups in
-the catalog, Aut(G) permutes generating tuples freely, so the number of
-orbits is the tuple count divided by |Aut(G)|; that orbit count is exactly
-the largest N for which the direct power G^N is generated by d elements.
+the subgroup is trivial).  Both the double cosets of a subgroup and the
+subgroups its tried elements generate with it are orbits, so each comes
+from one batched `groups.orbit_labels` call per subgroup.  For the simple
+groups in the catalog, Aut(G) permutes generating tuples freely, so the
+number of orbits is the tuple count divided by |Aut(G)|; that orbit count
+is exactly the largest N for which the direct power G^N is generated by d
+elements.
 
 Direct checks on G^N work with explicit tuples: N tuples of d entries each
 combine into d diagonal steps of G^N, and a closure run decides generation
@@ -48,7 +51,7 @@ from .groups import (
     class_labels,
     closure_mask,
     is_perfect,
-    right_orbit,
+    orbit_labels,
     vector_multiplier,
 )
 
@@ -75,6 +78,18 @@ def is_generating(group: Group, elements: Sequence[Union[Element, int]]) -> bool
     return bool(closure_mask(group, idx).all())
 
 
+def double_coset_labels(group: Group, gens: Sequence[int]) -> np.ndarray:
+    """label[x] = the least element of the double coset HxH, H = <gens>.
+
+    HxH is the orbit of x under the maps x -> hx and x -> xh for h in
+    `gens`, so one `orbit_labels` row labels every double coset at once.
+    """
+    mul_vec = vector_multiplier(group)
+    everyone = np.arange(group.order, dtype=np.int64)
+    maps = [mul_vec(h, everyone) for h in gens] + [mul_vec(everyone, h) for h in gens]
+    return next(orbit_labels(group.order, maps))[0]
+
+
 def count_generating_tuples(group: Group, d: int) -> int:
     """Number of ordered d-tuples of elements that generate the group.
 
@@ -82,12 +97,16 @@ def count_generating_tuples(group: Group, d: int) -> int:
     the subgroup H generated so far, so results are memoized per (depth, H),
     with H held as a boolean mask.  The next entry g matters only through
     <H, g>, which is the same for every element of the double coset HgH, so
-    one closure per double coset is computed and weighted by its size.
-    While H is trivial those cosets are single elements; there, since
-    conjugation maps generating tuples to generating tuples, the entry runs
-    over conjugacy-class representatives weighted by class size instead.
-    Cost scales with the subgroup lattice, not with |G|**d, but the raw
-    tuple budget is still enforced up front.
+    one entry per double coset, its least element, is tried and weighted by
+    the coset's size.  While H is trivial those cosets are single elements;
+    there, since conjugation maps generating tuples to generating tuples,
+    the entry runs over conjugacy-class representatives weighted by class
+    size instead.  Each subgroup node makes two `orbit_labels` calls: one
+    row labels every double coset at once, as the orbits of x -> hx and
+    x -> xh for the prefix entries h, and one row per representative g
+    gives <H, g> as the orbit of the identity under x -> xs for s in the
+    prefix and g.  Cost scales with the subgroup lattice, not with |G|**d,
+    but the raw tuple budget is still enforced up front.
     """
     if d < 0:
         raise UnsupportedParameterError("tuple length must be nonnegative")
@@ -100,25 +119,12 @@ def count_generating_tuples(group: Group, d: int) -> int:
         return 1 if n == 1 else 0
 
     mul_vec = vector_multiplier(group)
+    everyone = np.arange(n, dtype=np.int64)
     labels = class_labels(group)
-    reps = np.flatnonzero(labels == np.arange(n))
-    classes = list(zip(reps.tolist(), np.bincount(labels)[reps].tolist()))
+    class_reps = np.flatnonzero((labels == everyone) & (everyone != group.identity))
+    class_sizes = np.bincount(labels)[class_reps]
     # (depth, subgroup mask bytes) -> number of generating completions.
     memo = {}
-
-    def branches(gens: tuple, mask: np.ndarray, size: int) -> list:
-        """(g, weight) pairs: one g per class of entries that give one <H, g>."""
-        if size == 1:
-            return classes
-        members = np.flatnonzero(mask)
-        todo = ~mask
-        out = [(group.identity, size)]
-        while todo.any():
-            g = int(np.argmax(todo))
-            coset = right_orbit(mul_vec, n, mul_vec(members, g), gens)  # HgH
-            todo &= ~coset
-            out.append((g, int(np.count_nonzero(coset))))
-        return out
 
     def completions(depth: int, gens: tuple, mask: np.ndarray) -> int:
         size = int(np.count_nonzero(mask))
@@ -129,17 +135,25 @@ def count_generating_tuples(group: Group, d: int) -> int:
         key = (depth, mask.tobytes())
         got = memo.get(key)
         if got is None:
-            got = 0
-            for g, weight in branches(gens, mask, size):
-                if mask[g]:
-                    got += weight * completions(depth + 1, gens, mask)
-                else:
-                    wider = gens + (g,)
-                    got += weight * completions(depth + 1, wider, closure_mask(group, wider))
+            if size == 1:
+                reps, weights = class_reps, class_sizes
+            else:
+                cosets = double_coset_labels(group, gens)
+                reps = np.flatnonzero((cosets == everyone) & ~mask)
+                weights = np.bincount(cosets, minlength=n)[reps]
+            # entries inside H leave it as it is
+            got = size * completions(depth + 1, gens, mask)
+            # <H, g> is the orbit of the identity, index 0, under x -> xs
+            blocks = orbit_labels(n, [mul_vec(everyone, h) for h in gens], reps.size,
+                                  lambda lo, hi: mul_vec(everyone, reps[lo:hi, None]),
+                                  stop=n // 2)
+            wider = (row == 0 for block in blocks for row in block)
+            for g, weight, sub in zip(reps.tolist(), weights.tolist(), wider):
+                got += weight * completions(depth + 1, gens + (g,), sub)
             memo[key] = got
         return got
 
-    return completions(0, (), np.arange(n) == group.identity)
+    return completions(0, (), everyone == group.identity)
 
 
 @dataclass(frozen=True)

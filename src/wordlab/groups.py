@@ -15,7 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -34,6 +34,9 @@ TABLE_CAP = 4096
 # The first max(1, TABLE_BLOCK // n) rows of a table are native products, in
 # one mul_vec call; the other rows are mostly gathers (see Group._build_table).
 TABLE_BLOCK = 4096
+# `orbit_labels` labels rows in blocks of at most this many elements, which
+# bounds its working set.
+ORBIT_BLOCK = 1 << 16
 # sl2/psl2: odd prime p with p(p^2-1) <= 10^6.
 SL2_CARRIER_CAP = 10**6
 # symmetric/alternating: n <= 9.
@@ -907,12 +910,8 @@ def class_labels(group: Group) -> np.ndarray:
     A group with a `class_key` gives each element the least index of its
     key value, in one pass.  Any other group takes the orbit route: the
     classes are the orbits of the maps x -> s^-1 x s for s in a generating
-    set S, built one generator at a time with 2|S||G| products.  Every
-    label starts at its own index; each round lowers it to the least label
-    among its images under the maps, then to the label of that label, until
-    a round changes nothing.  A label only falls and stays inside its
-    class, and a fixed point is constant on every orbit, so it is the least
-    index.  Cached on the group, read-only.
+    set S, built one generator at a time with 2|S||G| products and labelled
+    by `orbit_labels` as one row.  Cached on the group, read-only.
     """
     if group._class_labels is None:
         if group.class_key is not None:
@@ -924,18 +923,90 @@ def class_labels(group: Group) -> np.ndarray:
             inv = group.inv_array()
             mul_vec = vector_multiplier(group)
             maps = [mul_vec(mul_vec(inv[s], everyone), s) for s in group_generators(group)]
-            labels = everyone
-            while True:
-                fallen = labels
-                for conj in maps:
-                    fallen = np.minimum(fallen, fallen[conj])
-                fallen = fallen[fallen]
-                if np.array_equal(fallen, labels):
-                    break
-                labels = fallen
+            labels = next(orbit_labels(group.order, maps))[0]
         labels.flags.writeable = False
         group._class_labels = labels
     return group._class_labels
+
+
+def orbit_labels(n: int, shared: Sequence[np.ndarray] = (), rows: int = 1, row_map=None,
+                 stop: Optional[int] = None) -> Iterator[np.ndarray]:
+    """The least index of every orbit, for `rows` sets of permutations of
+    range(n) at once.
+
+    Row r is labelled under the arrays of `shared` (length n, the same for
+    every row) and, when `row_map` is given, under row_map(lo, hi)[r - lo],
+    one more permutation per row of the block lo..hi-1.  The labels come
+    block by block, as one (hi - lo, n) array per block of rows, in order;
+    a block holds at most ORBIT_BLOCK elements (and at least one row), and
+    `row_map` is called once per block.
+
+    Every label starts at its own index; each round lowers it to the least
+    label among its images under the maps, then to the label of that label.
+    A label only falls and stays inside its orbit, and a fixed point is
+    constant on every orbit, so it is the least index.  A row is done at
+    the first round that changes none of its labels.  With `stop`, a row is
+    also done once more than `stop` of its elements carry label 0: it comes
+    back all 0, as one orbit.  That is exact when the orbit of 0 (the
+    identity) is a subgroup and `stop` = n // 2 (Lagrange).
+    """
+    step = max(1, ORBIT_BLOCK // max(n, 1))
+    for lo in range(0, rows, step):
+        hi = min(lo + step, rows)
+        maps = list(shared) if row_map is None else [*shared, row_map(lo, hi)]
+        yield _label_block(maps, hi - lo, n, stop)
+
+
+def _label_block(maps: list, rows: int, n: int, stop: Optional[int]) -> np.ndarray:
+    """`orbit_labels` of one block of rows.
+
+    The rows lie end to end in one flat int32 array of labels, row r
+    shifted by r * n, so every step is one gather over the whole block.
+    Labels never rise, so a row whose label sum holds has stopped changing
+    for good; a row past `stop` is set to all 0, which no round changes.
+    Once half the rows are done, they are written out and the rest move
+    down to the front of the block.
+    """
+    base = np.arange(0, rows * n, n)[:, None]
+    flat = [(m + base).ravel() for m in maps]
+    labels = np.arange(rows * n, dtype=np.int32)
+    sums = None
+    live = np.arange(rows)  # the output row of each row in the block
+    out = None
+    while True:
+        for m in flat:
+            np.minimum(labels, labels[m], out=labels)
+        labels = labels[labels]
+        grid = labels.reshape(live.size, n)
+        fallen = np.add.reduce(grid, axis=1, dtype=np.int64)
+        if sums is None:  # the first round only sets the sums to compare
+            sums = fallen
+            continue
+        done = fallen == sums
+        if stop is not None:
+            whole = np.add.reduce(grid == base, axis=1) > stop
+            grid[whole] = base[whole]
+            done |= whole
+        count = np.count_nonzero(done)
+        if count == live.size:
+            if out is None:
+                return grid - base
+            out[live] = grid - base
+            return out
+        # moving the live rows costs about one round: worth it once half
+        # of a block of four rows or more is done
+        if 2 * count >= live.size >= 4:
+            if out is None:
+                out = np.empty((rows, n), dtype=np.int64)
+            out[live[done]] = grid[done] - base[done]
+            keep = ~done
+            live = live[keep]
+            shift = base[keep] - base[:live.size]
+            base = base[:live.size]
+            labels = (grid[keep] - shift).astype(np.int32).ravel()
+            flat = [(m.reshape(-1, n)[keep] - shift).ravel() for m in flat]
+            fallen = fallen[keep] - n * shift[:, 0]
+        sums = fallen
 
 
 def _as_indices(group: Group, gens: Iterable[Element | int]) -> np.ndarray:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -45,6 +44,9 @@ class Distribution:
     mode: str  # "exact" | "sampled"
     d: int
     label: str = ""
+    # sampled mode, word with a nonzero exponent-sum gcd: its values at the
+    # certificate tuples of the class representatives (`_certificate_columns`)
+    certified: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.mode not in ("exact", "sampled"):
@@ -142,7 +144,13 @@ def _class_totals(letters: Sequence[int], used: Sequence[int], group: Group) -> 
 
 def monte_carlo_distribution(word: Word, group: Group, samples: int,
                              rng: Union[Rng, int]) -> Distribution:
-    """Empirical pushforward from uniform tuples; deterministic per rng stream."""
+    """Empirical pushforward from uniform tuples; deterministic per rng stream.
+
+    When the exponent sums of the word have a nonzero gcd, the certificate
+    tuples of `_certificate_columns` ride along in the first batch: their
+    columns follow the drawn ones, so one evaluation yields both the sample
+    and `certified`, and the draws are the same as without them.
+    """
     if samples < 1:
         raise UnsupportedParameterError(f"samples must be >= 1, got {samples}")
     rng = as_rng(rng)
@@ -153,14 +161,22 @@ def monte_carlo_distribution(word: Word, group: Group, samples: int,
         counts[group.identity] = samples
         return Distribution(group=group, counts=counts, total=samples, mode="sampled",
                             d=word.rank, label=word.to_text())
+    vec = abelianize(word)
+    tail = _certificate_columns(word, group, vec) if gcd_of_vector(vec) else None
+    certified = None
     done = 0
     while done < samples:
         b = min(BATCH, samples - done)
-        draws = {g: rng.integers(0, n, size=b) for g in support}
-        counts += np.bincount(_evaluate(word.letters, draws, group), minlength=n)
+        columns = {g: rng.integers(0, n, size=b) for g in support}
+        if done == 0 and tail is not None:
+            columns = {g: np.concatenate((columns[g], tail[g])) for g in support}
+        values = _evaluate(word.letters, columns, group)
+        if done == 0 and tail is not None:
+            certified = values[b:]
+        counts += np.bincount(values[:b], minlength=n)
         done += b
     return Distribution(group=group, counts=counts, total=samples, mode="sampled",
-                        d=word.rank, label=word.to_text())
+                        d=word.rank, label=word.to_text(), certified=certified)
 
 
 # ---------------------------------------------------------------------------
@@ -175,17 +191,6 @@ def l1_uniform_distance(dist: Distribution) -> Union[Fraction, float]:
     if dist.mode == "exact":
         return Fraction(s, dist.total * n)
     return s / (dist.total * n)
-
-
-def l1_distance(a: Distribution, b: Distribution) -> Union[Fraction, float]:
-    """sum_g |P_a(g) - P_b(g)| between two laws on the same carrier."""
-    if a.group.order != b.group.order:
-        raise UnsupportedParameterError("distributions live on different carriers")
-    prod = a.counts.astype(object) * b.total - b.counts.astype(object) * a.total
-    s = int(np.abs(prod).sum())
-    if a.mode == "exact" and b.mode == "exact":
-        return Fraction(s, a.total * b.total)
-    return s / (a.total * b.total)
 
 
 # ---------------------------------------------------------------------------
@@ -213,18 +218,20 @@ def _class_union(labels: np.ndarray, values: np.ndarray) -> np.ndarray:
     return hit[labels]
 
 
-def _certified_powers(word: Word, group: Group, coeffs: Sequence[int],
-                      reps: np.ndarray) -> np.ndarray:
-    """The word evaluated at (r^b1, ..., r^bd) for every class representative r.
+def _certificate_columns(word: Word, group: Group, vec: Sequence[int]) -> dict:
+    """Columns of the tuples (r^b1, ..., r^bd), one per class representative r,
+    for b the gcd certificate of the exponent-sum vector `vec`.
 
-    By the gcd certificate the values at every g are exactly the m-th
-    powers; they are computed by genuine evaluation, not by powering, so
-    they certify that the word map itself attains them.  Conjugating g by
-    h conjugates its value by h, so the representatives' values fix the
-    rest up to their classes.
+    By the certificate the word's values at every (g^b1, ..., g^bd) are
+    exactly the m-th powers; they are computed by genuine evaluation, not
+    by powering, so they certify that the word map itself attains them.
+    Conjugating g by h conjugates its value by h, so the representatives'
+    values fix the rest up to their classes.
     """
-    columns = {g: power_array(group, coeffs[g - 1], reps) for g in {abs(v) for v in word.letters}}
-    return _evaluate(word.letters, columns, group)
+    labels = class_labels(group)
+    reps = np.flatnonzero(labels == np.arange(group.order))
+    coeffs = bezout_certificate(vec)[1]
+    return {g: power_array(group, coeffs[g - 1], reps) for g in {abs(v) for v in word.letters}}
 
 
 def image_and_power_coverage(word: Word, dist: Distribution,
@@ -239,7 +246,8 @@ def image_and_power_coverage(word: Word, dist: Distribution,
     Since (h r h^-1)^m = h r^m h^-1, the m-th powers and the certificate
     values are computed on class representatives r only (`class_labels`,
     cached on the group), each set then being the union of the classes
-    they hit.
+    they hit.  The certificate values come with a sampled `dist`
+    (`certified`, evaluated with its sample).
     """
     group = dist.group
     vec = abelianize(word)
@@ -255,8 +263,11 @@ def image_and_power_coverage(word: Word, dist: Distribution,
     image = dist.counts != 0
     certificate = None
     if dist.mode == "sampled" and gamma > 0:
-        coeffs = bezout_certificate(vec)[1]
-        certificate = _class_union(labels, _certified_powers(word, group, coeffs, reps))
+        if dist.certified is None:
+            raise UnsupportedParameterError(
+                "sampled distribution carries no certificate values; "
+                "build it with monte_carlo_distribution")
+        certificate = _class_union(labels, dist.certified)
         image |= certificate
     powers = _class_union(labels, power_array(group, m, reps))
     beyond = np.flatnonzero(image & ~powers)
@@ -267,25 +278,3 @@ def image_and_power_coverage(word: Word, dist: Distribution,
                        covers_powers=not (powers & ~image).any(),
                        witness=int(beyond[0]) if beyond.size else None,
                        certificate=certificate)
-
-
-# ---------------------------------------------------------------------------
-# Export
-# ---------------------------------------------------------------------------
-
-
-def write_distribution_csv(dist: Distribution, path: Union[str, Path]) -> None:
-    """Write counts as CSV with a small commented header."""
-    path = Path(path)
-    lines = [
-        f"# group={dist.group.name}",
-        f"# label={dist.label}",
-        f"# mode={dist.mode}",
-        f"# d={dist.d}",
-        f"# total={dist.total}",
-        "element_index,count,probability",
-    ]
-    total = dist.total
-    for i, c in enumerate(dist.counts):
-        lines.append(f"{i},{int(c)},{int(c) / total!r}")
-    path.write_text("\n".join(lines) + "\n")

@@ -261,38 +261,6 @@ def bezout_certificate(vec: Sequence[int]) -> Tuple[int, Tuple[int, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# Proper powers
-# ---------------------------------------------------------------------------
-
-
-def is_power_word(word: Word) -> Tuple[bool, Optional[Word], Optional[int]]:
-    """Detect w = v^k with k >= 2; returns (flag, root, exponent).
-
-    Conjugate the word to its cyclically reduced core and look for string
-    periodicity there; a cyclically reduced word is a proper power exactly
-    when it is a repeated block.
-    """
-    if not word.letters:
-        raise EmptyWordError("the empty word has no power decomposition")
-    letters = list(word.letters)
-    prefix = []
-    while len(letters) >= 2 and letters[0] == -letters[-1]:
-        prefix.append(letters[0])
-        letters = letters[1:-1]
-    core = letters
-    n = len(core)
-    for period in range(1, n // 2 + 1):
-        if n % period != 0:
-            continue
-        if all(core[i] == core[i % period] for i in range(period, n)):
-            exponent = n // period
-            root_letters = prefix + core[:period] + [-v for v in reversed(prefix)]
-            root = make_word(root_letters, word.rank)
-            return True, root, exponent
-    return False, None, None
-
-
-# ---------------------------------------------------------------------------
 # Evaluation
 # ---------------------------------------------------------------------------
 

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from wordlab.errors import UnsupportedParameterError
 from wordlab.groups import (
     TABLE_BLOCK,
     PermutationGroup,
@@ -71,6 +72,18 @@ def brute_pushforward(word: Word, group) -> np.ndarray:
     return counts
 
 
+def l1_distance(a, b):
+    """sum_g |P_a(g) - P_b(g)| between two laws on one carrier: a Fraction
+    when both are exact, a float otherwise."""
+    if a.group.order != b.group.order:
+        raise UnsupportedParameterError("distributions live on different carriers")
+    prod = a.counts.astype(object) * b.total - b.counts.astype(object) * a.total
+    s = int(np.abs(prod).sum())
+    if a.mode == "exact" and b.mode == "exact":
+        return Fraction(s, a.total * b.total)
+    return s / (a.total * b.total)
+
+
 def generated_subgroup(group, gens) -> frozenset:
     """Subgroup generated by gens, by scalar worklist saturation."""
     seen = {group.identity}
@@ -85,6 +98,25 @@ def generated_subgroup(group, gens) -> frozenset:
                     nxt.append(y)
         frontier = nxt
     return frozenset(seen)
+
+
+def brute_orbit_labels(n: int, maps) -> list:
+    """label[x] = the least point of the orbit of x under the permutations
+    `maps` of range(n), by a scalar worklist walk from each point."""
+    labels = [None] * n
+    for x in range(n):
+        if labels[x] is None:
+            orbit, frontier = {x}, [x]
+            while frontier:
+                y = frontier.pop()
+                for m in maps:
+                    for z in (int(m[y]), list(m).index(y)):  # image and preimage
+                        if z not in orbit:
+                            orbit.add(z)
+                            frontier.append(z)
+            for y in orbit:
+                labels[y] = min(orbit)
+    return labels
 
 
 def all_commutators_subgroup(group) -> frozenset:

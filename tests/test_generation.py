@@ -17,6 +17,7 @@ from wordlab.errors import (
 from wordlab.generation import (
     AUT_ORDERS,
     count_generating_tuples,
+    double_coset_labels,
     hall_max_power,
     is_generating,
     lift_generators,
@@ -81,6 +82,29 @@ def test_pair_count_matches_brute_force(spec):
 def test_triple_count_matches_brute_force():
     s4 = get_group("symmetric:4")
     assert count_generating_tuples(s4, 3) == brute_tuple_count(s4, 3) == 10080
+    a4 = get_group("alternating:4")
+    assert count_generating_tuples(a4, 3) == brute_tuple_count(a4, 3) == 1560
+    # pinned: P. Hall's Eulerian function of A5 at d = 3
+    assert count_generating_tuples(get_group("alternating:5"), 3) == 200160
+
+
+def test_count_without_a_table_matches_brute_force():
+    # a direct power has no table: its maps are native products of G^2
+    power = DirectPowerGroup(get_group("symmetric:3"), 2)
+    assert power.order == 36 and not power.has_table
+    assert count_generating_tuples(power, 2) == brute_tuple_count(power, 2)
+
+
+@pytest.mark.parametrize("spec", ("symmetric:4", "alternating:5"))
+def test_double_coset_labels_match_brute_force(spec):
+    # every cyclic subgroup H = <h>: label[x] is the least element of HxH
+    group = get_group(spec)
+    for h in range(group.order):
+        sub = generated_subgroup(group, (h,))
+        labels = double_coset_labels(group, (h,))
+        for x in range(group.order):
+            coset = {group.mul(group.mul(a, x), b) for a in sub for b in sub}
+            assert labels[x] == min(coset)
 
 
 # (ordered generating pairs, largest 2-generated power) per AUT_ORDERS entry

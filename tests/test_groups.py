@@ -1,5 +1,6 @@
 """Group backends: axioms, structure helpers, and cross-route agreement."""
 
+import hashlib
 import itertools
 import re
 import tracemalloc
@@ -35,6 +36,7 @@ from wordlab.groups import (
     group_generators,
     is_perfect,
     load_cayley_table,
+    orbit_labels,
     power_array,
     quotient_by_center,
     quotient_group,
@@ -47,6 +49,7 @@ from conftest import (
     CATALOG,
     all_commutators_subgroup,
     blocked_native_table,
+    brute_orbit_labels,
     generated_subgroup,
     get_group,
     orbit_class_labels,
@@ -447,6 +450,121 @@ def test_class_key_labels_match_the_orbit_route(spec):
     assert set(np.flatnonzero(np.bincount(labels) == 1).tolist()) == expected
     if group.order <= STRUCTURE_CAP:
         assert center(group) == expected
+
+
+# SHA-256 prefixes of the int64 bytes of each catalog group's class labels
+CLASS_LABEL_DIGESTS = {
+    "cyclic:2": "9d34149fbd1fe777", "cyclic:4": "a1e03200f1f82ad2",
+    "cyclic:6": "f190072c5052f4f4", "dihedral:4": "738fa48a673b5926",
+    "symmetric:3": "5698b7ad5aaf5eaf", "symmetric:4": "e58eddd91f7b1f4b",
+    "alternating:4": "f19b68d43c9e1a22", "alternating:5": "9d21927f7dc71306",
+    "alternating:6": "2c2cf92e82ec208b", "sl2:5": "c4e0f0067e56f0df",
+    "sl2:7": "de189450967b917d", "psl2:7": "f10083287841bcbc",
+    "psl2:11": "292ed59fc5c3bd0e", "psl2:13": "e3885e9bbb58045b",
+}
+
+
+@pytest.mark.parametrize("spec", CATALOG_SPECS)
+def test_class_labels_are_pinned_on_the_catalog(spec):
+    # the orbit route, and on a matrix group also the class-key route
+    plain = construct_group(spec)
+    plain.class_key = None
+    for group in {plain, get_group(spec)}:
+        labels = class_labels(group)
+        assert labels.dtype == np.int64 and labels.shape == (group.order,)
+        assert hashlib.sha256(labels.tobytes()).hexdigest()[:16] == CLASS_LABEL_DIGESTS[spec]
+
+
+def varied_permutations(n: int, rng) -> list:
+    """Permutations of range(n) whose orbit labels settle after different
+    numbers of rounds: the identity (settled from the start), a swap of
+    the ends, both n-cycles, an involution of adjacent swaps, and random
+    ones with many and with few cycles."""
+    everyone = np.arange(n)
+    swaps = everyone ^ 1
+    swaps[swaps >= n] = n - 1
+    ends = everyone.copy()
+    ends[[0, n - 1]] = ends[[n - 1, 0]]
+    perms = [everyone, ends, (everyone + 1) % n, (everyone - 1) % n, swaps]
+    for _ in range(6):
+        perms.append(rng.permutation(n))
+        moved = np.flatnonzero(rng.random(n) < 0.3)  # the rest stay fixed
+        few = everyone.copy()
+        few[moved] = rng.permutation(moved)
+        perms.append(few)
+    return perms
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 7, 24, 40))
+def test_orbit_labels_match_brute_force_orbits(n, monkeypatch):
+    # blocks of eight rows, so that rows settled early leave their block
+    # while the others go on
+    monkeypatch.setattr("wordlab.groups.ORBIT_BLOCK", 8 * n)
+    rng = stream(31, n)
+    perms = varied_permutations(n, rng)
+    rows = np.array(perms)
+    calls = 0
+
+    def row_map(lo, hi):
+        nonlocal calls
+        calls += 1
+        return rows[lo:hi]
+
+    # each row alone, then each row beside one random permutation shared by all
+    for shared in ([], [rng.permutation(n)]):
+        blocks = list(orbit_labels(n, shared, len(rows), row_map))
+        assert [b.shape for b in blocks] == [(min(8, len(rows) - lo), n)
+                                            for lo in range(0, len(rows), 8)]
+        got = np.concatenate(blocks)
+        for row, labels in zip(rows, got):
+            assert labels.tolist() == brute_orbit_labels(n, shared + [row])
+    assert calls == 2 * len(blocks)
+    # shared maps only: one row
+    (labels,), = orbit_labels(n, perms[2:4])
+    assert labels.tolist() == brute_orbit_labels(n, perms[2:4])
+
+
+def test_orbit_labels_stop_once_the_orbit_of_0_passes_it():
+    n, stop = 40, 20
+    everyone = np.arange(n)
+
+    def cycle(length):
+        perm = everyone.copy()
+        perm[:length] = np.roll(everyone[:length], 1)
+        return perm
+
+    rest = np.roll(everyone, 1)  # joins every point: past stop once it reaches 0
+    rows = np.array([cycle(30), cycle(21), cycle(20), everyone, rest])
+    got = np.concatenate(list(orbit_labels(n, [], len(rows), lambda lo, hi: rows[lo:hi],
+                                           stop=stop)))
+    for row, labels in zip(rows, got):
+        want = brute_orbit_labels(n, [row])
+        if want.count(0) > stop:
+            assert not labels.any()  # one orbit, whatever the brute force says
+        else:
+            assert labels.tolist() == want
+    assert not got[0].any() and got[0].tolist() != brute_orbit_labels(n, [rows[0]])
+    assert got[2].tolist() == brute_orbit_labels(n, [rows[2]])
+
+
+@pytest.mark.parametrize("spec", ("symmetric:4", "alternating:5"))
+def test_orbit_labels_of_right_multiplications_are_left_cosets(spec, monkeypatch):
+    # the orbit of the identity under x -> xh and x -> xg is <h, g>: with the
+    # Lagrange stop a row that generates comes back all 0, which is also
+    # its true labelling, so every row agrees with the brute force
+    monkeypatch.setattr("wordlab.groups.ORBIT_BLOCK", 5 * get_group(spec).order)
+    group = get_group(spec)
+    n = group.order
+    mul_vec = vector_multiplier(group)
+    everyone = np.arange(n)
+    h = 1
+    shared = [mul_vec(everyone, h)]
+    got = np.concatenate(list(orbit_labels(
+        n, shared, n, lambda lo, hi: mul_vec(everyone, everyone[lo:hi, None]), stop=n // 2)))
+    for g in range(n):
+        maps = shared + [mul_vec(everyone, g)]
+        assert got[g].tolist() == brute_orbit_labels(n, maps)
+        assert set(np.flatnonzero(got[g] == 0).tolist()) == generated_subgroup(group, (h, g))
 
 
 def assert_computed_once(fact, spec, monkeypatch):

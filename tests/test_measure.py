@@ -8,22 +8,24 @@ import pytest
 
 from wordlab import harness, measure
 from wordlab.errors import BudgetExceededError, EmptyWordError, UnsupportedParameterError
-from wordlab.groups import CayleyGroup, class_labels, construct_group
+from wordlab.groups import CayleyGroup, class_labels, construct_group, power_array
 from wordlab.measure import (
+    BATCH,
     TUPLE_BUDGET,
+    Distribution,
     _class_totals,
+    _evaluate,
     exact_distribution,
     image_and_power_coverage,
-    l1_distance,
     l1_uniform_distance,
     monte_carlo_distribution,
-    write_distribution_csv,
 )
 from wordlab.rng import stream
-from wordlab.words import Word, abelianize, gcd_of_vector, parse_word, sample_word
+from wordlab.words import (Word, abelianize, bezout_certificate, gcd_of_vector, parse_word,
+                           sample_word)
 
 from conftest import (CATALOG, assert_same_coverage, brute_pushforward, conjugacy_classes,
-                      full_carrier_coverage, get_group)
+                      full_carrier_coverage, get_group, l1_distance)
 
 
 # Non-abelian groups, where the reduction to class representatives is not
@@ -246,17 +248,6 @@ def test_image_coverage_needs_m_for_balanced_words():
     assert rep.m == 1
 
 
-def test_distribution_csv_output(tmp_path):
-    group = get_group("cyclic:4")
-    dist = exact_distribution(parse_word("x1 x1"), group)
-    path = tmp_path / "dist.csv"
-    write_distribution_csv(dist, path)
-    lines = path.read_text().splitlines()
-    data = [ln for ln in lines if not ln.startswith("#")]
-    assert data[0] == "element_index,count,probability"
-    assert len(data) == 1 + group.order
-
-
 @pytest.mark.parametrize("spec", REDUCED_GROUPS)
 def test_class_labels_match_orbit_partition(spec):
     group = group_for(spec)
@@ -314,3 +305,43 @@ def test_sampled_density_cell_samples_once(monkeypatch):
     record = harness._density_cell(word, 2, group, "psl2:7", "sampled", 300, 1, 0, 0)
     assert record["covers_powers"] is True  # the certificate supplies every square
     assert len(calls) == 1
+
+    # one kernel call evaluates the sample and the certificate tuples together
+    evaluations = []
+    evaluate = measure._evaluate
+    monkeypatch.setattr(measure, "_evaluate",
+                        lambda *args: evaluations.append(args) or evaluate(*args))
+    harness._density_cell(word, 2, group, "psl2:7", "sampled", 300, 1, 0, 1)
+    assert len(evaluations) == 1
+
+
+@pytest.mark.parametrize("spec,samples", (("psl2:7", BATCH + 1000), ("sl2:17", 700)))
+def test_certificate_tuples_leave_the_draws_as_they_are(spec, samples):
+    # the sample matches one drawn and evaluated batch by batch on its own,
+    # and `certified` the word at (r^b1, r^b2) for every class representative r
+    group = get_group(spec)
+    word = parse_word("x1 x1 x2 X1 x2 x2")
+    dist = monte_carlo_distribution(word, group, samples, stream(6, 2))
+    rng, n = stream(6, 2), group.order
+    counts = np.zeros(n, dtype=np.int64)
+    for start in range(0, samples, BATCH):
+        b = min(BATCH, samples - start)
+        draws = {g: rng.integers(0, n, size=b) for g in (1, 2)}
+        counts += np.bincount(_evaluate(word.letters, draws, group), minlength=n)
+    assert np.array_equal(dist.counts, counts)
+    labels = class_labels(group)
+    reps = np.flatnonzero(labels == np.arange(n))
+    coeffs = bezout_certificate(abelianize(word))[1]
+    columns = {g: power_array(group, coeffs[g - 1], reps) for g in (1, 2)}
+    assert np.array_equal(dist.certified, _evaluate(word.letters, columns, group))
+
+
+def test_sampled_coverage_needs_the_certificate_values():
+    group = get_group("psl2:7")
+    word = parse_word("x1 x1 x2 x2")
+    balanced = monte_carlo_distribution(parse_word("x1 x2 X1 X2"), group, 50, 3)
+    assert balanced.certified is None  # no certificate for a zero exponent-sum gcd
+    bare = Distribution(group=group, counts=np.ones(group.order, dtype=np.int64),
+                        total=group.order, mode="sampled", d=2)
+    with pytest.raises(UnsupportedParameterError, match="no certificate values"):
+        image_and_power_coverage(word, bare)

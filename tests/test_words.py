@@ -1,4 +1,4 @@
-"""Words: reduction, sampling, gcd certificates, power detection, evaluation."""
+"""Words: reduction, sampling, gcd certificates, evaluation."""
 
 import math
 
@@ -18,7 +18,6 @@ from wordlab.words import (
     evaluate,
     evaluate_indices,
     gcd_of_vector,
-    is_power_word,
     make_word,
     parse_word,
     reduce_letters,
@@ -118,42 +117,6 @@ def test_bezout_certificate_bound_property(vec):
     assert m == gcd_of_vector(vec) > 0
     assert sum(b * v for b, v in zip(coeffs, vec)) == m
     assert max(abs(b) for b in coeffs) <= max(abs(v) for v in vec)
-
-
-def test_power_word_detection():
-    flag, root, k = is_power_word(parse_word("x1 x2 x1 x2"))
-    assert flag and k == 2 and root.letters == (1, 2)
-    flag, root, k = is_power_word(parse_word("x1 x1 x1"))
-    assert flag and k == 3 and root.letters == (1,)
-    # conjugated power: u (x2 x2) u^-1 with u = x1
-    w = parse_word("x1 x2 x2 X1")
-    flag, root, k = is_power_word(w)
-    assert flag and k == 2
-    assert (root**k).letters == w.letters
-    flag, root, k = is_power_word(parse_word("x1 x2"))
-    assert not flag and root is None and k is None
-    flag, _, _ = is_power_word(parse_word("x1"))
-    assert not flag
-    with pytest.raises(EmptyWordError):
-        is_power_word(Word(2, ()))
-
-
-@given(st.integers(min_value=2, max_value=4), st.data())
-def test_power_word_round_trip_property(k, data):
-    base = data.draw(
-        st.lists(st.sampled_from((1, 2, -1, -2)), min_size=1, max_size=4)
-    )
-    root = make_word(base, 2)
-    if not root.letters:
-        return
-    w = root**k
-    if not w.letters:
-        return
-    flag, found_root, found_k = is_power_word(w)
-    assert flag
-    # the found decomposition reconstructs the word exactly
-    assert (found_root**found_k).letters == w.letters
-    assert found_k >= 2
 
 
 def test_evaluation_against_manual_products():
