@@ -5,20 +5,18 @@ The package is organized around a small set of building blocks:
 - `groups`: index-based finite groups (cyclic, dihedral, permutation,
   2x2 matrix groups over small prime fields, explicit Cayley tables,
   direct powers) plus structural helpers (center, commutator subgroup,
-  quotients, abelian invariants).
+  quotients).
 - `words`: reduced words in d generators, sampling models, exponent-sum
-  vectors, gcd certificates, evaluation.
+  vectors, gcd certificates, evaluation at element indices.
 - `measure`: exact and sampled pushforward distributions of word maps,
   L1 distance to uniform, image versus m-th powers.
 - `lattice_walks`: simple random walks on Z^d, exact mod-q endpoint laws,
   return probabilities, and a sampling-free prediction of the endpoint
   gcd law.
 - `group_walks`: exact laws and mixing profiles of walks on finite
-  groups, the cyclic obstruction to mixing, and the shared-letters
-  versus independent-walks comparison on direct powers.
+  groups, and the cyclic obstruction to mixing.
 - `generation`: counting generating tuples, largest d-generated direct
-  power, generation checks on G^N, and lifting generators through
-  central quotients.
+  power, and generation checks on G^N.
 - `harness` / `cli`: deterministic, auditable experiment runs.
 """
 
@@ -31,11 +29,9 @@ from .errors import (
     DimensionMismatchError,
     EmptyWordError,
     GroupMismatchError,
-    LiftVerificationError,
     MalformedCayleyTableError,
     NotGeneratingError,
     NotInCatalogError,
-    NotPerfectError,
     RankMismatchError,
     TooLargeError,
     UnsupportedParameterError,
@@ -53,7 +49,6 @@ from .groups import (
     PSL2Group,
     PermutationGroup,
     SL2Group,
-    abelianization_invariants,
     center,
     closure,
     commutator_subgroup,
@@ -67,7 +62,6 @@ from .words import (
     Word,
     abelianize,
     bezout_certificate,
-    evaluate,
     evaluate_indices,
     gcd_of_vector,
     make_word,
@@ -88,21 +82,17 @@ from .lattice_walks import (
     TailEstimate,
     TailPrediction,
     exact_mod_law,
-    gcd_of_endpoint,
     gcd_tail_estimate,
     predicted_tail_probability,
     return_probability,
     sample_endpoints,
-    simulate_walk,
 )
 from .group_walks import (
     ObstructionWitness,
-    PowerWalkReport,
     StepSet,
     cyclic_obstruction,
     exact_walk_law,
     mixing_profile,
-    power_walk_equivalence,
 )
 from .generation import (
     AUT_ORDERS,
@@ -110,7 +100,6 @@ from .generation import (
     count_generating_tuples,
     hall_max_power,
     is_generating,
-    lift_generators,
     power_tuple_generates,
 )
 from .harness import (

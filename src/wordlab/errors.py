@@ -49,13 +49,5 @@ class NotGeneratingError(WordlabError):
     """Step-set support does not generate the group."""
 
 
-class NotPerfectError(WordlabError):
-    """Operation requires a perfect group."""
-
-
-class LiftVerificationError(WordlabError):
-    """Lifted generators failed to generate the covering group."""
-
-
 class NotInCatalogError(WordlabError):
     """Group is not in the simple-group catalog with known Aut order."""

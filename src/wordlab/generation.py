@@ -1,4 +1,4 @@
-"""Generating tuples, generation of direct powers, and lifting generators.
+"""Generating tuples and generation of direct powers.
 
 For a finite group G the ordered d-tuples whose entries generate G can be
 counted exactly by a prefix walk over the subgroup lattice: the count of
@@ -16,11 +16,6 @@ elements.
 Direct checks on G^N work with explicit tuples: N tuples of d entries each
 combine into d diagonal steps of G^N, and a closure run decides generation
 outright (capped so the carrier stays enumerable).
-
-`lift_generators` pulls a generating tuple of a central quotient back to
-the parent group; when the parent is perfect, lifts of generators are
-guaranteed to generate, so a verification failure signals a bug rather
-than bad input.
 """
 
 from __future__ import annotations
@@ -33,24 +28,18 @@ import numpy as np
 
 from .errors import (
     BudgetExceededError,
-    GroupMismatchError,
-    LiftVerificationError,
     NotInCatalogError,
-    NotPerfectError,
     UnsupportedParameterError,
     WordlabError,
 )
 from .groups import (
-    CayleyGroup,
     DirectPowerGroup,
     Element,
     Group,
     _as_indices,
     _tuple_matrix,
-    center,
     class_labels,
     closure_mask,
-    is_perfect,
     orbit_labels,
     vector_multiplier,
 )
@@ -232,51 +221,3 @@ def power_tuple_generates(
     steps = [power.join(column) for column in rows.T.tolist()]
     return bool(closure_mask(power, steps).all())
 
-
-def lift_generators(
-    group: Group, quotient_tuple: Sequence[Element]
-) -> tuple:
-    """Pull a tuple of central-quotient elements back to the parent group.
-
-    Each coset is lifted to its minimal parent index.  The parent must be
-    perfect and the quotient must be one of its central quotients (built
-    by `quotient_group`, carrying `.projection` and `.parent`).  When the
-    input generates the quotient, the lift is guaranteed to generate the
-    parent, so a failed check raises LiftVerificationError; when the input
-    does not generate the quotient, the lift is returned as is and the
-    caller's `is_generating` will report False.
-    """
-    if not quotient_tuple:
-        raise UnsupportedParameterError("need at least one element to lift")
-    if not is_perfect(group):
-        raise NotPerfectError(f"{group.name} is not perfect; lifting not supported")
-    quotient = quotient_tuple[0].group
-    if not isinstance(quotient, CayleyGroup) or quotient.projection is None:
-        raise GroupMismatchError("tuple elements do not belong to a quotient group")
-    parent = quotient.parent
-    if parent is not group and (parent is None or parent.name != group.name):
-        raise GroupMismatchError(
-            f"quotient {quotient.name} was not built from {group.name}"
-        )
-    for q in quotient_tuple:
-        if q.group is not quotient and q.group.name != quotient.name:
-            raise GroupMismatchError("tuple elements belong to different groups")
-    proj = quotient.projection
-    kernel = [g for g in range(group.order) if proj[g] == quotient.identity]
-    central = center(group)
-    if not set(kernel) <= central:
-        raise GroupMismatchError(
-            f"kernel of {quotient.name} is not central in {group.name}"
-        )
-    lifted = []
-    for q in quotient_tuple:
-        target = q.index
-        rep = min(g for g in range(group.order) if proj[g] == target)
-        lifted.append(group.element(rep))
-    if is_generating(quotient, [q.index for q in quotient_tuple]):
-        if not is_generating(group, [e.index for e in lifted]):
-            raise LiftVerificationError(
-                f"lift of a generating tuple fails to generate {group.name}; "
-                "this contradicts the central-quotient lifting theorem"
-            )
-    return tuple(lifted)

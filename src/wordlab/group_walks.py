@@ -3,10 +3,8 @@
 A walk starts at the identity and multiplies one step per tick on the
 right, each step drawn independently from a fixed weighted set.  The
 module computes the exact law after n steps by integer convolution,
-tracks the L1 distance to uniform step by step, detects the cyclic
-obstruction that keeps some generating step sets from ever mixing, and
-compares the two natural ways of randomizing a power of a group (one
-shared letter sequence across coordinates versus independent walks).
+tracks the L1 distance to uniform step by step, and detects the cyclic
+obstruction that keeps some generating step sets from ever mixing.
 
 Exact laws are kept as integer counts over the common denominator D**n,
 where D is the lcm of the step-weight denominators, so distances to
@@ -32,12 +30,10 @@ from .errors import (
     WordlabError,
 )
 from .groups import (
-    DirectPowerGroup,
     Element,
     Group,
     _as_indices,
     _check_structure_cap,
-    _tuple_matrix,
     closure,
     commutator_subgroup,
     group_generators,
@@ -45,12 +41,6 @@ from .groups import (
     vector_multiplier,
 )
 from .measure import Distribution
-from .rng import Rng, as_rng, stream
-
-# Largest |G|**copies for which joint statistics are tabulated directly.
-JOINT_STATE_CAP = 10**6
-# Sample rows processed per vectorized batch.
-WALK_BATCH = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -272,135 +262,3 @@ def cyclic_obstruction(group: Group, steps: StepSet) -> Optional[ObstructionWitn
         if labels[s] != 1 % modulus:
             raise WordlabError(f"{group.name}: step label is not 1 mod {modulus}")
     return ObstructionWitness(group_name=group.name, modulus=modulus, labels=labels)
-
-
-# ---------------------------------------------------------------------------
-# Shared-letters versus independent-walks comparison on G^copies
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class PowerWalkReport:
-    """Sampled comparison of two randomizations of G^copies.
-
-    The word route draws one letter sequence per sample and applies the
-    j-th coordinate of each chosen tuple to coordinate j, so coordinates
-    share their randomness.  The walk route steps every coordinate with
-    its own independent letter sequence.  Marginals must agree; the joint
-    laws agree only when the tuples do not lock coordinates together.
-    """
-
-    group_name: str
-    copies: int
-    d: int
-    n: int
-    samples: int
-    word_marginal_counts: np.ndarray  # (copies, |G|)
-    walk_marginal_counts: np.ndarray  # (copies, |G|)
-    marginal_l1: list  # per coordinate, word route vs walk route
-    word_uniform_l1: list  # per coordinate
-    walk_uniform_l1: list  # per coordinate
-    joint_size: Optional[int] = None
-    word_joint_counts: Optional[np.ndarray] = None
-    walk_joint_counts: Optional[np.ndarray] = None
-    joint_l1: Optional[float] = None
-    word_joint_uniform_l1: Optional[float] = None
-    walk_joint_uniform_l1: Optional[float] = None
-
-    def max_marginal_l1(self) -> float:
-        return max(self.marginal_l1)
-
-
-def _two_streams(rng: Rng):
-    """Two decorrelated generators from one seed or generator."""
-    if isinstance(rng, (int, np.integer)):
-        return stream(int(rng), 101), stream(int(rng), 102)
-    gen = as_rng(rng)
-    seeds = gen.integers(0, 2**63, size=2)
-    return np.random.default_rng(int(seeds[0])), np.random.default_rng(int(seeds[1]))
-
-
-def power_walk_equivalence(
-    group: Group,
-    tuples: Sequence[Sequence[Union[Element, int]]],
-    n: int,
-    samples: int,
-    rng: Rng,
-) -> PowerWalkReport:
-    """Sample both randomizations of G^copies and tabulate their agreement.
-
-    `tuples` is a list of d-tuples of group elements.  In the word route a
-    single letter sequence is drawn per sample and letter i multiplies
-    coordinate j by tuples[j][i], so all coordinates share their
-    randomness; in the walk route every coordinate draws its own letters.
-    Marginal counts, their pairwise L1 discrepancies, and distances to
-    uniform are always reported; joint statistics are tabulated when
-    |G|**copies fits the cap.
-    """
-    if n < 0:
-        raise UnsupportedParameterError("step count must be nonnegative")
-    if samples < 1:
-        raise UnsupportedParameterError("need at least one sample")
-    # gen_matrix[i, j] = element applied to coordinate j when letter i is drawn.
-    gen_matrix = _tuple_matrix(group, tuples).T
-    d, copies = gen_matrix.shape
-    order = group.order
-    coords = np.arange(copies)
-    # states are rows of coordinates: the lifted form of G^copies
-    power = DirectPowerGroup(group, copies)
-    joint_size = order**copies if order**copies <= JOINT_STATE_CAP else None
-
-    word_marg = np.zeros((copies, order), dtype=np.int64)
-    walk_marg = np.zeros((copies, order), dtype=np.int64)
-    word_joint = walk_joint = None
-    if joint_size is not None:
-        word_joint = np.zeros(joint_size, dtype=np.int64)
-        walk_joint = np.zeros(joint_size, dtype=np.int64)
-
-    rng_word, rng_walk = _two_streams(rng)
-    # Per tick the word route draws one letter per sample, shared by all
-    # coordinates; the walk route an independent letter per coordinate.
-    routes = ((rng_word, (), word_marg, word_joint), (rng_walk, (copies,), walk_marg, walk_joint))
-    done = 0
-    while done < samples:
-        chunk = min(WALK_BATCH, samples - done)
-        for gen, letter_shape, marg, joint in routes:
-            states = np.full((chunk, copies), group.identity, dtype=np.int64)
-            for _ in range(n):
-                letters = gen.integers(0, d, size=(chunk, *letter_shape))
-                states = power.mul_lifted(states, gen_matrix[letters.reshape(chunk, -1), coords])
-            for j in range(copies):
-                marg[j] += np.bincount(states[:, j], minlength=order)
-            if joint is not None:
-                joint += np.bincount(power.lower(states), minlength=joint_size)
-        done += chunk
-
-    def emp_l1(a: np.ndarray, b: np.ndarray) -> float:
-        return float(np.abs(a / samples - b / samples).sum())
-
-    def unif_l1(a: np.ndarray) -> float:
-        return float(np.abs(a / samples - 1.0 / len(a)).sum())
-
-    marginal_l1 = [emp_l1(word_marg[j], walk_marg[j]) for j in range(copies)]
-    word_uniform = [unif_l1(word_marg[j]) for j in range(copies)]
-    walk_uniform = [unif_l1(walk_marg[j]) for j in range(copies)]
-    report = PowerWalkReport(
-        group_name=group.name,
-        copies=copies,
-        d=d,
-        n=n,
-        samples=samples,
-        word_marginal_counts=word_marg,
-        walk_marginal_counts=walk_marg,
-        marginal_l1=marginal_l1,
-        word_uniform_l1=word_uniform,
-        walk_uniform_l1=walk_uniform,
-        joint_size=joint_size,
-        word_joint_counts=word_joint,
-        walk_joint_counts=walk_joint,
-    )
-    if joint_size is not None:
-        report.joint_l1 = emp_l1(word_joint, walk_joint)
-        report.word_joint_uniform_l1 = unif_l1(word_joint)
-        report.walk_joint_uniform_l1 = unif_l1(walk_joint)
-    return report

@@ -247,9 +247,6 @@ class Element:
     def __pow__(self, k: int) -> "Element":
         return Element(self.group, self.group.pow(self.index, k))
 
-    def is_identity(self) -> bool:
-        return self.index == self.group.identity
-
     def __repr__(self) -> str:
         return f"{self.group.name}[{self.index}]"
 
@@ -591,9 +588,8 @@ class CayleyGroup(Group):
             self._table = _validate_cayley_table(table, name)
         else:
             self._table = np.asarray(table, dtype=np.int32)
-        # attributes set by quotient constructions
+        # element index -> coset id, set by `quotient_group`
         self.projection: Optional[list] = None
-        self.parent: Optional[Group] = None
 
     def mul_lifted(self, a, b) -> np.ndarray:
         return self._table[np.asarray(a), np.asarray(b)]
@@ -1170,8 +1166,7 @@ def quotient_group(group: Group, normal: Iterable[Element | int], name: str) -> 
     on a greedy generating set S: s^-1 k s must lie in the subgroup for
     every s in S and every k in it.  Coset ids are assigned in order of
     each coset's minimal element index, so the identity coset gets id 0.
-    The result carries `.projection` (element index -> coset id) and
-    `.parent`.
+    The result carries `.projection` (element index -> coset id).
     """
     n = group.order
     in_sub = np.zeros(n, dtype=bool)
@@ -1200,53 +1195,12 @@ def quotient_group(group: Group, normal: Iterable[Element | int], name: str) -> 
     reps = np.array(reps, dtype=np.int64)
     q = CayleyGroup(proj[mul_vec(reps[:, None], reps)], name=name, validate=False)
     q.projection = proj.tolist()
-    q.parent = group
     return q
 
 
 def quotient_by_center(group: Group) -> CayleyGroup:
     z = center(group)
     return quotient_group(group, z, name=f"{group.name}/center")
-
-
-def abelianization_invariants(group: Group) -> list:
-    """Cyclic factors of G/[G,G], ascending, each dividing the next."""
-    k = commutator_subgroup(group)
-    ab = quotient_group(group, k, name=f"{group.name}/derived")
-    n = ab.order
-    if n == 1:
-        return []
-    primes = [q for q in range(2, n + 1) if n % q == 0 and _is_prime(q)]
-    # per prime: lambda_k = number of cyclic p-factors with exponent >= k,
-    # read off log_p #{x : x^{p^k} = e} for k = 0, 1, 2, ...
-    per_prime_exponents = {}
-    for p in primes:
-        logs = [0]
-        while True:
-            pk = p ** len(logs)
-            c = int(np.count_nonzero(power_array(ab, pk) == ab.identity))
-            # c is the size of a subgroup of a p-group, an exact power of p
-            logc = 0
-            while c > 1:
-                c //= p
-                logc += 1
-            if logc == logs[-1]:
-                break
-            logs.append(logc)
-        lambdas = [logs[i] - logs[i - 1] for i in range(1, len(logs))]
-        # lambdas is nonincreasing; conjugate partition gives factor exponents
-        exps = [sum(1 for lam in lambdas if lam >= i) for i in range(1, (lambdas[0] if lambdas else 0) + 1)]
-        per_prime_exponents[p] = exps  # descending factor exponents
-    r = max(len(v) for v in per_prime_exponents.values())
-    factors = []
-    for j in range(r):
-        d = 1
-        for p, exps in per_prime_exponents.items():
-            if j < len(exps):
-                d *= p ** exps[j]
-        factors.append(d)
-    factors.reverse()  # ascending, each divides the next
-    return factors
 
 
 def is_perfect(group: Group) -> bool:

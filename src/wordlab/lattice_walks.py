@@ -20,7 +20,6 @@ import numpy as np
 from .errors import BudgetExceededError, UnsupportedParameterError
 from .groups import _is_prime
 from .rng import Rng, as_rng
-from .words import gcd_of_vector
 
 # State caps: q^d per float torus DP, and p^(k*d) for an exact big-integer law.
 STATE_CAP = 10**6
@@ -40,11 +39,6 @@ def _check_walk_params(d: int, n: int) -> None:
         raise UnsupportedParameterError(f"dimension must be >= 1, got {d}")
     if n < 0:
         raise UnsupportedParameterError(f"step count must be >= 0, got {n}")
-
-
-def simulate_walk(d: int, n: int, rng: Union[Rng, int]) -> Tuple[int, ...]:
-    """Endpoint of one n-step walk.  Step j means axis j//2, sign (-1)^j."""
-    return tuple(int(v) for v in sample_endpoints(d, n, 1, rng)[0])
 
 
 def sample_endpoints(d: int, n: int, samples: int, rng: Union[Rng, int]) -> np.ndarray:
@@ -92,9 +86,6 @@ def sample_endpoints(d: int, n: int, samples: int, rng: Union[Rng, int]) -> np.n
     return out
 
 
-gcd_of_endpoint = gcd_of_vector
-
-
 # ---------------------------------------------------------------------------
 # Exact laws modulo prime powers
 # ---------------------------------------------------------------------------
@@ -134,23 +125,6 @@ class ModLaw:
         """Float probabilities for all states, in state-index order."""
         total = (2 * self.d) ** self.n
         return np.array([c / total for c in self.counts], dtype=np.float64)
-
-    def marginal(self, k2: int) -> "ModLaw":
-        """Reduce the law to modulus p^k2 for k2 <= k."""
-        if not 0 < k2 <= self.k:
-            raise UnsupportedParameterError(f"need 0 < k2 <= {self.k}, got {k2}")
-        q2 = self.p**k2
-        proj = _projection_indices(self.d, self.modulus, q2)
-        counts = [0] * q2**self.d
-        for s, c in enumerate(self.counts):
-            counts[proj[s]] += c
-        return ModLaw(self.d, self.p, k2, self.n, counts)
-
-
-def _projection_indices(d: int, q: int, q2: int) -> np.ndarray:
-    """Flat index map (Z/q)^d -> (Z/q2)^d for q2 | q."""
-    digits = np.unravel_index(np.arange(q**d), (q,) * d)
-    return np.ravel_multi_index(digits, (q2,) * d, mode="wrap")
 
 
 def _neighbor_indices(d: int, q: int) -> np.ndarray:

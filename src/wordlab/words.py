@@ -17,12 +17,11 @@ from typing import Optional, Sequence, Tuple
 from .errors import (
     BadLetterError,
     EmptyWordError,
-    GroupMismatchError,
     RankMismatchError,
     TooLargeError,
     UnsupportedParameterError,
 )
-from .groups import Element, Group
+from .groups import Group
 from .rng import Rng
 
 MAX_WORD_LETTERS = 10_000
@@ -277,16 +276,3 @@ def evaluate_indices(word: Word, group: Group, indices: Sequence[int]) -> int:
         x = indices[v - 1] if v > 0 else inv(indices[-v - 1])
         acc = mul(acc, x)
     return acc
-
-
-def evaluate(word: Word, elements: Sequence[Element]) -> Element:
-    """Evaluate at a tuple of Elements of one common group."""
-    if not elements:
-        raise RankMismatchError("evaluation needs at least one element")
-    group = elements[0].group
-    for e in elements[1:]:
-        if e.group is not group and e.group.name != group.name:
-            raise GroupMismatchError(
-                f"evaluation mixes {group.name} and {e.group.name}"
-            )
-    return Element(group, evaluate_indices(word, group, [e.index for e in elements]))

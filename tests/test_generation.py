@@ -1,4 +1,4 @@
-"""Generating tuples, direct-power generation, and central lifts."""
+"""Generating tuples and direct-power generation."""
 
 import itertools
 import math
@@ -11,7 +11,6 @@ from wordlab.errors import (
     DimensionMismatchError,
     GroupMismatchError,
     NotInCatalogError,
-    NotPerfectError,
     UnsupportedParameterError,
 )
 from wordlab.generation import (
@@ -20,16 +19,12 @@ from wordlab.generation import (
     double_coset_labels,
     hall_max_power,
     is_generating,
-    lift_generators,
     power_tuple_generates,
 )
 from wordlab.groups import (
     DirectPowerGroup,
-    center,
     closure,
     construct_group,
-    quotient_by_center,
-    quotient_group,
 )
 
 from conftest import CATALOG, generated_subgroup, get_group, s5_conjugation_maps
@@ -210,61 +205,3 @@ def test_power_tuple_guards():
         power_tuple_generates(a5, [t, t[:1]])
     with pytest.raises(BudgetExceededError):
         power_tuple_generates(a5, [t, t, t, t])  # 60^4 states
-
-
-def find_generating_pair(group):
-    for a in range(1, group.order):
-        for b in range(a + 1, group.order):
-            if is_generating(group, (a, b)):
-                return a, b
-    raise AssertionError(f"no generating pair in {group.name}")
-
-
-def test_lift_generators_from_central_quotient():
-    sl = get_group("sl2:5")
-    quot = quotient_by_center(sl)
-    assert quot.order == 60
-    a, b = find_generating_pair(quot)
-    lifted = lift_generators(sl, (quot.element(a), quot.element(b)))
-    assert len(lifted) == 2
-    proj = quot.projection
-    for e, q in zip(lifted, (a, b)):
-        assert e.group is sl
-        assert proj[e.index] == q
-        # minimal-index representative of the coset
-        assert e.index == min(g for g in range(sl.order) if proj[g] == q)
-    assert is_generating(sl, [e.index for e in lifted])
-
-
-def test_lift_of_non_generating_tuple_is_returned_unchecked():
-    sl = get_group("sl2:5")
-    quot = quotient_by_center(sl)
-    lifted = lift_generators(sl, (quot.element(0),))
-    assert len(lifted) == 1
-    assert not is_generating(sl, [lifted[0].index])
-
-
-def test_lift_rejects_imperfect_parent():
-    s4 = get_group("symmetric:4")
-    with pytest.raises(NotPerfectError):
-        lift_generators(s4, (s4.element(1),))
-
-
-def test_lift_rejects_non_quotient_elements():
-    a5 = get_group("alternating:5")
-    with pytest.raises(GroupMismatchError):
-        lift_generators(a5, (a5.element(1),))
-    with pytest.raises(UnsupportedParameterError):
-        lift_generators(a5, ())
-
-
-def test_lift_rejects_non_central_kernel():
-    a5 = get_group("alternating:5")
-    prod = DirectPowerGroup(a5, 2)
-    left_factor = frozenset(prod.join((g, 0)) for g in range(a5.order))
-    quot = quotient_group(prod, left_factor, name="a5-squared/left-factor")
-    assert quot.order == 60
-    assert len(center(prod)) == 1
-    a, b = find_generating_pair(quot)
-    with pytest.raises(GroupMismatchError):
-        lift_generators(prod, (quot.element(a), quot.element(b)))

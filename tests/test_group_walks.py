@@ -1,6 +1,5 @@
-"""Walks on finite groups: exact laws, mixing, obstructions, power walks."""
+"""Walks on finite groups: exact laws, mixing, obstructions."""
 
-import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -21,11 +20,9 @@ from wordlab.group_walks import (
     cyclic_obstruction,
     exact_walk_law,
     mixing_profile,
-    power_walk_equivalence,
 )
 from wordlab.groups import STRUCTURE_CAP, DirectPowerGroup, closure_mask
 from wordlab.measure import l1_uniform_distance
-from wordlab.rng import stream
 
 from conftest import CATALOG, get_group, list_loop_mixing_profile, quotient_obstruction
 
@@ -241,69 +238,9 @@ def test_exact_witness_check_rejects_every_single_label_tamper(spec, steps):
         w.check_homomorphism(get_group("cyclic:6" if group.order != 6 else "cyclic:4"))
 
 
-def test_power_walk_input_validation():
-    s3 = get_group("symmetric:3")
-    with pytest.raises(DimensionMismatchError):
-        power_walk_equivalence(s3, [], 5, 10, stream(0))
-    with pytest.raises(DimensionMismatchError):
-        power_walk_equivalence(s3, [(1, 2), (1,)], 5, 10, stream(0))
-    with pytest.raises(DimensionMismatchError):
-        power_walk_equivalence(s3, [()], 5, 10, stream(0))
-    with pytest.raises(UnsupportedParameterError):
-        power_walk_equivalence(s3, [(1, 2)], -1, 10, stream(0))
-    with pytest.raises(UnsupportedParameterError):
-        power_walk_equivalence(s3, [(1, 2)], 5, 0, stream(0))
-
-
-def test_power_walk_single_copy_routes_agree():
-    s3 = get_group("symmetric:3")
-    t = (s3.index_of_cycles([(1, 2)]), s3.index_of_cycles([(1, 2, 3)]))
-    rep = power_walk_equivalence(s3, [t], 15, 20_000, 7)
-    assert rep.copies == 1 and rep.d == 2
-    assert int(rep.word_marginal_counts.sum()) == rep.samples
-    assert int(rep.walk_marginal_counts.sum()) == rep.samples
-    # with one copy the two routes sample the same walk
-    assert rep.marginal_l1[0] < 0.05
-    diffs = np.abs(
-        rep.word_marginal_counts[0].astype(np.int64)
-        - rep.walk_marginal_counts[0].astype(np.int64)
-    )
-    sigma = np.sqrt(2 * rep.samples * (1 / 6) * (5 / 6))
-    assert float(diffs.max()) < 5 * sigma
-    again = power_walk_equivalence(s3, [t], 15, 20_000, 7)
-    assert np.array_equal(rep.word_marginal_counts, again.word_marginal_counts)
-    assert np.array_equal(rep.walk_joint_counts, again.walk_joint_counts)
-
-
-def test_power_walk_reports_repeat_from_equal_generators():
-    s3 = get_group("symmetric:3")
-    t = (s3.index_of_cycles([(1, 2)]), s3.index_of_cycles([(1, 2, 3)]))
-    rep = power_walk_equivalence(s3, [t, t], 10, 2_000, stream(5))
-    again = power_walk_equivalence(s3, [t, t], 10, 2_000, stream(5))
-    assert np.array_equal(rep.word_marginal_counts, again.word_marginal_counts)
-    assert np.array_equal(rep.walk_marginal_counts, again.walk_marginal_counts)
-    assert np.array_equal(rep.walk_joint_counts, again.walk_joint_counts)
-
-
-def test_power_walk_identical_tuples_lock_the_diagonal():
-    s3 = get_group("symmetric:3")
-    t = (s3.index_of_cycles([(1, 2)]), s3.index_of_cycles([(1, 2, 3)]))
-    rep = power_walk_equivalence(s3, [t, t], 15, 30_000, 11)
-    assert rep.joint_size == 36
-    # marginals still agree between the routes
-    assert rep.max_marginal_l1() < 0.06
-    # the word route never leaves the diagonal of S3 x S3
-    hot = np.flatnonzero(rep.word_joint_counts)
-    assert set(hot.tolist()) <= {g * 6 + g for g in range(6)}
-    assert rep.word_joint_uniform_l1 > 1.5
-    # independent walks fill the whole product
-    assert rep.walk_joint_uniform_l1 < 0.6
-    assert rep.joint_l1 > 1.2
-
-
-def test_power_walk_parity_lock_despite_generation():
-    # the two tuples generate S3 x S3, yet the shared-letter route is
-    # trapped by a parity character of the product
+def test_parity_lock_despite_generation():
+    # the two tuples generate S3 x S3, yet the walk on their diagonal steps
+    # is trapped by a parity character of the product
     s3 = get_group("symmetric:3")
     t1 = (s3.index_of_cycles([(1, 2)]), s3.index_of_cycles([(1, 2, 3)]))
     t2 = (s3.index_of_cycles([(1, 2, 3)]), s3.index_of_cycles([(1, 2)]))
@@ -314,41 +251,3 @@ def test_power_walk_parity_lock_despite_generation():
     )
     w = cyclic_obstruction(prod, word_steps)
     assert w is not None and w.modulus == 2
-    rep = power_walk_equivalence(s3, [t1, t2], 16, 30_000, 13)
-    assert rep.max_marginal_l1() < 0.06
-    assert rep.word_joint_uniform_l1 > 0.9
-    assert rep.walk_joint_uniform_l1 < 0.5
-    # the sampled word route respects the witness slices exactly: after an
-    # even number of steps only residue-0 states carry mass
-    hot = np.flatnonzero(rep.word_joint_counts)
-    assert all(w.residue(int(s)) == 0 for s in hot)
-
-
-def _counts_digest(rep) -> str:
-    h = hashlib.sha256()
-    for counts in (rep.word_marginal_counts, rep.walk_marginal_counts,
-                   rep.word_joint_counts, rep.walk_joint_counts):
-        if counts is not None:
-            h.update(np.asarray(counts, dtype="<i8").tobytes())
-    return h.hexdigest()
-
-
-# sha256 of the little-endian int64 marginal counts (word route, walk route)
-# followed by the joint counts when tabulated; the first case spans two
-# sample batches, sl2:17 and symmetric:7 have no table and no joint counts
-@pytest.mark.parametrize("spec, tuples, n, samples, seed, joint_size, digest", [
-    ("symmetric:3", [(1, 4)], 12, 20_000, 3, 6,
-     "b6da7021d493110a939d9915aa4e27bf80c36e1b6f79401916600b492179f01b"),
-    ("symmetric:3", [(1, 4, 2), (3, 5, 4)], 9, 5_000, 4, 36,
-     "d0b18f288846be69ad7de868f955a392d4e771b747d578a3335ad7ab6667199c"),
-    ("alternating:4", [(1, 5), (4, 7), (9, 2)], 8, 4_000, 5, 1728,
-     "163168f783f957abc650cb4d4a92f6a0614c1bd294abf816940e8dcccc70adb5"),
-    ("sl2:17", [(1, 100, 2000), (4000, 7, 33)], 6, 3_000, 6, None,
-     "1997aca2083d38252ac60d5e35833625f01bed89ebf57d149d602e6c2e044868"),
-    ("symmetric:7", [(1, 500), (2000, 4000)], 6, 3_000, 7, None,
-     "5315097d00f998f8bcd0f0efb0243dd5b867592495f17cbc06e633daa3d12c2e"),
-])
-def test_power_walk_counts_are_pinned(spec, tuples, n, samples, seed, joint_size, digest):
-    rep = power_walk_equivalence(get_group(spec), tuples, n, samples, seed)
-    assert rep.joint_size == joint_size
-    assert _counts_digest(rep) == digest

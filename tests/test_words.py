@@ -8,14 +8,12 @@ from hypothesis import given, strategies as st
 from wordlab.errors import (
     BadLetterError,
     EmptyWordError,
-    GroupMismatchError,
     RankMismatchError,
 )
 from wordlab.words import (
     Word,
     abelianize,
     bezout_certificate,
-    evaluate,
     evaluate_indices,
     gcd_of_vector,
     make_word,
@@ -128,16 +126,6 @@ def test_evaluation_against_manual_products():
             assert evaluate_indices(w, s3, (x, y)) == want
     with pytest.raises(RankMismatchError):
         evaluate_indices(w, s3, (1,))
-
-
-def test_evaluation_with_elements():
-    s3 = get_group("symmetric:3")
-    c4 = get_group("cyclic:4")
-    w = parse_word("x1 x2")
-    out = evaluate(w, (s3.element(1), s3.element(2)))
-    assert out.index == s3.mul(1, 2)
-    with pytest.raises(GroupMismatchError):
-        evaluate(w, (s3.element(1), c4.element(1)))
 
 
 def test_empty_word_evaluates_to_identity():
