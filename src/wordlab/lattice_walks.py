@@ -24,12 +24,18 @@ from .rng import Rng, as_rng
 # State caps: q^d per float torus DP, and p^(k*d) for an exact big-integer law.
 STATE_CAP = 10**6
 EXACT_STATE_CAP = 10**4
+# Work cap of an exact law, in units of d * q^d * n^2: each of the n steps adds
+# 2d neighbour counts per state, and the counts grow to about n log2(2d) bits.
+# A call at the cap took 2.0 s at (2, 97, 1, 1030), 3.0 s at (13, 2, 1, 433),
+# 0.3 s at (1, 2, 1, 100000) (in process; 2-core x86 VM, Python 3.11).
+EXACT_WORK_CAP = 2 * 10**10
 
 # Steps drawn per sampling block (rows per block = max(1, this // n)): 1 MiB
-# of int32 draws and at most 2 MiB of packed words, counted while still in cache.
+# of uint32 step kinds, 2 MiB of uint64 products when 2d is not a power of
+# two, and at most 2 MiB of packed words, counted while still in cache.
 # Measured on sample_endpoints(2, 400, 50000), 2 * 10^7 steps (median of 9
 # calls; numpy 2.4.6, 2-core x86 VM, 2 MiB L2 per core), by block size:
-#   2^16: 123 ms, 2^18: 127 ms, 2^20: 142 ms, 2^24: 223 ms;
+#   2^16: 54 ms, 2^18: 56 ms, 2^20: 80 ms, 2^24: 105 ms;
 #   tracemalloc peak beside the output: 1.0, 4.0, 16.1 and 206 MiB.
 _BATCH_ELEMS = 1 << 18
 
@@ -41,17 +47,61 @@ def _check_walk_params(d: int, n: int) -> None:
         raise UnsupportedParameterError(f"step count must be >= 0, got {n}")
 
 
+def _bounded_draws(rng: Rng, m: int, count: int) -> np.ndarray:
+    """The values of `rng.integers(0, m, size=count, dtype=np.uint32)` for
+    1 < m < 2^32 and count >= 1, as uint32, leaving `rng` in the state that
+    call leaves.
+
+    numpy draws each value by Lemire's rule from the bit generator's next
+    32-bit output x: the value is (x m) >> 32, and x is rejected while
+    (x m) mod 2^32 < (2^32 - m) mod m.  PCG64 gives its 32-bit outputs as
+    the halves of 64-bit ones, low half first, and holds an unused high
+    half for the next one; so here the halves come in bulk from 64-bit
+    draws, after the held half if there is one, and an odd last half is
+    drawn alone, which holds its high half as numpy's own draw would.  For
+    m a power of two no x is rejected and the value is x >> (32 - log2 m).
+    Otherwise the product is formed in uint64; rejected values, a share
+    below m / 2^32, are dropped and the deficit drawn the same way.
+    """
+    if not isinstance(rng.bit_generator, np.random.PCG64):
+        raise UnsupportedParameterError(
+            f"walk steps are drawn from PCG64 outputs, not {type(rng.bit_generator).__name__}")
+    held = int(rng.bit_generator.state["has_uint32"])
+    pairs, odd = divmod(count - held, 2)
+    # the halves of each 64-bit draw, low half first on any host
+    x = rng.integers(0, 2**64, size=pairs, dtype=np.uint64).astype("<u8", copy=False).view("<u4")
+    if held or odd:  # a 64-bit draw leaves the held half in place
+        x = np.concatenate([rng.integers(0, 2**32, size=held, dtype=np.uint32), x,
+                            rng.integers(0, 2**32, size=odd, dtype=np.uint32)])
+    if m & (m - 1) == 0:
+        x >>= 33 - m.bit_length()
+        return x
+    threshold = (2**32 - m) % m
+    wide = np.multiply(x, np.uint64(m), dtype=np.uint64)
+    np.multiply(x, np.uint32(m), out=x)  # (x m) mod 2^32
+    rejected = x < threshold if x.min() < threshold else None
+    np.right_shift(wide, np.uint64(32), out=x, casting="unsafe")
+    if rejected is None:
+        return x
+    kept = x[~rejected]
+    return np.concatenate([kept, _bounded_draws(rng, m, count - kept.size)])
+
+
 def sample_endpoints(d: int, n: int, samples: int, rng: Union[Rng, int]) -> np.ndarray:
     """Endpoints of independent walks, shape (samples, d), int64.
 
-    Steps are drawn as int32, which for a range below 2^32 gives the values
-    int64 draws give.  Each row's steps are counted in packed words: a step
-    of kind j adds 1 << (k j) to its row's sum, with k bits per kind, in
-    one uint32 word when all 2d kinds fit and in uint64 words otherwise.
-    Rows are drawn and counted in blocks of about _BATCH_ELEMS steps, so the
-    working set beside the output stays a few MiB whatever `samples` is;
-    the generator's stream runs on from one block's draws to the next, so
-    the endpoints do not depend on the block size.
+    A step's kind j in [0, 2d) (axis j // 2, sign + for even j) is the
+    value `rng.integers(0, 2d)` draws with an int32 or int64 dtype: Lemire's
+    multiply-and-reject rule on the 32-bit halves of PCG64's 64-bit outputs,
+    here applied to those outputs drawn in bulk (`_bounded_draws`), so the
+    generator must be PCG64, as every `stream` is.  Each row's steps are
+    counted in packed words: a step of kind j adds 1 << (k j) to its row's
+    sum, with k bits per kind, in one uint32 word when all 2d kinds fit and
+    in uint64 words otherwise.  Rows are drawn and counted in blocks of
+    about _BATCH_ELEMS steps, so the working set beside the output stays a
+    few MiB whatever `samples` is; the generator's stream runs on from one
+    block's draws to the next, so the endpoints do not depend on the block
+    size.
     """
     _check_walk_params(d, n)
     if samples < 1:
@@ -68,7 +118,7 @@ def sample_endpoints(d: int, n: int, samples: int, rng: Union[Rng, int]) -> np.n
     wide = np.empty((min(batch, samples), n), dtype=word) if word is np.uint64 else None
     for done in range(0, samples, batch):
         b = min(batch, samples - done)
-        shifts = rng.integers(0, 2 * d, size=(b, n), dtype=np.int32).view(np.uint32)
+        shifts = _bounded_draws(rng, 2 * d, b * n).reshape(b, n)
         shifts *= k
         words = shifts if wide is None else wide[:b]
         cnt = np.empty((b, 2 * d), dtype=np.int64)
@@ -289,9 +339,10 @@ def mod_zero_probabilities(d: int, n: int, moduli: Sequence[int]) -> list:
 
 def exact_mod_law(d: int, p: int, k: int, n: int) -> ModLaw:
     """n-fold convolution of the uniform step law on the torus (Z/p^k)^d,
-    as big-integer counts, for at most EXACT_STATE_CAP states.  The float
-    laws of tori live in `_torus_laws`, read through `mod_zero_probabilities`
-    and `predicted_tail_probability`."""
+    as big-integer counts, for at most EXACT_STATE_CAP states and
+    EXACT_WORK_CAP units of d q^d n^2 work, both checked before the first
+    step.  The float laws of tori live in `_torus_laws`, read through
+    `mod_zero_probabilities` and `predicted_tail_probability`."""
     _check_walk_params(d, n)
     if k < 1:
         raise UnsupportedParameterError(f"need k >= 1, got k={k}")
@@ -301,6 +352,9 @@ def exact_mod_law(d: int, p: int, k: int, n: int) -> ModLaw:
     size = q**d
     if size > EXACT_STATE_CAP:
         raise BudgetExceededError(f"exact DP over {size} states exceeds cap {EXACT_STATE_CAP}")
+    if d * size * n * n > EXACT_WORK_CAP:
+        raise BudgetExceededError(
+            f"exact DP work d q^d n^2 = {d * size * n * n} exceeds cap {EXACT_WORK_CAP}")
     # gathers on an object array of python ints
     nbr = _neighbor_indices(d, q)
     counts = np.zeros(size, dtype=object)

@@ -14,7 +14,9 @@ from wordlab.cli import main
 from wordlab.errors import BudgetExceededError, UnsupportedParameterError
 from wordlab.harness import _prime_powers_up_to
 from wordlab.lattice_walks import (
+    EXACT_WORK_CAP,
     GATHER_STATES,
+    _bounded_draws,
     _box_laws,
     _closed_walk_count,
     _torus_laws,
@@ -79,6 +81,37 @@ def test_endpoints_match_int64_draws_across_batches(monkeypatch):
     for d in (1, 2, 5):
         got = sample_endpoints(d, 100, 95, stream(7, d))
         assert np.array_equal(got, bincount_endpoints(d, 100, 95, stream(7, d), 1000)), d
+
+
+@pytest.mark.parametrize("m", [*range(2, 13), 3 * 2**29])
+@pytest.mark.parametrize("held", [False, True])
+def test_bounded_draws_match_numpy_and_leave_the_same_state(m, held):
+    # m = 3 * 2^29 rejects x with (x m) mod 2^32 < 2^30: a quarter of the draws
+    for count in (1, 2, 999, 1000):
+        ours, theirs = stream(11, m), stream(11, m)
+        if held:  # a 32-bit draw leaves the high half of its 64-bit output held
+            for rng in (ours, theirs):
+                rng.integers(0, 2**32, size=1, dtype=np.uint32)
+        got = _bounded_draws(ours, m, count)
+        want = theirs.integers(0, m, size=count, dtype=np.int64)
+        assert got.dtype == np.uint32 and np.array_equal(got, want), (m, held, count)
+        # the next 32-bit draws read a held half first, the 64-bit ones do not
+        for draw in (lambda r: r.integers(0, 2**32, size=3, dtype=np.uint32), lambda r: r.random(3)):
+            assert np.array_equal(draw(ours), draw(theirs)), (m, held, count)
+
+
+def test_endpoints_match_int64_draws_on_odd_blocks(monkeypatch):
+    # blocks of 3 rows of 7 steps: 21 draws, so every other block starts on a held half
+    monkeypatch.setattr(lattice_walks, "_BATCH_ELEMS", 21)
+    for d in (1, 2, 3, 5):
+        got = sample_endpoints(d, 7, 10, stream(12, d))
+        assert np.array_equal(got, bincount_endpoints(d, 7, 10, stream(12, d), 21)), d
+
+
+def test_endpoints_need_a_pcg64_generator():
+    # MT19937 gives its 32-bit outputs in another order than halves of PCG64's
+    with pytest.raises(UnsupportedParameterError):
+        sample_endpoints(2, 10, 5, np.random.Generator(np.random.MT19937(1)))
 
 
 def test_gcd_of_endpoint():
@@ -155,6 +188,24 @@ def test_mod_law_guards():
         exact_mod_law(2, 4, 1, 10)  # modulus base must be prime
     with pytest.raises(UnsupportedParameterError):
         exact_mod_law(2, 3, 0, 10)
+
+
+def test_mod_law_work_guard(monkeypatch):
+    # the budget counts d q^d n^2 and is checked before the DP builds its columns
+    class DPStarted(Exception):
+        pass
+
+    def no_dp(d, q):
+        raise DPStarted
+
+    monkeypatch.setattr(lattice_walks, "_neighbor_indices", no_dp)
+    # (2, 97, 1, 20000) and (13, 2, 1, 1100) pass the state cap
+    for args in ((2, 97, 1, 20000), (13, 2, 1, 1100), (1, 2, 1, 100001)):
+        with pytest.raises(BudgetExceededError):
+            exact_mod_law(*args)
+    assert 1 * 2 * 100000**2 == EXACT_WORK_CAP
+    with pytest.raises(DPStarted):
+        exact_mod_law(1, 2, 1, 100000)  # at the cap: allowed
 
 
 def test_return_probability_closed_forms():

@@ -1,7 +1,5 @@
 """Words: reduction, sampling, gcd certificates, evaluation."""
 
-import math
-
 import pytest
 from hypothesis import given, strategies as st
 
