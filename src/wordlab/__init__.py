@@ -99,7 +99,6 @@ from .generation import (
     HallReport,
     count_generating_tuples,
     hall_max_power,
-    is_generating,
     power_tuple_generates,
 )
 from .harness import (

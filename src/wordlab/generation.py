@@ -36,9 +36,8 @@ from .groups import (
     DirectPowerGroup,
     Element,
     Group,
-    _as_indices,
     _tuple_matrix,
-    class_labels,
+    classes,
     closure_mask,
     orbit_labels,
     vector_multiplier,
@@ -57,14 +56,6 @@ AUT_ORDERS = {
 GENERATION_TUPLE_BUDGET = 10**8
 # Largest |G|**N for which direct powers are handled by explicit closure.
 POWER_CLOSURE_CAP = 10**7
-
-
-def is_generating(group: Group, elements: Sequence[Union[Element, int]]) -> bool:
-    """True when the given elements generate the whole group."""
-    idx = _as_indices(group, elements)
-    if not idx.size:
-        return group.order == 1
-    return bool(closure_mask(group, idx).all())
 
 
 def double_coset_labels(group: Group, gens: Sequence[int]) -> np.ndarray:
@@ -109,9 +100,9 @@ def count_generating_tuples(group: Group, d: int) -> int:
 
     mul_vec = vector_multiplier(group)
     everyone = np.arange(n, dtype=np.int64)
-    labels = class_labels(group)
-    class_reps = np.flatnonzero((labels == everyone) & (everyone != group.identity))
-    class_sizes = np.bincount(labels)[class_reps]
+    # every class but the identity's, which is reps[0]
+    record = classes(group)
+    class_reps, class_sizes = record.reps[1:], record.sizes[1:]
     # (depth, subgroup mask bytes) -> number of generating completions.
     memo = {}
 

@@ -1,21 +1,19 @@
 """Random walks on finite groups driven by a finite step set.
 
 A walk starts at the identity and multiplies one step per tick on the
-right, each step drawn independently from a fixed weighted set.  The
+right, each step drawn uniformly and independently from a fixed set.  The
 module computes the exact law after n steps by integer convolution,
 tracks the L1 distance to uniform step by step, and detects the cyclic
 obstruction that keeps some generating step sets from ever mixing.
 
 Exact laws are kept as integer counts over the common denominator D**n,
-where D is the lcm of the step-weight denominators, so distances to
-uniform come out as exact Fractions.  The counts are int64 while every
-value a step can form stays below 2**62, and python big integers from
-then on.
+where D is the number of steps, so distances to uniform come out as exact
+Fractions.  The counts are int64 while every value a step can form stays
+below 2**62, and python big integers from then on.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -23,7 +21,6 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import (
-    DimensionMismatchError,
     GroupMismatchError,
     NotGeneratingError,
     UnsupportedParameterError,
@@ -45,52 +42,24 @@ from .measure import Distribution
 
 @dataclass(frozen=True)
 class StepSet:
-    """A finite weighted step set: distinct element indices plus Fractions.
-
-    Weights must be positive and sum to 1.  `uniform` builds the equal-
-    weight set, the common case throughout.
+    """A finite step set of distinct element indices, each step drawn with
+    probability 1/|support|.  `uniform` builds one from elements or indices.
     """
 
     group: Group
     support: tuple
-    weights: tuple
 
     def __post_init__(self):
         if not self.support:
             raise UnsupportedParameterError("step set must be nonempty")
         if len(set(self.support)) != len(self.support):
             raise UnsupportedParameterError("step set has repeated elements")
-        if len(self.weights) != len(self.support):
-            raise DimensionMismatchError(
-                f"{len(self.weights)} weights for {len(self.support)} steps"
-            )
-        for w in self.weights:
-            if not isinstance(w, Fraction) or w <= 0:
-                raise UnsupportedParameterError("weights must be positive Fractions")
-        if sum(self.weights) != 1:
-            raise UnsupportedParameterError("weights must sum to 1")
         _as_indices(self.group, self.support)  # IndexError for a step off the carrier
 
     @classmethod
     def uniform(cls, group: Group, steps: Sequence[Union[Element, int]]) -> "StepSet":
-        support = tuple(_as_indices(group, steps).tolist())
         # __post_init__ rejects an empty or repeated support
-        weights = tuple(Fraction(1, len(support)) for _ in support)
-        return cls(group=group, support=support, weights=weights)
-
-    @property
-    def size(self) -> int:
-        return len(self.support)
-
-    def denominator(self) -> int:
-        """lcm of the weight denominators: one tick scales counts by this."""
-        return math.lcm(*(w.denominator for w in self.weights))
-
-    def __str__(self) -> str:
-        parts = ", ".join(
-            f"{self.group.element_repr(s)}:{w}" for s, w in zip(self.support, self.weights)
-        )
-        return f"steps[{parts}]"
+        return cls(group=group, support=tuple(_as_indices(group, steps).tolist()))
 
 
 def _source_columns(group: Group, support: Sequence[int]) -> list:
@@ -101,13 +70,12 @@ def _source_columns(group: Group, support: Sequence[int]) -> list:
     return [mul_vec(everyone, group.inv(g)) for g in support]
 
 
-def _convolve_step(counts: np.ndarray, sources: list, int_weights: Sequence[int]) -> np.ndarray:
+def _convolve_step(counts: np.ndarray, sources: list) -> np.ndarray:
     """One tick, in the dtype of `counts` (int64 or python ints):
-    new[y] = sum_g w_g counts[y*g^-1]."""
+    new[y] = sum_g counts[y*g^-1]."""
     new = None
-    for src, w in zip(sources, int_weights):
-        term = counts[src] if w == 1 else counts[src] * w
-        new = term if new is None else new + term
+    for src in sources:
+        new = counts[src] if new is None else new + counts[src]
     return new
 
 
@@ -124,17 +92,16 @@ def _walk_laws(group: Group, steps: StepSet, n: int):
     with total a python int.
 
     Each round right-multiplies by one step draw; the total grows by D,
-    the lcm of the weight denominators.  No count or partial sum of a
-    round exceeds its new total, so the counts stay int64 while the new
-    total times |G| is below 2**62, a margin that also keeps every
-    c*|G| - total exact in int64; before the first round that could reach
-    it they become an object array of python ints.
+    the number of steps.  No count or partial sum of a round exceeds its
+    new total, so the counts stay int64 while the new total times |G| is
+    below 2**62, a margin that also keeps every c*|G| - total exact in
+    int64; before the first round that could reach it they become an
+    object array of python ints.
     """
     _check_walk(group, steps)
     if n < 0:
         raise UnsupportedParameterError("step count must be nonnegative")
-    D = steps.denominator()
-    int_weights = [int(w * D) for w in steps.weights]
+    D = len(steps.support)
     sources = _source_columns(group, steps.support)
     counts = np.zeros(group.order, dtype=np.int64)
     counts[group.identity] = 1
@@ -143,7 +110,7 @@ def _walk_laws(group: Group, steps: StepSet, n: int):
     for _ in range(n):
         if counts.dtype != object and total * D * group.order >= 1 << 62:
             counts = counts.astype(object)
-        counts = _convolve_step(counts, sources, int_weights)
+        counts = _convolve_step(counts, sources)
         total *= D
         yield counts, total
 
@@ -157,14 +124,8 @@ def exact_walk_law(group: Group, steps: StepSet, n: int) -> Distribution:
     """
     for counts, total in _walk_laws(group, steps, n):
         pass
-    return Distribution(
-        group=group,
-        counts=counts.astype(object, copy=False),
-        total=total,
-        mode="exact",
-        d=1,
-        label=f"walk n={n} {steps}",
-    )
+    return Distribution(group=group, counts=counts.astype(object, copy=False), total=total,
+                        mode="exact")
 
 
 def mixing_profile(group: Group, steps: StepSet, n_max: int) -> list:

@@ -134,7 +134,7 @@ class Group:
 
     _table: Optional[np.ndarray] = None
     _inv_array: Optional[np.ndarray] = None
-    _class_labels: Optional[np.ndarray] = None
+    _classes: Optional["Classes"] = None
     _generators: Optional[np.ndarray] = None
 
     # Every backend writes one bulk product, `mul_lifted`, on its own form
@@ -144,7 +144,7 @@ class Group:
 
     # A backend that knows its conjugacy classes in closed form defines
     # `class_key()`: one integer per element, equal exactly on each class.
-    # `class_labels` then reads the labels from it (see `_MatrixGroup`).
+    # `classes` then reads the labels from it (see `_MatrixGroup`).
     class_key = None
 
     def lift(self, x):
@@ -870,9 +870,9 @@ def word_multiplier(group: Group) -> tuple:
     return group.lift, group.mul_lifted, group.lower
 
 
-def power_array(group: Group, k: int, indices: Optional[np.ndarray] = None) -> np.ndarray:
-    """g^k for every index g in `indices` (default: the whole carrier), by
-    square-and-multiply in the form of `word_multiplier`.
+def power_array(group: Group, k: int, indices: np.ndarray) -> np.ndarray:
+    """g^k for every index g in `indices`, by square-and-multiply in the
+    form of `word_multiplier`.
 
     Agrees with `Group.pow` elementwise; negative exponents power the
     inverses.  k = 0 gives the identity with no product; otherwise the
@@ -881,10 +881,7 @@ def power_array(group: Group, k: int, indices: Optional[np.ndarray] = None) -> n
     shape of `indices` and never shares its memory.
     """
     lift, mul, lower = word_multiplier(group)
-    if indices is None:
-        base = np.arange(group.order, dtype=np.int64)
-    else:
-        base = np.array(indices, dtype=np.int64)
+    base = np.array(indices, dtype=np.int64)
     if k == 0:
         return np.full(base.shape, group.identity, dtype=np.int64)
     if k < 0:
@@ -900,16 +897,30 @@ def power_array(group: Group, k: int, indices: Optional[np.ndarray] = None) -> n
         base = mul(base, base)
 
 
-def class_labels(group: Group) -> np.ndarray:
-    """label[x] = the least index in the conjugacy class of x.
+@dataclass(frozen=True)
+class Classes:
+    """The conjugacy classes of a group, as read-only arrays.
+
+    `labels[x]` is the least index in the class of x; `reps` are those
+    least indices in ascending order, so `reps[0]` is the identity; and
+    `sizes[i]` is the size of the class of `reps[i]`.
+    """
+
+    labels: np.ndarray
+    reps: np.ndarray
+    sizes: np.ndarray
+
+
+def classes(group: Group) -> Classes:
+    """The conjugacy classes of `group`, built once and cached on it.
 
     A group with a `class_key` gives each element the least index of its
     key value, in one pass.  Any other group takes the orbit route: the
     classes are the orbits of the maps x -> s^-1 x s for s in a generating
     set S, built one generator at a time with 2|S||G| products and labelled
-    by `orbit_labels` as one row.  Cached on the group, read-only.
+    by `orbit_labels` as one row.
     """
-    if group._class_labels is None:
+    if group._classes is None:
         if group.class_key is not None:
             _, first, key = np.unique(group.class_key(), return_index=True,
                                       return_inverse=True)
@@ -920,9 +931,12 @@ def class_labels(group: Group) -> np.ndarray:
             mul_vec = vector_multiplier(group)
             maps = [mul_vec(mul_vec(inv[s], everyone), s) for s in group_generators(group)]
             labels = next(orbit_labels(group.order, maps))[0]
-        labels.flags.writeable = False
-        group._class_labels = labels
-    return group._class_labels
+        reps = np.flatnonzero(labels == np.arange(group.order))
+        sizes = np.bincount(labels)[reps]
+        for array in (labels, reps, sizes):
+            array.flags.writeable = False
+        group._classes = Classes(labels=labels, reps=reps, sizes=sizes)
+    return group._classes
 
 
 def orbit_labels(n: int, shared: Sequence[np.ndarray] = (), rows: int = 1, row_map=None,
@@ -1124,11 +1138,10 @@ def closure(group: Group, gens: Iterable[Element | int]) -> frozenset:
 
 
 def center(group: Group) -> frozenset:
-    """Elements alone in their conjugacy class: the labels that
-    `class_labels` gives to exactly one element."""
+    """Elements alone in their conjugacy class (`classes`)."""
     _check_structure_cap(group)
-    sizes = np.bincount(class_labels(group), minlength=group.order)
-    return frozenset(np.flatnonzero(sizes == 1).tolist())
+    record = classes(group)
+    return frozenset(record.reps[record.sizes == 1].tolist())
 
 
 def commutator_subgroup(group: Group) -> frozenset:

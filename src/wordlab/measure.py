@@ -19,7 +19,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import BudgetExceededError, EmptyWordError, UnsupportedParameterError
-from .groups import Group, class_labels, power_array, word_multiplier
+from .groups import Group, classes, power_array, word_multiplier
 from .rng import Rng, as_rng
 from .words import Word, abelianize, bezout_certificate, gcd_of_vector
 
@@ -42,8 +42,6 @@ class Distribution:
     counts: np.ndarray
     total: int
     mode: str  # "exact" | "sampled"
-    d: int
-    label: str = ""
     # sampled mode, word with a nonzero exponent-sum gcd: its values at the
     # certificate tuples of the class representatives (`_certificate_columns`)
     certified: Optional[np.ndarray] = None
@@ -83,11 +81,12 @@ def exact_distribution(word: Word, group: Group) -> Distribution:
             chunk = np.arange(start, min(start + BATCH, n), dtype=np.int64)
             counts += np.bincount(power_array(group, a, chunk), minlength=n)
     else:
-        labels, totals = _class_totals(word.letters, used, group)
-        counts = totals[labels] // np.bincount(labels, minlength=n)[labels]
+        record = classes(group)
+        per_rep = np.zeros(n, dtype=np.int64)
+        per_rep[record.reps] = _class_totals(word.letters, used, group) // record.sizes
+        counts = per_rep[record.labels]
     counts *= n ** (d - max(len(used), 1))
-    return Distribution(group=group, counts=counts, total=total, mode="exact",
-                        d=d, label=word.to_text())
+    return Distribution(group=group, counts=counts, total=total, mode="exact")
 
 
 def _evaluate(letters: Sequence[int], columns: dict, group: Group) -> np.ndarray:
@@ -108,21 +107,21 @@ def _evaluate(letters: Sequence[int], columns: dict, group: Group) -> np.ndarray
     return lower(state)
 
 
-def _class_totals(letters: Sequence[int], used: Sequence[int], group: Group) -> tuple:
-    """(labels, totals) for a word whose letters use exactly the generators
-    `used` (ascending, at least two).
+def _class_totals(letters: Sequence[int], used: Sequence[int], group: Group) -> np.ndarray:
+    """One total per conjugacy class, in the order of `classes(group).reps`,
+    for a word whose letters use exactly the generators `used` (ascending,
+    at least two).
 
     Since w(x^g) = w(x)^g, conjugating a tuple by g conjugates its value by
     g, so the first generator used need only run over class
-    representatives, each weighted by its class size.  totals[r] is the
+    representatives, each weighted by its class size.  totals[i] is the
     number of tuples in G^len(used) whose value lies in the class of
-    representative r (0 off representatives); a class total divided by the
-    class size is the exact count of each of its elements.
+    reps[i]; a class total divided by the class size is the exact count of
+    each of its elements.
     """
     n = group.order
-    labels = class_labels(group)
-    reps = np.flatnonzero(labels == np.arange(n))
-    sizes = np.bincount(labels, minlength=n)[reps]
+    record = classes(group)
+    reps, sizes = record.reps, record.sizes
     inner = n ** (len(used) - 1)
     space = len(reps) * inner
     weighted = np.zeros(n, dtype=np.int64)
@@ -138,8 +137,8 @@ def _class_totals(letters: Sequence[int], used: Sequence[int], group: Group) -> 
         per_rep = np.bincount((first - lo) * n + values, minlength=(hi - lo) * n)
         weighted += sizes[lo:hi] @ per_rep.reshape(hi - lo, n)
     totals = np.zeros(n, dtype=np.int64)
-    np.add.at(totals, labels, weighted)
-    return labels, totals
+    np.add.at(totals, record.labels, weighted)
+    return totals[reps]
 
 
 def monte_carlo_distribution(word: Word, group: Group, samples: int,
@@ -159,8 +158,7 @@ def monte_carlo_distribution(word: Word, group: Group, samples: int,
     counts = np.zeros(n, dtype=np.int64)
     if not support:
         counts[group.identity] = samples
-        return Distribution(group=group, counts=counts, total=samples, mode="sampled",
-                            d=word.rank, label=word.to_text())
+        return Distribution(group=group, counts=counts, total=samples, mode="sampled")
     vec = abelianize(word)
     tail = _certificate_columns(word, group, vec) if gcd_of_vector(vec) else None
     certified = None
@@ -176,7 +174,7 @@ def monte_carlo_distribution(word: Word, group: Group, samples: int,
         counts += np.bincount(values[:b], minlength=n)
         done += b
     return Distribution(group=group, counts=counts, total=samples, mode="sampled",
-                        d=word.rank, label=word.to_text(), certified=certified)
+                        certified=certified)
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +226,7 @@ def _certificate_columns(word: Word, group: Group, vec: Sequence[int]) -> dict:
     Conjugating g by h conjugates its value by h, so the representatives'
     values fix the rest up to their classes.
     """
-    labels = class_labels(group)
-    reps = np.flatnonzero(labels == np.arange(group.order))
+    reps = classes(group).reps
     coeffs = bezout_certificate(vec)[1]
     return {g: power_array(group, coeffs[g - 1], reps) for g in {abs(v) for v in word.letters}}
 
@@ -244,7 +241,7 @@ def image_and_power_coverage(word: Word, dist: Distribution,
     subset of the true image.
 
     Since (h r h^-1)^m = h r^m h^-1, the m-th powers and the certificate
-    values are computed on class representatives r only (`class_labels`,
+    values are computed on class representatives r only (`classes`,
     cached on the group), each set then being the union of the classes
     they hit.  The certificate values come with a sampled `dist`
     (`certified`, evaluated with its sample).
@@ -258,8 +255,8 @@ def image_and_power_coverage(word: Word, dist: Distribution,
                 "exponent-sum vector is zero; pass the target power m explicitly"
             )
         m = gamma
-    labels = class_labels(group)
-    reps = np.flatnonzero(labels == np.arange(group.order))
+    record = classes(group)
+    labels = record.labels
     image = dist.counts != 0
     certificate = None
     if dist.mode == "sampled" and gamma > 0:
@@ -269,7 +266,7 @@ def image_and_power_coverage(word: Word, dist: Distribution,
                 "build it with monte_carlo_distribution")
         certificate = _class_union(labels, dist.certified)
         image |= certificate
-    powers = _class_union(labels, power_array(group, m, reps))
+    powers = _class_union(labels, power_array(group, m, record.reps))
     beyond = np.flatnonzero(image & ~powers)
     for mask in (image, powers, certificate):
         if mask is not None:

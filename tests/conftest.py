@@ -209,14 +209,16 @@ def full_carrier_coverage(word: Word, dist, m=None) -> ImageReport:
     vec = abelianize(word)
     gamma = gcd_of_vector(vec)
     m = gamma if m is None else m
+    carrier = np.arange(group.order)
     image = set(np.flatnonzero(dist.counts).tolist())
     certificate = None
     if dist.mode == "sampled" and gamma > 0:
         _, coeffs = bezout_certificate(vec)
-        columns = {g: power_array(group, coeffs[g - 1]) for g in {abs(v) for v in word.letters}}
+        columns = {g: power_array(group, coeffs[g - 1], carrier)
+                   for g in {abs(v) for v in word.letters}}
         certificate = set(_evaluate(word.letters, columns, group).tolist())
         image |= certificate
-    powers = set(power_array(group, m).tolist())
+    powers = set(power_array(group, m, carrier).tolist())
 
     def mask(values):
         out = np.zeros(group.order, dtype=bool)
@@ -378,15 +380,10 @@ def broadcast_gcd_tail(d: int, n: int, gcd_cap: int, box_radius: int):
     return tail, {str(v): float(law[v]) for v in range(head_cap + 1)}
 
 
-def list_loop_mixing_profile(group, support, n_max: int, weights=None) -> list:
-    """Exact L1 distances to uniform of the walk on `support` after 0..n_max
-    steps, pushing python-int counts along scalar products.  `weights` are
-    the steps' Fractions (uniform when None); counts are kept over the lcm
-    of their denominators to the power of the step count."""
-    if weights is None:
-        weights = [Fraction(1, len(support))] * len(support)
-    denom = math.lcm(*(w.denominator for w in weights))
-    int_weights = [int(w * denom) for w in weights]
+def list_loop_mixing_profile(group, support, n_max: int) -> list:
+    """Exact L1 distances to uniform of the uniform walk on `support` after
+    0..n_max steps, pushing python-int counts along scalar products; counts
+    are kept over |support| to the power of the step count."""
     order = group.order
     counts = [0] * order
     counts[group.identity] = 1
@@ -395,12 +392,12 @@ def list_loop_mixing_profile(group, support, n_max: int, weights=None) -> list:
     for step in range(n_max + 1):
         if step:
             new = [0] * order
-            for g, w in zip(support, int_weights):
+            for g in support:
                 for src, c in enumerate(counts):
                     if c:
-                        new[group.mul(src, g)] += w * c
+                        new[group.mul(src, g)] += c
             counts = new
-            total *= denom
+            total *= len(support)
         profile.append(Fraction(sum(abs(c * order - total) for c in counts), total * order))
     return profile
 

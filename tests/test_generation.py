@@ -18,12 +18,12 @@ from wordlab.generation import (
     count_generating_tuples,
     double_coset_labels,
     hall_max_power,
-    is_generating,
     power_tuple_generates,
 )
 from wordlab.groups import (
     DirectPowerGroup,
     closure,
+    closure_mask,
     construct_group,
 )
 
@@ -35,28 +35,32 @@ def brute_tuple_count(group, d=2) -> int:
                if len(generated_subgroup(group, tup)) == group.order)
 
 
-def test_is_generating():
+def test_closure_decides_generation():
     a5 = get_group("alternating:5")
     five = a5.index_of_cycles([(1, 2, 3, 4, 5)])
     three = a5.index_of_cycles([(1, 2, 3)])
-    assert is_generating(a5, [five, three])
-    assert not is_generating(a5, [three])
+    assert closure_mask(a5, [five, three]).all()
+    assert len(closure(a5, [five, three])) == 60
+    assert not closure_mask(a5, [three]).all()
     a4 = get_group("alternating:4")
     dd1 = a4.index_of_cycles([(1, 2), (3, 4)])
     dd2 = a4.index_of_cycles([(1, 3), (2, 4)])
     assert len(closure(a4, (dd1, dd2))) == 4
-    assert not is_generating(a4, [dd1, dd2])
-    assert not is_generating(a4, [])
-    assert is_generating(construct_group("cyclic:1"), [])
+    assert not closure_mask(a4, [dd1, dd2]).all()
+    # no generators: the trivial subgroup, all of the trivial group only
+    assert closure_mask(a4, []).sum() == 1
+    assert closure_mask(construct_group("cyclic:1"), []).all()
+    with pytest.raises(GroupMismatchError, match="at least one generator"):
+        closure(a4, [])
 
 
 def test_indices_outside_the_carrier_raise_index_error(tmp_path):
     a5 = get_group("alternating:5")
-    assert is_generating(a5, [1, 15])
+    assert len(closure(a5, [1, 15])) == 60
     # -45 and 75 are 15 mod 60: neither may stand in for 15
-    for call, bad in ((lambda: is_generating(a5, [1, -45]), -45),
+    for call, bad in ((lambda: closure(a5, [1, -45]), -45),
                       (lambda: power_tuple_generates(a5, [(1, 75)]), 75),
-                      (lambda: is_generating(a5, [1, 75]), 75),
+                      (lambda: closure(a5, [1, 75]), 75),
                       (lambda: closure(a5, [60]), 60)):
         with pytest.raises(IndexError, match=f"index {bad} out of range for alternating:5"):
             call()
@@ -157,7 +161,7 @@ def test_a5_automorphisms_act_freely_on_generating_pairs():
     three = a5.index_of_cycles([(1, 2, 3)])
     orbit = {(m[five], m[three]) for m in maps}
     assert len(orbit) == 120
-    assert all(is_generating(a5, pair) for pair in orbit)
+    assert all(closure_mask(a5, pair).all() for pair in orbit)
 
 
 def test_hall_report_for_a5():
@@ -183,7 +187,7 @@ def test_power_tuple_generation():
     other = a5.index_of_cycles([(1, 2, 4)])
     t = (five, three)
     t2 = (five, other)
-    assert is_generating(a5, t) and is_generating(a5, t2)
+    assert closure_mask(a5, t).all() and closure_mask(a5, t2).all()
     # one copy: plain generation
     assert power_tuple_generates(a5, [t])
     # a repeated tuple locks the diagonal subgroup

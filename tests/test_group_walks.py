@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from wordlab.errors import (
-    DimensionMismatchError,
     GroupMismatchError,
     NotGeneratingError,
     TooLargeError,
@@ -33,22 +32,10 @@ def test_step_set_validation():
         StepSet.uniform(s3, [])
     with pytest.raises(UnsupportedParameterError):
         StepSet.uniform(s3, [1, 1])
-    with pytest.raises(DimensionMismatchError):
-        StepSet(group=s3, support=(1, 2), weights=(Fraction(1),))
-    with pytest.raises(UnsupportedParameterError):
-        StepSet(group=s3, support=(1, 2), weights=(Fraction(1, 2), Fraction(1, 3)))
-    with pytest.raises(UnsupportedParameterError):
-        StepSet(group=s3, support=(1, 2), weights=(0.5, 0.5))
-    with pytest.raises(UnsupportedParameterError):
-        StepSet(group=s3, support=(1, 2), weights=(Fraction(3, 2), Fraction(-1, 2)))
     with pytest.raises(IndexError):
         StepSet.uniform(s3, [99])
-    steps = StepSet(
-        group=s3, support=(1, 2), weights=(Fraction(1, 3), Fraction(2, 3))
-    )
-    assert steps.denominator() == 3
     uni = StepSet.uniform(s3, [s3.element(1), 2, 3])
-    assert uni.size == 3 and uni.denominator() == 3
+    assert uni.support == (1, 2, 3)
 
 
 def test_exact_walks_refuse_groups_above_the_structure_cap(tmp_path):
@@ -79,21 +66,16 @@ def test_single_step_walk_is_deterministic():
 @pytest.mark.parametrize("spec", ["symmetric:3", "alternating:4"])
 def test_exact_law_matches_transition_matrix_power(spec):
     group = get_group(spec)
-    gens = [1, 2]
-    cases = [
-        StepSet.uniform(group, gens),
-        StepSet(group=group, support=(1, 2), weights=(Fraction(1, 3), Fraction(2, 3))),
-    ]
-    for steps in cases:
-        order = group.order
-        T = np.zeros((order, order))
-        for g, w in zip(steps.support, steps.weights):
-            for s in range(order):
-                T[s, group.mul(s, g)] += float(w)
-        law = exact_walk_law(group, steps, 10)
-        ref = np.linalg.matrix_power(T, 10)[group.identity]
-        got = np.array([c / law.total for c in law.counts])
-        assert float(np.max(np.abs(got - ref))) < 1e-12
+    steps = StepSet.uniform(group, [1, 2])
+    order = group.order
+    T = np.zeros((order, order))
+    for g in steps.support:
+        for s in range(order):
+            T[s, group.mul(s, g)] += 0.5
+    law = exact_walk_law(group, steps, 10)
+    ref = np.linalg.matrix_power(T, 10)[group.identity]
+    got = np.array([c / law.total for c in law.counts])
+    assert float(np.max(np.abs(got - ref))) < 1e-12
 
 
 def test_mixing_profile_matches_fresh_laws():
@@ -111,7 +93,7 @@ def test_mixing_profile_matches_fresh_laws():
 
 def test_mixing_profile_matches_list_loop_on_psl2_13():
     # counts turn from int64 to python ints after step 51 here (D = 2,
-    # |G| = 1092) and after step 36 on the weighted A4 walk (D = 3, |G| = 12);
+    # |G| = 1092) and after step 36 on the three-step A4 walk (D = 3, |G| = 12);
     # numpy int64 arithmetic wraps silently, so only steps past the switch
     # can show an overflow
     group = get_group("psl2:13")
@@ -121,10 +103,10 @@ def test_mixing_profile_matches_list_loop_on_psl2_13():
         law = exact_walk_law(group, steps, n)
         assert law.counts.dtype == object and all(type(c) is int for c in law.counts)
     a4 = get_group("alternating:4")
-    support = [a4.index_of_cycles([(1, 2, 3)]), a4.index_of_cycles([(1, 2), (3, 4)])]
-    weights = (Fraction(1, 3), Fraction(2, 3))
-    weighted = StepSet(group=a4, support=tuple(support), weights=weights)
-    assert mixing_profile(a4, weighted, 45) == list_loop_mixing_profile(a4, support, 45, weights)
+    support = [a4.index_of_cycles([(1, 2, 3)]), a4.index_of_cycles([(1, 2), (3, 4)]),
+               a4.index_of_cycles([(1, 3, 4)])]
+    three = StepSet.uniform(a4, support)
+    assert mixing_profile(a4, three, 45) == list_loop_mixing_profile(a4, support, 45)
 
 
 def test_a5_walk_mixes():

@@ -26,7 +26,7 @@ from wordlab.groups import (
     _MatrixGroup,
     _validate_cayley_table,
     center,
-    class_labels,
+    classes,
     closure,
     closure_mask,
     commutator_subgroup,
@@ -225,7 +225,7 @@ def test_array_power_and_inverse_match_scalar(spec):
     assert g.inv_array().tolist() == [g.inv(a) for a in range(n)]
     some = np.arange(n - 1, -1, -3)
     for k in (-7, -1, 0, 1, 2, 5, 60):
-        assert power_array(g, k).tolist() == [g.pow(a, k) for a in range(n)]
+        assert power_array(g, k, np.arange(n)).tolist() == [g.pow(a, k) for a in range(n)]
         assert power_array(g, k, some).tolist() == [g.pow(a, k) for a in some.tolist()]
 
 
@@ -412,16 +412,32 @@ def test_ingest_relabelled_psl2_13(tmp_path):
     assert summary["abelian"] is False
 
 
+def class_record_cases(tmp_path, *extra) -> list:
+    """Fresh catalog groups, sl2:17 and psl2:23 (the class-key route), then
+    the specs of `extra`, A5^2 and a relabelled PSL(2,7) table (orbit route)."""
+    cases = [construct_group(s) for s in CATALOG + ("sl2:17", "psl2:23") + extra]
+    return cases + [DirectPowerGroup(get_group("alternating:5"), 2),
+                    load_cayley_table(relabelled_table_file(tmp_path, "psl2:7"))]
+
+
 def test_class_labels_match_one_orbit_per_class(tmp_path):
     # symmetric:7 is above TABLE_CAP, so it multiplies natively
-    specs = CATALOG + ("sl2:17", "psl2:23", "symmetric:7")
-    cases = [construct_group(s) for s in specs]
-    cases += [DirectPowerGroup(get_group("alternating:5"), 2),
-              load_cayley_table(relabelled_table_file(tmp_path, "psl2:7"))]
+    cases = class_record_cases(tmp_path, "symmetric:7")
     for group in cases:
-        labels = class_labels(group)
+        labels = classes(group).labels
         assert labels.tolist() == orbit_class_labels(group).tolist(), group.name
-    assert len(np.unique(class_labels(cases[-1]))) == 6  # the classes of PSL(2,7)
+    assert classes(cases[-1]).reps.size == 6  # the classes of PSL(2,7)
+
+
+def test_class_record_reps_and_sizes_follow_the_labels(tmp_path):
+    for group in class_record_cases(tmp_path):
+        record = classes(group)
+        n = group.order
+        reps = np.flatnonzero(record.labels == np.arange(n))
+        assert record.reps.tolist() == reps.tolist(), group.name
+        assert record.sizes.tolist() == np.bincount(record.labels)[record.reps].tolist()
+        assert record.reps[0] == group.identity and int(record.sizes.sum()) == n
+        assert not any(a.flags.writeable for a in (record.labels, record.reps, record.sizes))
 
 
 # sl2:p and psl2:p for every odd prime p <= 31, and psl2:97 near the carrier cap
@@ -436,8 +452,8 @@ def test_class_key_labels_match_the_orbit_route(spec):
     group = construct_group(spec)
     plain = construct_group(spec)
     plain.class_key = None
-    labels = class_labels(group)
-    assert labels.tolist() == class_labels(plain).tolist()
+    labels = classes(group).labels
+    assert labels.tolist() == classes(plain).labels.tolist()
     assert group._generators is None and plain._generators is not None
     # k(SL(2,p)) = p + 4 and k(PSL(2,p)) = (p + 5) / 2
     p = group.p
@@ -469,7 +485,7 @@ def test_class_labels_are_pinned_on_the_catalog(spec):
     plain = construct_group(spec)
     plain.class_key = None
     for group in {plain, get_group(spec)}:
-        labels = class_labels(group)
+        labels = classes(group).labels
         assert labels.dtype == np.int64 and labels.shape == (group.order,)
         assert hashlib.sha256(labels.tobytes()).hexdigest()[:16] == CLASS_LABEL_DIGESTS[spec]
 
@@ -568,8 +584,8 @@ def test_orbit_labels_of_right_multiplications_are_left_cosets(spec, monkeypatch
 
 def assert_computed_once(fact, spec, monkeypatch):
     """fact(group) does work on its first call (products, or a pass of the
-    group's class key), none on the second, and hands out one read-only
-    array both times."""
+    group's class key), none on the second, and hands out one object both
+    times, which it returns."""
     work = []
 
     def counting(group):
@@ -593,17 +609,18 @@ def assert_computed_once(fact, spec, monkeypatch):
     assert work
     work.clear()
     assert fact(group) is first and not work
-    assert not first.flags.writeable
+    return first
 
 
 @pytest.mark.parametrize("spec", ("alternating:4", "sl2:17"))
 def test_class_labels_are_computed_once_per_group(spec, monkeypatch):
-    assert_computed_once(class_labels, spec, monkeypatch)
+    record = assert_computed_once(classes, spec, monkeypatch)
+    assert not any(a.flags.writeable for a in (record.labels, record.reps, record.sizes))
 
 
 @pytest.mark.parametrize("spec", ("alternating:4", "sl2:17"))
 def test_group_generators_are_computed_once_per_group(spec, monkeypatch):
-    assert_computed_once(group_generators, spec, monkeypatch)
+    assert not assert_computed_once(group_generators, spec, monkeypatch).flags.writeable
 
 
 def test_commutator_subgroup_matches_all_commutators():

@@ -8,7 +8,7 @@ import pytest
 
 from wordlab import harness, measure
 from wordlab.errors import BudgetExceededError, EmptyWordError, UnsupportedParameterError
-from wordlab.groups import CayleyGroup, class_labels, construct_group, power_array
+from wordlab.groups import CayleyGroup, classes, construct_group, power_array
 from wordlab.measure import (
     BATCH,
     TUPLE_BUDGET,
@@ -25,7 +25,7 @@ from wordlab.words import (Word, abelianize, bezout_certificate, gcd_of_vector, 
                            sample_word)
 
 from conftest import (CATALOG, assert_same_coverage, brute_pushforward, conjugacy_classes,
-                      full_carrier_coverage, get_group, l1_distance)
+                      full_carrier_coverage, get_group, l1_distance, orbit_class_labels)
 
 
 # Non-abelian groups, where the reduction to class representatives is not
@@ -215,7 +215,7 @@ def test_coverage_takes_the_class_route_on_a_class_key(spec):
     word = parse_word("x1 x1")
     dist = monte_carlo_distribution(word, group, 50, 1)
     rep = image_and_power_coverage(word, dist)
-    assert group._class_labels is not None and group._generators is None
+    assert group._classes is not None and group._generators is None
     assert_same_coverage(rep, full_carrier_coverage(word, dist))
 
 
@@ -226,7 +226,7 @@ def test_coverage_holds_only_its_masks_at_the_carrier_cap():
     group = construct_group("sl2:97")
     word = parse_word("x1 x1 X2")
     dist = monte_carlo_distribution(word, group, 200, stream(3))
-    class_labels(group)  # cached on the group, so not the call's own
+    classes(group)  # cached on the group, so not the call's own
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -251,7 +251,7 @@ def test_image_coverage_needs_m_for_balanced_words():
 @pytest.mark.parametrize("spec", REDUCED_GROUPS)
 def test_class_labels_match_orbit_partition(spec):
     group = group_for(spec)
-    labels = class_labels(group)
+    labels = classes(group).labels
     for cls in conjugacy_classes(group):
         assert {int(labels[x]) for x in cls} == {min(cls)}
 
@@ -260,12 +260,10 @@ def test_class_labels_match_orbit_partition(spec):
 def test_class_totals_are_divisible_by_class_sizes(spec):
     group = group_for(spec)
     n = group.order
-    labels, totals = _class_totals([1, 2, 2, -1, 2], [1, 2], group)
-    reps = labels == np.arange(n)
-    sizes = np.bincount(labels, minlength=n)[reps]
-    assert np.all(totals[~reps] == 0)
+    totals = _class_totals([1, 2, 2, -1, 2], [1, 2], group)
+    assert totals.shape == classes(group).reps.shape
     assert int(totals.sum()) == n**2
-    assert np.all(totals[reps] % sizes == 0)
+    assert np.all(totals % classes(group).sizes == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +327,7 @@ def test_certificate_tuples_leave_the_draws_as_they_are(spec, samples):
         draws = {g: rng.integers(0, n, size=b) for g in (1, 2)}
         counts += np.bincount(_evaluate(word.letters, draws, group), minlength=n)
     assert np.array_equal(dist.counts, counts)
-    labels = class_labels(group)
+    labels = orbit_class_labels(group)
     reps = np.flatnonzero(labels == np.arange(n))
     coeffs = bezout_certificate(abelianize(word))[1]
     columns = {g: power_array(group, coeffs[g - 1], reps) for g in (1, 2)}
@@ -342,6 +340,6 @@ def test_sampled_coverage_needs_the_certificate_values():
     balanced = monte_carlo_distribution(parse_word("x1 x2 X1 X2"), group, 50, 3)
     assert balanced.certified is None  # no certificate for a zero exponent-sum gcd
     bare = Distribution(group=group, counts=np.ones(group.order, dtype=np.int64),
-                        total=group.order, mode="sampled", d=2)
+                        total=group.order, mode="sampled")
     with pytest.raises(UnsupportedParameterError, match="no certificate values"):
         image_and_power_coverage(word, bare)
