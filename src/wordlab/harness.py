@@ -47,11 +47,13 @@ from .groups import (
     load_cayley_table,
 )
 from .lattice_walks import (
+    check_moduli,
     divisible_counts,
     endpoint_gcds,
     mod_zero_probabilities,
     predicted_tail_probability,
     sample_endpoints,
+    tail_box_radius,
     tail_estimate_from_histogram,
 )
 from .measure import (
@@ -526,19 +528,32 @@ def run_walk_gcd(config: ExperimentConfig) -> dict:
     return probability (dual-route identity carried in the report).  The
     mod-law block compares, for every prime power q <= M, the exact
     probability that the endpoint vanishes mod q with the sampled fraction
-    of endpoints whose gcd q divides.  Both DPs, and so their state caps,
-    come before the one draw of endpoints that feeds the estimate and the
-    mod-law rows.
+    of endpoints whose gcd q divides.
+
+    The order: the sample count, then the parameters and state caps of
+    both DPs (`tail_box_radius`, `check_moduli`) are checked, so that every
+    error either DP or the draw can raise comes before any endpoint is
+    drawn.  Then the one `sample_endpoints` call that feeds the estimate
+    and the mod-law rows checks its own parameters, starts its worker
+    thread on the last blocks of the endpoint stream, runs both DPs on
+    this thread as its `meanwhile`, and then draws the first blocks here
+    until the two meet; the endpoints are those of one serial draw.
     """
     t0 = time.perf_counter()
     d, n, samples, gcd_cap = config.require("d", "n", "samples", "gcd_cap")
-    if samples < 1:  # sample_endpoints would say so only after the DPs
+    if samples < 1:  # sample_endpoints would say so only after the DP checks
         raise UnsupportedParameterError(f"samples must be >= 1, got {samples}")
-    pred = predicted_tail_probability(d, n, gcd_cap)
     moduli = _prime_powers_up_to(min(gcd_cap, 64))
     qs = [q for _, _, q in moduli]
-    dp_zero = mod_zero_probabilities(d, n, qs)
-    ends = sample_endpoints(d, n, samples, stream(config.seed, 3))
+    tail_box_radius(d, n, gcd_cap)
+    check_moduli(d, n, qs)
+    dps = []
+
+    def run_dps():
+        dps.extend((predicted_tail_probability(d, n, gcd_cap), mod_zero_probabilities(d, n, qs)))
+
+    ends = sample_endpoints(d, n, samples, stream(config.seed, 3), meanwhile=run_dps)
+    pred, dp_zero = dps
     per_gamma = np.bincount(endpoint_gcds(ends))
     est = tail_estimate_from_histogram(d, n, gcd_cap, per_gamma)
     se = math.sqrt(max(pred.probability * (1 - pred.probability), 1e-300) / samples)

@@ -10,10 +10,11 @@ estimate and an independent prediction assembled from the mod-p^k laws.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -37,6 +38,7 @@ EXACT_WORK_CAP = 2 * 10**10
 # calls; numpy 2.4.6, 2-core x86 VM, 2 MiB L2 per core), by block size:
 #   2^16: 54 ms, 2^18: 56 ms, 2^20: 80 ms, 2^24: 105 ms;
 #   tracemalloc peak beside the output: 1.0, 4.0, 16.1 and 206 MiB.
+# With a block in flight on each of two threads, 2^18 peaks at 6.2 MiB.
 _BATCH_ELEMS = 1 << 18
 
 
@@ -49,8 +51,8 @@ def _check_walk_params(d: int, n: int) -> None:
 
 def _bounded_draws(rng: Rng, m: int, count: int) -> np.ndarray:
     """The values of `rng.integers(0, m, size=count, dtype=np.uint32)` for
-    1 < m < 2^32 and count >= 1, as uint32, leaving `rng` in the state that
-    call leaves.
+    1 < m < 2^32, count >= 1 and a PCG64 `rng`, as uint32, leaving `rng` in
+    the state that call leaves.
 
     numpy draws each value by Lemire's rule from the bit generator's next
     32-bit output x: the value is (x m) >> 32, and x is rejected while
@@ -63,9 +65,6 @@ def _bounded_draws(rng: Rng, m: int, count: int) -> np.ndarray:
     Otherwise the product is formed in uint64; rejected values, a share
     below m / 2^32, are dropped and the deficit drawn the same way.
     """
-    if not isinstance(rng.bit_generator, np.random.PCG64):
-        raise UnsupportedParameterError(
-            f"walk steps are drawn from PCG64 outputs, not {type(rng.bit_generator).__name__}")
     held = int(rng.bit_generator.state["has_uint32"])
     pairs, odd = divmod(count - held, 2)
     # the halves of each 64-bit draw, low half first on any host
@@ -87,37 +86,33 @@ def _bounded_draws(rng: Rng, m: int, count: int) -> np.ndarray:
     return np.concatenate([kept, _bounded_draws(rng, m, count - kept.size)])
 
 
-def sample_endpoints(d: int, n: int, samples: int, rng: Union[Rng, int]) -> np.ndarray:
-    """Endpoints of independent walks, shape (samples, d), int64.
+def _stream_position(bits: np.random.PCG64) -> tuple:
+    """Where a PCG64 generator stands in its stream of 32-bit halves: its
+    128-bit state and its held half, if any.  (numpy keeps the bits of a
+    used half in the state too, but never reads them.)"""
+    state = bits.state
+    held = state["has_uint32"]
+    return state["state"]["state"], held, state["uinteger"] if held else 0
 
-    A step's kind j in [0, 2d) (axis j // 2, sign + for even j) is the
-    value `rng.integers(0, 2d)` draws with an int32 or int64 dtype: Lemire's
-    multiply-and-reject rule on the 32-bit halves of PCG64's 64-bit outputs,
-    here applied to those outputs drawn in bulk (`_bounded_draws`), so the
-    generator must be PCG64, as every `stream` is.  Each row's steps are
-    counted in packed words: a step of kind j adds 1 << (k j) to its row's
-    sum, with k bits per kind, in one uint32 word when all 2d kinds fit and
-    in uint64 words otherwise.  Rows are drawn and counted in blocks of
-    about _BATCH_ELEMS steps, so the working set beside the output stays a
-    few MiB whatever `samples` is; the generator's stream runs on from one
-    block's draws to the next, so the endpoints do not depend on the block
-    size.
+
+def _walk_counter(d: int, n: int, rows: int):
+    """count(rng, block): draw the n >= 1 steps of each of the at most
+    `rows` walks of `block`, a row block of the output, from `rng`, and
+    write their endpoints there.
+
+    A step's kind j (axis j // 2, sign + for even j) adds 1 << (k j) to its
+    row's sum, with k bits per kind, in one uint32 word when all 2d kinds
+    fit and in uint64 words otherwise.  uint32 words overwrite the draws;
+    uint64 words go to one buffer that the counter keeps, so each thread
+    takes its own counter.
     """
-    _check_walk_params(d, n)
-    if samples < 1:
-        raise UnsupportedParameterError(f"samples must be >= 1, got {samples}")
-    rng = as_rng(rng)
-    out = np.zeros((samples, d), dtype=np.int64)
-    if n == 0:
-        return out
     k = n.bit_length()
     word = np.uint32 if 2 * d * k <= 32 else np.uint64
     per_word = 8 * np.dtype(word).itemsize // k
-    batch = max(1, _BATCH_ELEMS // n)
-    # uint64 words share one buffer across blocks; uint32 words overwrite the draws
-    wide = np.empty((min(batch, samples), n), dtype=word) if word is np.uint64 else None
-    for done in range(0, samples, batch):
-        b = min(batch, samples - done)
+    wide = np.empty((rows, n), dtype=word) if word is np.uint64 else None
+
+    def count(rng: Rng, block: np.ndarray) -> None:
+        b = len(block)
         shifts = _bounded_draws(rng, 2 * d, b * n).reshape(b, n)
         shifts *= k
         words = shifts if wide is None else wide[:b]
@@ -132,7 +127,114 @@ def sample_endpoints(d: int, n: int, samples: int, rng: Union[Rng, int]) -> np.n
             fields = min(per_word, 2 * d - j0)
             cnt[:, j0 : j0 + fields] = (
                 packed[:, None] >> (k * np.arange(fields, dtype=word))) & word((1 << k) - 1)
-        out[done : done + b] = cnt[:, 0::2] - cnt[:, 1::2]
+        block[:] = cnt[:, 0::2] - cnt[:, 1::2]
+
+    return count
+
+
+def sample_endpoints(d: int, n: int, samples: int, rng: Union[Rng, int], *,
+                     meanwhile: Optional[Callable[[], None]] = None) -> np.ndarray:
+    """Endpoints of independent walks, shape (samples, d), int64.
+
+    A step's kind j in [0, 2d) (axis j // 2, sign + for even j) is the
+    value `rng.integers(0, 2d)` draws with an int32 or int64 dtype: Lemire's
+    multiply-and-reject rule on the 32-bit halves of PCG64's 64-bit outputs,
+    here applied to those outputs drawn in bulk (`_bounded_draws`), so the
+    generator must be PCG64, as every `stream` is.  Each row's steps are
+    counted in packed words (`_walk_counter`).  Rows are drawn and counted
+    in blocks of about _BATCH_ELEMS steps, so the working set beside the
+    output stays a few MiB whatever `samples` is.
+
+    The parameters are checked first.  With more than one block, a worker
+    thread then draws blocks from the last one backwards, while this thread
+    runs `meanwhile` (if given) and then draws blocks from the first one
+    forwards on `rng`; the two stop where they meet, and `meanwhile` and
+    the worker are done before the call returns or raises.  With `rows`
+    walks per block, block i starts at 32-bit position P = i * rows * n of
+    the stream, counted from `rng`'s held half if it has one, assuming no
+    draw before it was rejected.  The worker reaches P on its own PCG64
+    copy of `rng`'s start state: `advance` by (P - held) // 2 64-bit
+    outputs, then one 32-bit draw when P - held is odd.  After the join,
+    every worker block must start where the block before it ended; if one
+    does not (a Lemire rejection, at most (2^32 mod 2d) / 2^32 per draw and
+    never for 2d a power of two), every worker block is drawn again, in
+    order, on `rng`.  So the endpoints, and the state `rng` is left in, are
+    those of drawing every block in order on `rng`, whatever the scheduling
+    and the block size.
+    """
+    _check_walk_params(d, n)
+    if samples < 1:
+        raise UnsupportedParameterError(f"samples must be >= 1, got {samples}")
+    rng = as_rng(rng)
+    if not isinstance(rng.bit_generator, np.random.PCG64):
+        raise UnsupportedParameterError(
+            f"walk steps are drawn from PCG64 outputs, not {type(rng.bit_generator).__name__}")
+    out = np.zeros((samples, d), dtype=np.int64)
+    if n == 0:
+        if meanwhile is not None:
+            meanwhile()
+        return out
+    rows = min(max(1, _BATCH_ELEMS // n), samples)
+    blocks = [out[i : i + rows] for i in range(0, samples, rows)]
+    start = rng.bit_generator.state
+    held = start["has_uint32"]
+    bounds = [0, len(blocks)]  # blocks [bounds[0], bounds[1]) are not taken yet
+    lock = threading.Lock()
+    stop = threading.Event()
+    tail = {}  # worker block -> (start position, end position, end state)
+    failed = []
+
+    def take(head: bool) -> Optional[int]:
+        with lock:
+            if bounds[0] == bounds[1]:
+                return None
+            if head:
+                bounds[0] += 1
+                return bounds[0] - 1
+            bounds[1] -= 1
+            return bounds[1]
+
+    def draw_tail() -> None:
+        try:
+            count = _walk_counter(d, n, rows)
+            bits = np.random.PCG64(0)
+            gen = np.random.Generator(bits)
+            while not stop.is_set() and (i := take(head=False)) is not None:
+                bits.state = start
+                if i:  # block 0 starts at `start` itself, held half and all
+                    at = i * rows * n - held
+                    bits.advance(at // 2)  # drops the held half
+                    if at % 2:
+                        gen.integers(0, 2**32, dtype=np.uint32)
+                first = _stream_position(bits)
+                count(gen, blocks[i])
+                tail[i] = first, _stream_position(bits), bits.state
+        except BaseException as exc:  # re-raised on the calling thread
+            failed.append(exc)
+
+    worker = threading.Thread(target=draw_tail) if len(blocks) > 1 else None
+    if worker is not None:
+        worker.start()
+    try:
+        if meanwhile is not None:
+            meanwhile()
+        count = _walk_counter(d, n, rows)
+        while (i := take(head=True)) is not None:
+            count(rng, blocks[i])
+    finally:
+        stop.set()
+        if worker is not None:
+            worker.join()
+    if failed:
+        raise failed[0]
+    if tail:
+        order = sorted(tail)
+        ends = [_stream_position(rng.bit_generator)] + [tail[i][1] for i in order[:-1]]
+        if all(tail[i][0] == end for i, end in zip(order, ends)):
+            rng.bit_generator.state = tail[order[-1]][2]
+        else:
+            for i in order:
+                count(rng, blocks[i])
     return out
 
 
@@ -324,16 +426,22 @@ def _torus_laws(sides: Sequence[int], d: int, n: int) -> list:
     return laws
 
 
-def mod_zero_probabilities(d: int, n: int, moduli: Sequence[int]) -> list:
-    """Float Pr[endpoint = 0 mod q] after n steps, for each modulus q, read
-    at the origin of one `_torus_laws` call.  `exact_mod_law` counts the
-    same laws exactly, for prime-power moduli on small tori."""
+def check_moduli(d: int, n: int, moduli: Sequence[int]) -> None:
+    """Raise what `mod_zero_probabilities(d, n, moduli)` raises for its
+    parameters and state cap, without running its DP."""
     _check_walk_params(d, n)
     for q in moduli:
         if q < 1:
             raise UnsupportedParameterError(f"modulus must be >= 1, got {q}")
         if q**d > STATE_CAP:
             raise BudgetExceededError(f"state space {q**d} exceeds cap {STATE_CAP}")
+
+
+def mod_zero_probabilities(d: int, n: int, moduli: Sequence[int]) -> list:
+    """Float Pr[endpoint = 0 mod q] after n steps, for each modulus q, read
+    at the origin of one `_torus_laws` call.  `exact_mod_law` counts the
+    same laws exactly, for prime-power moduli on small tori."""
+    check_moduli(d, n, moduli)
     return [float(law[(0,) * d]) for law in _torus_laws(moduli, d, n)]
 
 
@@ -495,15 +603,10 @@ class TailPrediction:
 BOX_STATE_CAP = 4 * 10**6
 
 
-def predicted_tail_probability(d: int, n: int, gcd_cap: int) -> TailPrediction:
-    """Predict Pr[gcd of endpoint > M] by exact convolution, no sampling.
-
-    The n-step law is computed on the torus of odd side Q = 2L + 1, which
-    coincides with the law on Z^d up to wraparound mass below exp(-L^2/2n);
-    the radius L = M + ceil(7.5 sqrt(n)) puts that under 1e-12.
-    Each torus state is read back as the integer vector in [-L, L]^d and
-    the gcd law is accumulated directly, with no independence assumptions.
-    """
+def tail_box_radius(d: int, n: int, gcd_cap: int) -> int:
+    """The box radius L of `predicted_tail_probability(d, n, gcd_cap)`,
+    after the checks of its parameters and state cap, which raise what
+    that call raises without running its DP."""
     _check_walk_params(d, n)
     if gcd_cap < 0:
         raise UnsupportedParameterError(f"gcd cap must be >= 0, got {gcd_cap}")
@@ -514,6 +617,20 @@ def predicted_tail_probability(d: int, n: int, gcd_cap: int) -> TailPrediction:
             f"boxed law needs {side**d} states, over the {BOX_STATE_CAP} cap; "
             "reduce n or gcd_cap"
         )
+    return box_radius
+
+
+def predicted_tail_probability(d: int, n: int, gcd_cap: int) -> TailPrediction:
+    """Predict Pr[gcd of endpoint > M] by exact convolution, no sampling.
+
+    The n-step law is computed on the torus of odd side Q = 2L + 1, which
+    coincides with the law on Z^d up to wraparound mass below exp(-L^2/2n);
+    the radius L = M + ceil(7.5 sqrt(n)) puts that under 1e-12.
+    Each torus state is read back as the integer vector in [-L, L]^d and
+    the gcd law is accumulated directly, with no independence assumptions.
+    """
+    box_radius = tail_box_radius(d, n, gcd_cap)
+    side = 2 * box_radius + 1
     probs = _torus_laws([side], d, n)[0]
     # torus coordinate t in [0, side) represents the integer t or t - side
     signed = np.arange(side, dtype=np.int64)

@@ -328,16 +328,22 @@ def remainder_gcd_statistics(gammas: np.ndarray, gcd_cap: int, moduli) -> tuple:
     return tail, zero, counts, [int(np.count_nonzero(gammas % q == 0)) for q in moduli]
 
 
-def bincount_endpoints(d: int, n: int, samples: int, rng, batch_elems: int) -> np.ndarray:
-    """Walk endpoints from int64 step draws, batches of batch_elems // n
-    rows, each batch counted by one bincount over row-offset step kinds."""
+def int64_draws(rng, m: int, count: int) -> np.ndarray:
+    return rng.integers(0, m, size=count, dtype=np.int64)
+
+
+def bincount_endpoints(d: int, n: int, samples: int, rng, batch_elems: int,
+                       draw=int64_draws) -> np.ndarray:
+    """Walk endpoints from int64 step draws, `draw(rng, 2d, count)` once per
+    batch of batch_elems // n rows, one batch after another, each counted by
+    one bincount over row-offset step kinds."""
     out = np.zeros((samples, d), dtype=np.int64)
     if n == 0:
         return out
     batch = max(1, batch_elems // n)
     for done in range(0, samples, batch):
         b = min(batch, samples - done)
-        draws = rng.integers(0, 2 * d, size=(b, n), dtype=np.int64)
+        draws = draw(rng, 2 * d, b * n).astype(np.int64).reshape(b, n)
         offsets = draws + (np.arange(b, dtype=np.int64) * (2 * d))[:, None]
         cnt = np.bincount(offsets.ravel(), minlength=b * 2 * d).reshape(b, 2 * d)
         out[done : done + b] = cnt[:, 0::2] - cnt[:, 1::2]

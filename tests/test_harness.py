@@ -1,6 +1,7 @@
 """Harness: configs, deterministic reports, audits, and CLI exit codes."""
 
 import json
+import threading
 import time
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ import pytest
 
 from wordlab import harness, lattice_walks
 from wordlab.cli import main
-from wordlab.errors import ConfigError, MalformedCayleyTableError
+from wordlab.errors import ConfigError, MalformedCayleyTableError, UnsupportedParameterError
 from wordlab.generation import count_generating_tuples
 from wordlab.harness import (
     EXPERIMENTS,
@@ -615,6 +616,23 @@ def test_walk_gcd_checks_its_state_caps_before_sampling(monkeypatch, capsys):
     assert main(["walk-gcd", "--seed", "1", "--d", "2", "--n", "10",
                  "--samples", "0", "--gcd-cap", "3"]) == 1
     assert "samples must be >= 1" in capsys.readouterr().err
+
+
+def test_walk_gcd_joins_its_worker_before_a_dp_error(monkeypatch, capsys):
+    threads = []
+
+    def failing(*args, **kwargs):
+        threads.append(threading.active_count())
+        raise UnsupportedParameterError("patched DP failure")
+
+    # the caps pass; the DP fails while the worker draws the last of 2 * 10^7 steps
+    monkeypatch.setattr(harness, "predicted_tail_probability", failing)
+    before = threading.active_count()
+    assert main(["walk-gcd", "--seed", "4", "--d", "2", "--n", "400", "--samples", "50000",
+                 "--gcd-cap", "8"]) == 1
+    assert threading.active_count() == before
+    assert threads == [before + 1]
+    assert "patched DP failure" in capsys.readouterr().err
 
 
 def test_cli_ingest(tmp_path, capsys):

@@ -2,12 +2,15 @@
 
 import itertools
 import math
+import sys
+import threading
 import time
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from wordlab import lattice_walks
 from wordlab.cli import main
@@ -19,6 +22,7 @@ from wordlab.lattice_walks import (
     _bounded_draws,
     _box_laws,
     _closed_walk_count,
+    _stream_position,
     _torus_laws,
     divisible_counts,
     endpoint_gcds,
@@ -36,6 +40,7 @@ from conftest import (
     bincount_endpoints,
     broadcast_gcd_tail,
     comb_closed_walk_count,
+    int64_draws,
     list_mod_law_counts,
     remainder_gcd_statistics,
     roll_torus_law,
@@ -112,6 +117,121 @@ def test_endpoints_need_a_pcg64_generator():
     # MT19937 gives its 32-bit outputs in another order than halves of PCG64's
     with pytest.raises(UnsupportedParameterError):
         sample_endpoints(2, 10, 5, np.random.Generator(np.random.MT19937(1)))
+
+
+def _watched_draws(mp, worker_blocks: int, reject_at=None) -> tuple:
+    """Patch `_bounded_draws` to record the thread of each call.  Once a
+    thread other than this one has made `worker_blocks` calls, an event is
+    set and that thread waits until this one has made a call, so that both
+    draw.  A call that starts at the stream position `reject_at` first draws
+    one more 32-bit half, as a rejected draw would.  Returns (the calling
+    threads, the event, the wrap that adds the rejection)."""
+    caller, threads = threading.get_ident(), []
+    worker_drew, head_drew = threading.Event(), threading.Event()
+
+    def rejecting(draw):
+        def wrapped(rng, m, count):
+            if _stream_position(rng.bit_generator) == reject_at:
+                rng.integers(0, 2**32, dtype=np.uint32)
+            return draw(rng, m, count)
+        return wrapped
+
+    draw = rejecting(lattice_walks._bounded_draws)
+
+    def watched(rng, m, count):
+        values = draw(rng, m, count)
+        threads.append(threading.get_ident())
+        if threads[-1] == caller:
+            head_drew.set()
+        elif sum(t != caller for t in threads) == worker_blocks:
+            worker_drew.set()
+            head_drew.wait(30)
+        return values
+
+    mp.setattr(lattice_walks, "_bounded_draws", watched)
+    return threads, worker_drew, rejecting
+
+
+def _position_after(seed: int, held: bool, halves: int) -> tuple:
+    rng = stream(seed)
+    rng.integers(0, 2**32, size=int(held) + halves, dtype=np.uint32)
+    return _stream_position(rng.bit_generator)
+
+
+@given(st.data())
+def test_two_thread_draw_matches_one_serial_draw(data):
+    d = data.draw(st.integers(1, 5))
+    n = data.draw(st.integers(1, 40))
+    samples = data.draw(st.integers(1, 300))
+    held = data.draw(st.booleans())
+    rows = data.draw(st.integers(1, max(1, samples // 4)))  # rows per block
+    ours, theirs = stream(13, d, n), stream(13, d, n)
+    if held:  # a 32-bit draw leaves the high half of its 64-bit output held
+        for rng in (ours, theirs):
+            rng.integers(0, 2**32, size=1, dtype=np.uint32)
+    blocks = -(-samples // rows)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lattice_walks, "_BATCH_ELEMS", rows * n)
+        threads, worker_drew, _ = _watched_draws(mp, 1)
+        # this thread draws the head only once the worker has taken a block
+        got = sample_endpoints(d, n, samples, ours,
+                               meanwhile=lambda: blocks == 1 or worker_drew.wait(30))
+    assert np.array_equal(got, bincount_endpoints(d, n, samples, theirs, rows * n))
+    assert len(set(threads)) == min(blocks, 2)
+    if d in (1, 2, 4):  # 2d a power of two rejects nothing: no block is drawn twice
+        assert len(threads) == blocks
+    for draw in (lambda r: r.integers(0, 2**32, size=3, dtype=np.uint32), lambda r: r.random(3)):
+        assert np.array_equal(draw(ours), draw(theirs))
+
+
+@pytest.mark.parametrize("where", ["head", "tail"])
+def test_a_rejected_draw_redraws_the_tail_serially(monkeypatch, where):
+    # ten blocks of 7 rows of 30 steps; 2d = 4 rejects nothing by itself
+    d, n, rows, samples, held = 2, 30, 7, 70, True
+    monkeypatch.setattr(lattice_walks, "_BATCH_ELEMS", rows * n)
+    # the head draws block 1 after the worker has drawn blocks 9 and 8
+    block = {"head": 1, "tail": 8}[where]
+    reject_at = _position_after(14, held, block * rows * n)
+    threads, worker_drew, rejecting = _watched_draws(monkeypatch, 2, reject_at)
+    ours, theirs = stream(14), stream(14)
+    for rng in (ours, theirs):
+        rng.integers(0, 2**32, size=1, dtype=np.uint32)
+    got = sample_endpoints(d, n, samples, ours, meanwhile=lambda: worker_drew.wait(30))
+    want = bincount_endpoints(d, n, samples, theirs, rows * n, rejecting(int64_draws))
+    assert np.array_equal(got, want)
+    assert _stream_position(ours.bit_generator) == _stream_position(theirs.bit_generator)
+    # every block once, then the worker's blocks again on this thread
+    worker = sum(t != threading.get_ident() for t in threads)
+    assert 2 <= worker < 10 and len(threads) == 10 + worker
+
+
+def test_two_thread_draw_under_fast_switching(monkeypatch):
+    # one row per block, and the interpreter switching threads every microsecond;
+    # 2d a power of two rejects nothing, so each block is drawn exactly once
+    monkeypatch.setattr(lattice_walks, "_BATCH_ELEMS", 1)
+    calls, draw = [], lattice_walks._bounded_draws
+    monkeypatch.setattr(lattice_walks, "_bounded_draws",
+                        lambda *args: calls.append(1) or draw(*args))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for d, n, samples in ((1, 1, 500), (2, 5, 400), (4, 3, 300)):
+            for seed in range(5):
+                calls.clear()
+                got = sample_endpoints(d, n, samples, stream(16, seed))
+                assert len(calls) == samples, (d, n, seed)
+                want = bincount_endpoints(d, n, samples, stream(16, seed), 1)
+                assert np.array_equal(got, want), (d, n, seed)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_one_block_starts_no_thread():
+    seen = []
+    ends = sample_endpoints(2, 100, 50, stream(15),
+                            meanwhile=lambda: seen.append(threading.active_count()))
+    assert seen == [threading.active_count()]
+    assert np.array_equal(ends, bincount_endpoints(2, 100, 50, stream(15), 1 << 24))
 
 
 def test_gcd_of_endpoint():
