@@ -152,9 +152,9 @@ def _watched_draws(mp, worker_blocks: int, reject_at=None) -> tuple:
     return threads, worker_drew, rejecting
 
 
-def _position_after(seed: int, held: bool, halves: int) -> tuple:
+def _position_after(seed: int, halves: int) -> tuple:
     rng = stream(seed)
-    rng.integers(0, 2**32, size=int(held) + halves, dtype=np.uint32)
+    rng.integers(0, 2**32, size=halves, dtype=np.uint32)
     return _stream_position(rng.bit_generator)
 
 
@@ -187,11 +187,12 @@ def test_two_thread_draw_matches_one_serial_draw(data):
 @pytest.mark.parametrize("where", ["head", "tail"])
 def test_a_rejected_draw_redraws_the_tail_serially(monkeypatch, where):
     # ten blocks of 7 rows of 30 steps; 2d = 4 rejects nothing by itself
-    d, n, rows, samples, held = 2, 30, 7, 70, True
+    d, n, rows, samples = 2, 30, 7, 70
     monkeypatch.setattr(lattice_walks, "_BATCH_ELEMS", rows * n)
-    # the head draws block 1 after the worker has drawn blocks 9 and 8
+    # the head draws block 1 after the worker has drawn blocks 9 and 8; both
+    # generators start on a held half, so block i starts after 1 + i rows n halves
     block = {"head": 1, "tail": 8}[where]
-    reject_at = _position_after(14, held, block * rows * n)
+    reject_at = _position_after(14, 1 + block * rows * n)
     threads, worker_drew, rejecting = _watched_draws(monkeypatch, 2, reject_at)
     ours, theirs = stream(14), stream(14)
     for rng in (ours, theirs):
