@@ -535,9 +535,10 @@ def run_walk_gcd(config: ExperimentConfig) -> dict:
     error either DP or the draw can raise comes before any endpoint is
     drawn.  Then the one `sample_endpoints` call that feeds the estimate
     and the mod-law rows checks its own parameters, starts its worker
-    thread on the last blocks of the endpoint stream, runs both DPs on
-    this thread as its `meanwhile`, and then draws the first blocks here
-    until the two meet; the endpoints are those of one serial draw.
+    thread on the last blocks of the endpoint stream (if there is more
+    than one block), runs both DPs on this thread as its `meanwhile`, and
+    then draws the first blocks here until the two meet; the endpoints
+    are those of one serial draw.
     """
     t0 = time.perf_counter()
     d, n, samples, gcd_cap = config.require("d", "n", "samples", "gcd_cap")

@@ -9,6 +9,7 @@ estimate and an independent prediction assembled from the mod-p^k laws.
 
 from __future__ import annotations
 
+import collections
 import math
 import threading
 from dataclasses import dataclass
@@ -145,22 +146,26 @@ def sample_endpoints(d: int, n: int, samples: int, rng: Union[Rng, int], *,
     in blocks of about _BATCH_ELEMS steps, so the working set beside the
     output stays a few MiB whatever `samples` is.
 
-    The parameters are checked first.  With more than one block, a worker
-    thread then draws blocks from the last one backwards, while this thread
-    runs `meanwhile` (if given) and then draws blocks from the first one
-    forwards on `rng`; the two stop where they meet, and `meanwhile` and
-    the worker are done before the call returns or raises.  With `rows`
-    walks per block, block i starts at 32-bit position P = i * rows * n of
-    the stream, counted from `rng`'s held half if it has one, assuming no
-    draw before it was rejected.  The worker reaches P on its own PCG64
-    copy of `rng`'s start state: `advance` by (P - held) // 2 64-bit
-    outputs, then one 32-bit draw when P - held is odd.  After the join,
-    every worker block must start where the block before it ended; if one
-    does not (a Lemire rejection, at most (2^32 mod 2d) / 2^32 per draw and
-    never for 2d a power of two), every worker block is drawn again, in
-    order, on `rng`.  So the endpoints, and the state `rng` is left in, are
-    those of drawing every block in order on `rng`, whatever the scheduling
-    and the block size.
+    The parameters are checked first.  With `meanwhile` given and more
+    than one block, a worker thread then draws blocks from the last one
+    backwards, while this thread runs `meanwhile` and then draws blocks
+    from the first one forwards on `rng`; the two pop blocks from the two
+    ends of one deque, each pop atomic, until it is empty.  Both are done
+    before the call returns or raises; if `meanwhile` raises, the worker
+    stops at its next block.  Otherwise no thread starts: `meanwhile`, if
+    given, runs first, and then this thread draws every block in order.
+
+    With `rows` walks per block, block i starts at 32-bit position
+    P = i * rows * n of the stream, counted from `rng`'s held half if it
+    has one, assuming no draw before it was rejected.  The worker reaches
+    P on its own PCG64 copy of `rng`'s start state: `advance` by
+    (P - held) // 2 64-bit outputs, then one 32-bit draw when P - held is
+    odd.  After the join, every worker block must start where the block
+    before it ended; if one does not (a Lemire rejection, at most
+    (2^32 mod 2d) / 2^32 per draw and never for 2d a power of two), every
+    worker block is drawn again, in order, on `rng`.  So the endpoints,
+    and the state `rng` is left in, are those of drawing every block in
+    order on `rng`, whatever the scheduling and the block size.
     """
     _check_walk_params(d, n)
     if samples < 1:
@@ -170,36 +175,37 @@ def sample_endpoints(d: int, n: int, samples: int, rng: Union[Rng, int], *,
         raise UnsupportedParameterError(
             f"walk steps are drawn from PCG64 outputs, not {type(rng.bit_generator).__name__}")
     out = np.zeros((samples, d), dtype=np.int64)
-    if n == 0:
+    rows = min(max(1, _BATCH_ELEMS // max(n, 1)), samples)
+    blocks = [out[i : i + rows] for i in range(0, samples, rows)] if n else []
+    count = _walk_counter(d, n, rows) if n else None
+    if meanwhile is None or len(blocks) < 2:
         if meanwhile is not None:
             meanwhile()
+        for block in blocks:
+            count(rng, block)
         return out
-    rows = min(max(1, _BATCH_ELEMS // n), samples)
-    blocks = [out[i : i + rows] for i in range(0, samples, rows)]
     start = rng.bit_generator.state
     held = start["has_uint32"]
-    bounds = [0, len(blocks)]  # blocks [bounds[0], bounds[1]) are not taken yet
-    lock = threading.Lock()
+    todo = collections.deque(range(len(blocks)))  # blocks not taken yet; a pop is atomic
     stop = threading.Event()
     tail = {}  # worker block -> (start position, end position, end state)
     failed = []
 
-    def take(head: bool) -> Optional[int]:
-        with lock:
-            if bounds[0] == bounds[1]:
-                return None
-            if head:
-                bounds[0] += 1
-                return bounds[0] - 1
-            bounds[1] -= 1
-            return bounds[1]
+    def taken(pop: Callable[[], int]):
+        while True:
+            try:
+                yield pop()
+            except IndexError:
+                return
 
     def draw_tail() -> None:
         try:
             count = _walk_counter(d, n, rows)
             bits = np.random.PCG64(0)
             gen = np.random.Generator(bits)
-            while not stop.is_set() and (i := take(head=False)) is not None:
+            for i in taken(todo.pop):
+                if stop.is_set():
+                    return
                 bits.state = start
                 if i:  # block 0 starts at `start` itself, held half and all
                     at = i * rows * n - held
@@ -212,19 +218,15 @@ def sample_endpoints(d: int, n: int, samples: int, rng: Union[Rng, int], *,
         except BaseException as exc:  # re-raised on the calling thread
             failed.append(exc)
 
-    worker = threading.Thread(target=draw_tail) if len(blocks) > 1 else None
-    if worker is not None:
-        worker.start()
+    worker = threading.Thread(target=draw_tail)
+    worker.start()
     try:
-        if meanwhile is not None:
-            meanwhile()
-        count = _walk_counter(d, n, rows)
-        while (i := take(head=True)) is not None:
+        meanwhile()
+        for i in taken(todo.popleft):
             count(rng, blocks[i])
     finally:
         stop.set()
-        if worker is not None:
-            worker.join()
+        worker.join()
     if failed:
         raise failed[0]
     if tail:

@@ -2,7 +2,6 @@
 
 import itertools
 import math
-import sys
 import threading
 import time
 import tracemalloc
@@ -206,33 +205,48 @@ def test_a_rejected_draw_redraws_the_tail_serially(monkeypatch, where):
     assert 2 <= worker < 10 and len(threads) == 10 + worker
 
 
-def test_two_thread_draw_under_fast_switching(monkeypatch):
-    # one row per block, and the interpreter switching threads every microsecond;
-    # 2d a power of two rejects nothing, so each block is drawn exactly once
-    monkeypatch.setattr(lattice_walks, "_BATCH_ELEMS", 1)
-    calls, draw = [], lattice_walks._bounded_draws
-    monkeypatch.setattr(lattice_walks, "_bounded_draws",
-                        lambda *args: calls.append(1) or draw(*args))
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for d, n, samples in ((1, 1, 500), (2, 5, 400), (4, 3, 300)):
-            for seed in range(5):
-                calls.clear()
-                got = sample_endpoints(d, n, samples, stream(16, seed))
-                assert len(calls) == samples, (d, n, seed)
-                want = bincount_endpoints(d, n, samples, stream(16, seed), 1)
-                assert np.array_equal(got, want), (d, n, seed)
-    finally:
-        sys.setswitchinterval(interval)
-
-
 def test_one_block_starts_no_thread():
     seen = []
     ends = sample_endpoints(2, 100, 50, stream(15),
                             meanwhile=lambda: seen.append(threading.active_count()))
     assert seen == [threading.active_count()]
     assert np.array_equal(ends, bincount_endpoints(2, 100, 50, stream(15), 1 << 24))
+
+
+def test_a_draw_with_nothing_meanwhile_starts_no_thread(monkeypatch):
+    # ten blocks, every one drawn on this thread
+    monkeypatch.setattr(lattice_walks, "_BATCH_ELEMS", 7 * 30)
+    threads, _, _ = _watched_draws(monkeypatch, 1)
+    ends = sample_endpoints(3, 30, 70, stream(17))
+    assert threads == [threading.get_ident()] * 10
+    assert np.array_equal(ends, bincount_endpoints(3, 30, 70, stream(17), 7 * 30))
+
+
+def test_an_error_meanwhile_stops_the_worker_at_its_next_block(monkeypatch):
+    # 1000 blocks of one row; the worker pauses after its first block until
+    # `meanwhile` is about to raise, and may take at most a few more after it
+    monkeypatch.setattr(lattice_walks, "_BATCH_ELEMS", 30)
+    calls, drew, failing_now = [], threading.Event(), threading.Event()
+    draw = lattice_walks._bounded_draws
+
+    def watched(*args):
+        values = draw(*args)
+        calls.append(threading.get_ident())
+        drew.set()
+        failing_now.wait(30)
+        return values
+
+    def failing():
+        drew.wait(30)
+        failing_now.set()
+        raise UnsupportedParameterError("patched failure")
+
+    monkeypatch.setattr(lattice_walks, "_bounded_draws", watched)
+    before = threading.active_count()
+    with pytest.raises(UnsupportedParameterError, match="patched failure"):
+        sample_endpoints(2, 30, 1000, stream(18), meanwhile=failing)
+    assert threading.active_count() == before
+    assert 1 <= len(calls) < 100 and threading.get_ident() not in calls
 
 
 def test_gcd_of_endpoint():

@@ -5,10 +5,11 @@ Usage, from the root of a checkout:
     python3 tools/bench.py --pr 31                     # bench this checkout
     python3 tools/bench.py --pr 30 --root ../parent    # bench another checkout
 
-Each round runs `perfbench/run.py --workload <w> --seconds S --trace 0` of
-the benched checkout once per workload of its BENCHMARK.json, each in a
-fresh process; odd rounds take the workloads in reverse order, so that no
-workload always runs after the same one.  There are at least 5 rounds.
+Each of ROUNDS rounds runs `perfbench/run.py --workload <w> --seed 1
+--seconds 55 --trace 0` of the benched checkout once per workload of its
+BENCHMARK.json, each in a fresh process; odd rounds take the workloads in
+reverse order, so that no workload always runs after the same one.  The
+command is fixed, so that every BENCH file compares with every other.
 
 The file, written next to this script's checkout, holds per workload and
 metric the median, the quartiles and every run's value; the machine record
@@ -26,15 +27,20 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-MIN_ROUNDS = 5
+ROUNDS = 5
+SECONDS = 55
+SEED = 1
 MACHINE = ("cpu_model", "nproc", "numpy", "python", "git_commit", "src_lines")
 RECORD_PREFIX = "run record: "
 
 
-def run_once(root: Path, workload: str, seconds: int, seed: int) -> tuple:
+COMMAND = ("perfbench/run.py", "--workload", "<w>", "--seed", str(SEED),
+           "--seconds", str(SECONDS), "--trace", "0")
+
+
+def run_once(root: Path, workload: str) -> tuple:
     """(metrics, run record) of one fresh perfbench process."""
-    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", "0"]
+    argv = [sys.executable] + [workload if arg == "<w>" else arg for arg in COMMAND]
     proc = subprocess.run(argv, cwd=root, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -58,29 +64,23 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pr", type=int, required=True, help="number in the file name")
     parser.add_argument("--root", type=Path, default=ROOT, help="checkout to bench")
-    parser.add_argument("--rounds", type=int, default=MIN_ROUNDS)
-    parser.add_argument("--seconds", type=int, default=55)
-    parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
-    if args.rounds < MIN_ROUNDS:
-        parser.error(f"--rounds must be at least {MIN_ROUNDS}")
     root = args.root.resolve()
     workloads = [w["name"] for w in json.loads((root / "BENCHMARK.json").read_text())["workloads"]]
     values = {w: {} for w in workloads}
     machine = None
-    for r in range(args.rounds):
+    for r in range(ROUNDS):
         for workload in workloads if r % 2 == 0 else workloads[::-1]:
-            metrics, record = run_once(root, workload, args.seconds, args.seed)
-            print(f"round {r + 1}/{args.rounds} {workload}: "
+            metrics, record = run_once(root, workload)
+            print(f"round {r + 1}/{ROUNDS} {workload}: "
                   + ", ".join(f"{k} {v:.6g}" for k, v in metrics.items()), flush=True)
             machine = machine or {key: record[key] for key in MACHINE}
             for name, value in metrics.items():
                 values[workload].setdefault(name, []).append(value)
     bench = {
         "pr": args.pr,
-        "command": f"perfbench/run.py --workload <w> --seed {args.seed} "
-                   f"--seconds {args.seconds} --trace 0",
-        "rounds": args.rounds,
+        "command": " ".join(COMMAND),
+        "rounds": ROUNDS,
         "machine": machine,
         "dont_write_bytecode": bool(sys.flags.dont_write_bytecode),
         "workloads": {w: {name: summary(v) for name, v in metrics.items()}
