@@ -39,7 +39,8 @@ EXACT_WORK_CAP = 2 * 10**10
 # calls; numpy 2.4.6, 2-core x86 VM, 2 MiB L2 per core), by block size:
 #   2^16: 54 ms, 2^18: 56 ms, 2^20: 80 ms, 2^24: 105 ms;
 #   tracemalloc peak beside the output: 1.0, 4.0, 16.1 and 206 MiB.
-# With a block in flight on each of two threads, 2^18 peaks at 6.2 MiB.
+# Beside a `meanwhile`, with a block in flight on each of two threads, 2^18
+# peaks at 6.2 MiB.
 _BATCH_ELEMS = 1 << 18
 
 

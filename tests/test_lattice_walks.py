@@ -69,14 +69,16 @@ def test_endpoints_match_int64_draws_counted_by_bincount(d):
 
 
 def test_sample_endpoints_peak_memory():
-    # 2 * 10^7 steps, drawn and counted in blocks of _BATCH_ELEMS steps
-    tracemalloc.start()
-    try:
-        ends = sample_endpoints(2, 400, 50_000, stream(8))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= ends.nbytes + 8 * 2**20
+    # 2 * 10^7 steps, drawn and counted in blocks of _BATCH_ELEMS steps: all
+    # on this thread, then, beside a `meanwhile`, a block on each of two threads
+    for meanwhile in (None, lambda: None):
+        tracemalloc.start()
+        try:
+            ends = sample_endpoints(2, 400, 50_000, stream(8), meanwhile=meanwhile)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= ends.nbytes + 8 * 2**20, meanwhile
 
 
 def test_endpoints_match_int64_draws_across_batches(monkeypatch):
