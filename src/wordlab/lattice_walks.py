@@ -291,56 +291,59 @@ def _neighbor_indices(d: int, q: int) -> np.ndarray:
                      for axis in range(d) for shift in (1, -1)])
 
 
-# (destination, source) slice pairs along one axis for a move of the whole
-# torus: by +1 (two pieces, the second across the edge), then by -1.
-_WRAP_SHIFTS = (
-    (slice(1, None), slice(None, -1)), (slice(None, 1), slice(-1, None)),
-    (slice(None, -1), slice(1, None)), (slice(-1, None), slice(None, 1)),
-)
-
-# Largest torus (in states) whose wrapped steps run as gathers in the flat
-# vector shared by the small tori of a `_torus_laws` call; a larger torus
-# steps by slices of its own array.  The shared vector costs 4d numpy calls
-# per step for all its tori together, against 4d + 2 calls per torus for
-# slices, but a gather costs more per state than a slice.  Measured per
-# torus and step (best of 5 runs of 50 steps; numpy 2.4.6, 2-core x86 VM),
-# gather added to the shared vector against slices:
-#   4096 states:   d=1 24 / 23 us,  d=2  41 / 55 us,  d=3  66 / 97 us
-#   16384 states:  d=1 89 / 50 us,  d=2 165 / 122 us  (d=3 at 32768: 470 / 351 us)
+# Largest torus (in states) that `_torus_laws` steps by gathers in the flat
+# vector shared by all such tori of its call; a larger torus runs its own
+# `_torus_law`.  The shared vector costs 4d numpy calls per step for all its
+# tori together, and `_torus_law` as many per wrapped step for each torus,
+# but a gather costs more per state than a slice.  Measured per torus and
+# wrapped step (median over 3 of the best of 7 runs of 400 steps; numpy
+# 2.4.6, 2-core x86 VM), gathers in the shared vector against `_torus_law`:
+#   512 states:    d=1  3 / 4 us,   d=3   9 / 13 us
+#   4096 states:   d=1 15 / 16 us,  d=2  23 / 14 us,  d=3  29 / 25 us
+#   16384 states:  d=1 47 / 23 us,  d=2  84 / 34 us  (d=3 at 32768: 255 / 104 us)
 GATHER_STATES = 4096
 
 
-def _box_laws(d: int, radii: set) -> dict:
-    """The law on Z^d after r steps, for each r in `radii`: an array of side
-    2r + 1 with the origin at its centre.
+def _torus_law(side: int, d: int, n: int) -> np.ndarray:
+    """Float64 n-step law on the torus (Z/side)^d, one array axis per
+    coordinate, origin at index 0.
 
-    One DP runs to the largest radius, top, in two flat vectors of the box
-    of side S = 2 top + 1, each padded by one axis-0 slab of S^(d-1) zeros
-    at either end.  After t steps the walk lies in the box of radius t, so
-    a step writes only the slabs of the box of radius t + 1: the law moved
-    by -1 and by +1 along axis 0, then along each other axis by its stride,
-    then divided by 2d.  A state past the box edge of a later axis reads,
-    across the flat vector, a state the walk cannot reach yet, so it adds
-    +0.0; every term is >= 0, so the laws are bit for bit those of adding
-    the box alone, slice by slice, to zeros.
+    One DP runs in two flat vectors of the box of side S = min(side, 2n + 1),
+    origin at box index c = (S - 1) // 2, padded by one axis-0 slab at
+    either end.  Until step c the walk cannot wrap, and after t steps it
+    lies in the box of radius t, so a step writes only the slabs of the box
+    of radius t + 1: the law moved by -1 and by +1 along axis 0, then along
+    each other axis by its stride, then divided by 2d.  A state on the box
+    edge of a later axis reads, across the flat vector or in a halo, a state
+    the walk cannot reach yet, which adds +0.0.  If the walk wraps (n > c, so
+    S = side), every other axis is padded by one halo cell at either end
+    too, and each step from step c on first copies every face of the box
+    into the halo beyond the opposite face, then writes the whole vector.
+    So every state receives 0.0 + p[s - e_0] + p[s + e_0] + ... +
+    p[s + e_(d-1)], each move one contiguous slice, then one division by 2d:
+    the floats of rolling the whole torus by +1 then by -1 along each axis
+    from step 0, since every term left out is +0.0.  The box is written
+    into a zero torus around index 0.
     """
-    top = max(radii)
-    side = 2 * top + 1
-    slab = side ** (d - 1)
-    strides = [side ** (d - 1 - axis) for axis in range(1, d)]
-    probs = np.zeros((side + 2) * slab, dtype=np.float64)
+    size = min(side, 2 * n + 1)
+    centre = (size - 1) // 2
+    halo = int(n > centre)
+    shape = (size + 2,) + (size + 2 * halo,) * (d - 1)
+    slab = math.prod(shape[1:])
+    strides = [math.prod(shape[axis + 1 :]) for axis in range(1, d)]
+    probs = np.zeros(math.prod(shape), dtype=np.float64)
     nxt = np.zeros_like(probs)
-    probs[(top + 1) * slab + (slab - 1) // 2] = 1.0
-
-    def box(flat: np.ndarray, r: int) -> np.ndarray:
-        grid = flat.reshape((side + 2,) + (side,) * (d - 1))
-        return grid[(slice(top + 1 - r, top + 2 + r),) + (slice(top - r, top + r + 1),) * (d - 1)]
-
-    laws = {}
-    for t in range(top):
-        if t in radii:
-            laws[t] = box(probs, t).copy()
-        lo, hi = (top - t) * slab, (top + t + 3) * slab
+    probs[np.ravel_multi_index((centre + 1,) + (centre + halo,) * (d - 1), shape)] = 1.0
+    for t in range(n):
+        if t < centre:
+            lo, hi = (centre - t) * slab, (centre + t + 3) * slab
+        else:
+            lo, hi = slab, (size + 1) * slab
+            grid = probs.reshape(shape)
+            for axis in range(d):
+                head = (slice(None),) * axis
+                grid[head + (0,)] = grid[head + (size,)]
+                grid[head + (size + 1,)] = grid[head + (1,)]
         out = nxt[lo:hi]
         np.add(probs[lo - slab : hi - slab], probs[lo + slab : hi + slab], out=out)
         for stride in strides:
@@ -348,85 +351,47 @@ def _box_laws(d: int, radii: set) -> dict:
             out += probs[lo + stride : hi + stride]
         out /= 2 * d
         probs, nxt = nxt, probs
-    laws[top] = box(probs, top)
-    return laws
+    box = probs.reshape(shape)[(slice(1, size + 1),) + (slice(halo, size + halo),) * (d - 1)]
+    at = np.arange(-centre, size - centre) % side
+    law = np.zeros((side,) * d, dtype=np.float64)
+    law[np.ix_(*[at] * d)] = box
+    return law
 
 
-def _slice_steps(probs: np.ndarray, steps: int) -> np.ndarray:
-    """`steps` steps of the whole torus `probs`, each move in two slices."""
-    d = probs.ndim
-    nxt = np.empty_like(probs)
-    for _ in range(steps):
-        nxt.fill(0.0)
-        for axis in range(d):
-            head = (slice(None),) * axis
-            for dst, src in _WRAP_SHIFTS:
-                nxt[head + (dst,)] += probs[head + (src,)]
-        nxt /= 2 * d
-        probs, nxt = nxt, probs
-    return probs
-
-
-def _gather_steps(laws: list, starts: list, d: int, n: int) -> list:
-    """Torus law i run from step starts[i] to step n, for every i, by
-    gathers in one flat vector that each torus joins at its start step."""
-    order = sorted(range(len(laws)), key=starts.__getitem__)
-    vec = np.zeros(0, dtype=np.float64)
-    cols = np.zeros((2 * d, 0), dtype=np.intp)
-    offsets = []
-    for t in range(starts[order[0]], n):
-        while len(offsets) < len(order) and starts[order[len(offsets)]] == t:
-            law = laws[order[len(offsets)]]
-            offsets.append(vec.size)
-            cols = np.concatenate([cols, _neighbor_indices(d, law.shape[0]) + vec.size], axis=1)
-            vec = np.concatenate([vec, law.ravel()])
+def _gather_steps(sides: Sequence[int], d: int, n: int) -> list:
+    """The n-step laws of the tori (Z/side)^d, one per side, by gathers in
+    one flat vector that holds them all, each from the point mass at its
+    origin."""
+    offsets = np.cumsum([0] + [side**d for side in sides])
+    vec = np.zeros(offsets[-1], dtype=np.float64)
+    vec[offsets[:-1]] = 1.0
+    cols = np.concatenate([_neighbor_indices(d, side) + offset
+                           for side, offset in zip(sides, offsets)], axis=1)
+    for _ in range(n):
         nxt = vec[cols[0]]
         for col in cols[1:]:
             nxt += vec[col]
         nxt /= 2 * d
         vec = nxt
-    out = list(laws)
-    for i, offset in zip(order, offsets):
-        out[i] = vec[offset : offset + laws[i].size].reshape(laws[i].shape)
-    return out
+    return [vec[lo:hi].reshape((side,) * d)
+            for side, lo, hi in zip(sides, offsets[:-1], offsets[1:])]
 
 
 def _torus_laws(sides: Sequence[int], d: int, n: int) -> list:
     """Float64 n-step laws on the tori (Z/side)^d, one array axis per
     coordinate, origin at index 0.
 
-    Until step reach = (side - 1) // 2 the walk cannot wrap, so each torus
-    starts from the law on Z^d after min(n, reach) steps, taken from one
-    box DP for all sides and written around index 0.  A torus with steps
-    left then runs the whole-torus recurrence: by gathers in a flat vector
-    shared with the other tori of at most GATHER_STATES states, or by
-    slices of its own array.  Either way every state receives
+    The tori of at most GATHER_STATES states step together by gathers in
+    one flat vector (`_gather_steps`); each larger torus runs its own padded
+    box DP (`_torus_law`).  Either way every state receives
     0.0 + p[s - e_0] + p[s + e_0] + ... + p[s + e_(d-1)], then one division
-    by 2d, the order of rolling the whole torus by +1 then by -1 along each
-    axis; the terms left out are +0.0, so the floats are those of that
-    roll from step 0.
+    by 2d, so the floats are those of rolling the whole torus by +1 then by
+    -1 along each axis at every step, from the point mass at the origin.
     """
-    if not sides:
-        return []
-    reaches = [(side - 1) // 2 for side in sides]
-    boxes = _box_laws(d, {min(n, r) for r in reaches})
-    laws = []
-    for side, reach in zip(sides, reaches):
-        r = min(n, reach)
-        at = np.arange(-r, r + 1) % side
-        law = np.zeros((side,) * d, dtype=np.float64)
-        law[np.ix_(*[at] * d)] = boxes[r]
-        laws.append(law)
-    wrapped = [i for i, reach in enumerate(reaches) if reach < n]
-    small = [i for i in wrapped if laws[i].size <= GATHER_STATES]
-    for i in wrapped:
-        if laws[i].size > GATHER_STATES:
-            laws[i] = _slice_steps(laws[i], n - reaches[i])
-    if small:
-        stepped = _gather_steps([laws[i] for i in small], [reaches[i] for i in small], d, n)
-        for i, law in zip(small, stepped):
-            laws[i] = law
-    return laws
+    small = [side for side in sides if side**d <= GATHER_STATES]
+    stepped = iter(_gather_steps(small, d, n) if small else [])
+    return [next(stepped) if side**d <= GATHER_STATES else _torus_law(side, d, n)
+            for side in sides]
 
 
 def check_moduli(d: int, n: int, moduli: Sequence[int]) -> None:
@@ -651,9 +616,13 @@ def predicted_tail_probability(d: int, n: int, gcd_cap: int) -> TailPrediction:
     # included, so the tail selects from the whole torus
     tail = float(probs.ravel()[gamma.ravel() > gcd_cap].sum())
     # a state out of reach of n steps holds 0.0 and would add +0.0 to its
-    # bin, so the law bins only the reachable box, in torus order
-    near = np.ix_(*[np.flatnonzero(mags <= min(n, box_radius))] * d)
-    law = np.bincount(gamma[near].ravel(), weights=probs[near].ravel(),
+    # bin, so the law bins only the reachable box, by one flat index in
+    # torus order
+    near = np.flatnonzero(mags <= min(n, box_radius))
+    flat = near
+    for _ in range(d - 1):
+        flat = np.add.outer(flat * side, near).ravel()
+    law = np.bincount(gamma.ravel()[flat], weights=probs.ravel()[flat],
                       minlength=box_radius + 1)
     zero = float(probs[(0,) * d])
     head_cap = min(len(law) - 1, max(2 * gcd_cap, 10))

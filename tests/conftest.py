@@ -289,34 +289,6 @@ def roll_torus_law(side: int, d: int, n: int) -> np.ndarray:
     return probs
 
 
-def slice_box_laws(d: int, radii: set) -> dict:
-    """The law on Z^d after r steps for each r in `radii`, an array of side
-    2r + 1 centred on the origin: one DP to the largest radius on a
-    (2 top + 1)^d array, each step zeroing the box of radius t + 1 and
-    adding into it the box of radius t moved by -1, then +1, along each
-    axis in turn, slice by slice, then dividing it by 2d."""
-    top = max(radii)
-    probs = np.zeros((2 * top + 1,) * d, dtype=np.float64)
-    nxt = np.zeros_like(probs)
-    probs[(top,) * d] = 1.0
-    laws = {}
-    for t in range(top):
-        if t in radii:
-            laws[t] = probs[(slice(top - t, top + t + 1),) * d].copy()
-        box = slice(top - t, top + t + 1)
-        grown = (slice(top - t - 1, top + t + 2),) * d
-        nxt[grown] = 0.0
-        for axis in range(d):
-            for shift in (1, -1):
-                dst = [box] * d
-                dst[axis] = slice(top - t + shift, top + t + 1 + shift)
-                nxt[tuple(dst)] += probs[(box,) * d]
-        nxt[grown] /= 2 * d
-        probs, nxt = nxt, probs
-    laws[top] = probs
-    return laws
-
-
 def remainder_gcd_statistics(gammas: np.ndarray, gcd_cap: int, moduli) -> tuple:
     """(tail count, zero count, gamma counts, divisible count per modulus) of
     endpoint gcds, by one comparison pass per count and one remainder pass

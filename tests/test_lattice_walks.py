@@ -19,7 +19,6 @@ from wordlab.lattice_walks import (
     EXACT_WORK_CAP,
     GATHER_STATES,
     _bounded_draws,
-    _box_laws,
     _closed_walk_count,
     _stream_position,
     _torus_laws,
@@ -43,7 +42,6 @@ from conftest import (
     list_mod_law_counts,
     remainder_gcd_statistics,
     roll_torus_law,
-    slice_box_laws,
 )
 
 
@@ -431,30 +429,37 @@ def test_tail_estimate_bookkeeping():
     assert lo <= est.tail_probability <= hi
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
-@pytest.mark.parametrize("side", [2, 3, 4, 5, 7, 8, 85, "past-gather"])
+def _past_gather(d: int, side) -> int:
+    """`side` itself, or for "past-gather" the least side, and for
+    "past-gather-even" the least even side, whose torus has more than
+    GATHER_STATES states in dimension d."""
+    if side == "past-gather":
+        return next(s for s in itertools.count(2) if s**d > GATHER_STATES)
+    if side == "past-gather-even":
+        return next(s for s in itertools.count(2, 2) if s**d > GATHER_STATES)
+    return side
+
+
+# (side, d): the small sides step by gathers; 85, 167 and the sides past
+# GATHER_STATES each run their own padded box DP
+TORUS_CASES = ([(side, d) for d in (1, 2, 3) for side in (2, 3, 4, 5, 7, 8, 85, "past-gather")]
+               + [(167, 2), (2, 4), (3, 4), ("past-gather", 4)]
+               + [("past-gather-even", d) for d in (1, 2, 3, 4)])
+
+
+@pytest.mark.parametrize("side, d", TORUS_CASES)
 def test_torus_law_matches_full_roll_bytes(side, d):
-    # all tori step in one call: the small ones by gathers, each joining the
-    # shared vector when its box meets its edge after (side - 1) // 2 steps,
-    # and 85 (in d > 1) and the least side past GATHER_STATES by slices
-    big = next(s for s in itertools.count(2) if s**d > GATHER_STATES)
-    sides = [2, 3, 4, 5, 7, 8, 85, big]
-    side = big if side == "past-gather" else side
+    # all the tori of one dimension step in one call.  n = 20 on side 85 and
+    # n = 83 on side 167 never wrap: the box has side 2n + 1 < 85, and side
+    # 167 itself with no halo; the halo starts at n = reach + 1
+    sides = [_past_gather(d, s) for s, dd in TORUS_CASES if dd == d]
+    side = _past_gather(d, side)
     reach = (side - 1) // 2
-    for n in sorted({0, max(reach - 1, 0), reach, reach + 1, 40}):
+    for n in sorted({0, 20, max(reach - 1, 0), reach, reach + 1, 40}):
         got = _torus_laws(sides, d, n)[sides.index(side)]
         want = roll_torus_law(side, d, n)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes(), (side, d, n)
-
-
-@pytest.mark.parametrize("d, radii", [(1, {5, 1000}), (2, {0}), (2, {1, 2, 3, 83}), (3, {1}),
-                                      (3, {1, 2, 3, 20}), (3, {42}), (4, {2, 6})])
-def test_box_laws_match_slice_dp_bytes(d, radii):
-    got, want = _box_laws(d, radii), slice_box_laws(d, radii)
-    assert got.keys() == want.keys()
-    for r, law in want.items():
-        assert got[r].shape == law.shape and got[r].tobytes() == law.tobytes(), (d, radii, r)
 
 
 @pytest.mark.parametrize("case", ["zeros", "below-cap", "past-64"])
