@@ -351,6 +351,7 @@ def _torus_law(side: int, d: int, n: int) -> np.ndarray:
             out += probs[lo + stride : hi + stride]
         out /= 2 * d
         probs, nxt = nxt, probs
+    del nxt  # freed before the torus is allocated
     box = probs.reshape(shape)[(slice(1, size + 1),) + (slice(halo, size + halo),) * (d - 1)]
     at = np.arange(-centre, size - centre) % side
     law = np.zeros((side,) * d, dtype=np.float64)

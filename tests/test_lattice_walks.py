@@ -449,9 +449,9 @@ TORUS_CASES = ([(side, d) for d in (1, 2, 3) for side in (2, 3, 4, 5, 7, 8, 85, 
 
 @pytest.mark.parametrize("side, d", TORUS_CASES)
 def test_torus_law_matches_full_roll_bytes(side, d):
-    # all the tori of one dimension step in one call.  n = 20 on side 85 and
-    # n = 83 on side 167 never wrap: the box has side 2n + 1 < 85, and side
-    # 167 itself with no halo; the halo starts at n = reach + 1
+    # all the tori of one dimension step in one call.  n = 20 on side 85
+    # never wraps (a box of side 41), nor n = 83 on side 167 (a box of side
+    # 167 with no halo); the halo starts at n = reach + 1
     sides = [_past_gather(d, s) for s, dd in TORUS_CASES if dd == d]
     side = _past_gather(d, side)
     reach = (side - 1) // 2
